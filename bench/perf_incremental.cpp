@@ -198,9 +198,9 @@ int main(int argc, char** argv) {
   }
 
   // A "rep" is `num_epochs` advances of the stream; per-epoch rates divide
-  // by that.  The rebuild side re-expands and re-extracts from scratch,
-  // which is exactly what run_pipeline_streaming does without
-  // --incremental.
+  // by that.  The rebuild side re-expands the full lattice (expand_fold
+  // without a floor, the lattice IncrementalLattice keeps) and re-extracts
+  // from scratch.
   std::uint32_t rebuild_pos = 0;
   const double rebuild_s = time_reps(reps, [&] {
     for (std::uint32_t e = 0; e < num_epochs; ++e) {

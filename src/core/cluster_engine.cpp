@@ -572,16 +572,252 @@ void expand_fold_mask_major(std::span<const std::uint64_t> leaf_keys,
   expand_metrics().radix_bytes.add(radix_bytes);
 }
 
+/// The significance-pruned engine (expand_fold with a floor above 1): the
+/// iceberg cube of BUC (Beyer & Ramakrishnan, SIGMOD 1999).  Starting from
+/// the root's group of all leaves, a group is split by one more dimension
+/// and only the sub-groups whose session sum reaches the floor become cells
+/// and are split further.  A refinement never holds more sessions than its
+/// parent, so no cell below the floor has a descendant at or above it and
+/// the recursion visits exactly the cells with sessions >= floor.
+///
+/// Each cell is reached along one path, adding its dimensions in
+/// kSplitOrder.  Following BUC, that order puts high-cardinality dimensions
+/// first: their splits make small groups early, so the wide groups of the
+/// low-cardinality dimensions come last and are split by few further
+/// dimensions.  Splits scatter leaves stably and the root group is the
+/// ascending leaf array, so every cell's member list is ascending.
+class IcebergCube {
+ public:
+  IcebergCube(std::span<const std::uint64_t> leaf_keys,
+              std::span<const ClusterStats> leaf_stats, std::uint32_t floor,
+              int max_arity)
+      : leaf_stats_(leaf_stats),
+        floor_(floor),
+        max_arity_(static_cast<std::size_t>(max_arity)),
+        slots_(std::size_t{1} << kMaxDimBits),
+        level_(max_arity_ + 1),
+        split_(max_arity_) {
+    level_[0].resize(leaf_keys.size());
+    for (std::uint32_t i = 0; i < leaf_keys.size(); ++i) {
+      level_[0][i] = {leaf_keys[i], leaf_stats[i].sessions, i};
+    }
+  }
+
+  /// Runs the recursion from the root.
+  void build() { split(0, 0, level_[0].size(), 0, 0); }
+
+  /// Emitted cells in emission order: key, stats, and the member leaves
+  /// members[member_end of the previous cell, member_end).
+  std::vector<std::uint64_t> keys;
+  std::vector<ClusterStats> stats;
+  std::vector<std::size_t> member_end;
+  std::vector<std::uint32_t> members;
+
+ private:
+  static constexpr int kMaxDimBits =
+      *std::max_element(kDimBits.begin(), kDimBits.end());
+  static constexpr std::uint32_t kSkip = ~std::uint32_t{0};
+  /// Widest value field first: field width stands in for cardinality.
+  static constexpr std::array<AttrDim, kNumDims> kSplitOrder = {
+      AttrDim::kAsn,      AttrDim::kSite,   AttrDim::kCdn,
+      AttrDim::kConnType, AttrDim::kPlayer, AttrDim::kBrowser,
+      AttrDim::kVodLive};
+
+  /// A leaf as the splits see it: its key and sessions travel with it, so
+  /// the passes over a group read one contiguous array.
+  struct Member {
+    std::uint64_t key;
+    std::uint32_t sessions;
+    std::uint32_t leaf;
+  };
+  /// Per-value tallies of one split; reset through `touched_` after use.
+  struct ValueSlot {
+    std::uint32_t sessions = 0;
+    std::uint32_t leaves = 0;  // then the scatter cursor, or kSkip
+  };
+  /// The significant values of a split and each one's end in the next
+  /// level's buffer; one per depth, as they outlive the children.
+  struct Split {
+    std::vector<std::uint32_t> values;
+    std::vector<std::uint32_t> ends;
+  };
+
+  /// Splits the group level_[depth][lo, hi) with packed key `key` by every
+  /// dimension from kSplitOrder[from] on, emitting and refining each
+  /// sub-group that reaches the floor.
+  void split(std::size_t depth, std::size_t lo, std::size_t hi,
+             std::uint64_t key, std::size_t from) {
+    const std::vector<Member>& group = level_[depth];
+    std::vector<Member>& children = level_[depth + 1];
+    Split& s = split_[depth];
+    for (std::size_t p = from; p < kSplitOrder.size(); ++p) {
+      const AttrDim d = kSplitOrder[p];
+      const DimField f = dim_field(d);
+      const std::uint64_t field = (std::uint64_t{1} << f.bits) - 1;
+      const auto value = [&](const Member& m) {
+        return static_cast<std::uint32_t>((m.key >> f.offset) & field);
+      };
+
+      touched_.clear();
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::uint32_t v = value(group[i]);
+        ValueSlot& slot = slots_[v];
+        if (slot.leaves++ == 0) touched_.push_back(v);
+        slot.sessions += group[i].sessions;
+      }
+      s.values.clear();
+      for (const std::uint32_t v : touched_) {
+        if (slots_[v].sessions >= floor_) {
+          s.values.push_back(v);
+        } else {
+          slots_[v].leaves = kSkip;
+        }
+      }
+      if (s.values.empty()) {
+        for (const std::uint32_t v : touched_) slots_[v] = {};
+        continue;
+      }
+      std::uint32_t cursor = 0;
+      for (const std::uint32_t v : s.values) {
+        const std::uint32_t n = slots_[v].leaves;
+        slots_[v].leaves = cursor;
+        cursor += n;
+      }
+      if (children.size() < cursor) children.resize(cursor);
+      for (std::size_t i = lo; i < hi; ++i) {
+        std::uint32_t& at = slots_[value(group[i])].leaves;
+        if (at != kSkip) children[at++] = group[i];
+      }
+      s.ends.clear();
+      for (const std::uint32_t v : s.values) s.ends.push_back(slots_[v].leaves);
+      for (const std::uint32_t v : touched_) slots_[v] = {};
+
+      std::uint32_t begin = 0;
+      for (std::size_t k = 0; k < s.values.size(); ++k) {
+        const std::uint32_t end = s.ends[k];
+        const std::uint64_t child = key |
+                                    (std::uint64_t{s.values[k]} << f.offset) |
+                                    dim_bit(d);
+        emit(child, children, begin, end);
+        if (p + 1 < kSplitOrder.size() && depth + 1 < max_arity_) {
+          split(depth + 1, begin, end, child, p + 1);
+        }
+        begin = end;
+      }
+    }
+  }
+
+  void emit(std::uint64_t key, const std::vector<Member>& group,
+            std::uint32_t begin, std::uint32_t end) {
+    ClusterStats sum;
+    for (std::uint32_t i = begin; i < end; ++i) {
+      sum += leaf_stats_[group[i].leaf];
+      members.push_back(group[i].leaf);
+    }
+    assert(keys.size() < CellStore::kNoCell);
+    keys.push_back(key);
+    stats.push_back(sum);
+    member_end.push_back(members.size());
+  }
+
+  std::span<const ClusterStats> leaf_stats_;
+  std::uint32_t floor_;
+  std::size_t max_arity_;
+  std::vector<ValueSlot> slots_;  // indexed by attribute value
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::vector<Member>> level_;  // group buffer per depth
+  std::vector<Split> split_;
+};
+
+/// Leaves per block of the pruned engine's row writing: 256 rows of the
+/// full lattice's 127 masks take 127 KB, which stays in cache between a
+/// block's kNoCell fill and the scatter of its cell ids.
+constexpr std::size_t kRowBlockLeaves = 256;
+
+/// Builds the pruned table and its leaf rows: each cell's final id at the
+/// rows of its member leaves, CellStore::kNoCell at every projection below
+/// the floor.
+void expand_fold_pruned(std::span<const std::uint64_t> leaf_keys,
+                        std::span<const ClusterStats> leaf_stats,
+                        const std::vector<std::uint8_t>& masks, int max_arity,
+                        std::uint32_t floor, EpochClusterTable& table) {
+  IcebergCube cube{leaf_keys, leaf_stats, floor, max_arity};
+  {
+    VQ_SPAN("expand.prune");
+    cube.build();
+  }
+
+  VQ_SPAN("expand.merge");
+  // Canonical dense ids: emitted cells sorted by (mask, key).
+  const std::size_t n = cube.keys.size();
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t c = 0; c < n; ++c) order[c] = c;
+  const auto canonical = [&](std::uint32_t a, std::uint32_t b) {
+    const std::uint64_t ka = cube.keys[a];
+    const std::uint64_t kb = cube.keys[b];
+    return (ka & kFullMask) != (kb & kFullMask)
+               ? (ka & kFullMask) < (kb & kFullMask)
+               : ka < kb;
+  };
+  std::sort(order.begin(), order.end(), canonical);
+
+  std::array<std::uint32_t, kFullMask + 2> offsets{};
+  std::vector<std::uint64_t> keys(n);
+  std::vector<ClusterStats> stats(n);
+  std::vector<std::uint32_t> final_id(n);
+  for (std::uint32_t id = 0; id < n; ++id) {
+    const std::uint32_t c = order[id];
+    keys[id] = cube.keys[c];
+    stats[id] = cube.stats[c];
+    final_id[c] = id;
+    ++offsets[(keys[id] & kFullMask) + 1];
+  }
+  for (std::size_t m = 1; m < offsets.size(); ++m) {
+    offsets[m] += offsets[m - 1];
+  }
+  table.clusters =
+      CellStore::from_mask_major(std::move(keys), std::move(stats), offsets);
+
+  // Rows, one block of leaves at a time: every member list is ascending,
+  // so a cursor per cell walks it once across all blocks.
+  std::array<std::uint32_t, kFullMask + 1> column{};
+  for (std::uint32_t j = 0; j < masks.size(); ++j) column[masks[j]] = j;
+  const std::size_t nm = masks.size();
+  const std::size_t num_leaves = leaf_keys.size();
+  std::vector<std::uint32_t>& rows = table.leaf_index.cell_rows;
+  rows.reserve(num_leaves * nm);
+  std::vector<std::size_t> cursor(n);
+  for (std::size_t c = 1; c < n; ++c) cursor[c] = cube.member_end[c - 1];
+  for (std::size_t lo = 0; lo < num_leaves; lo += kRowBlockLeaves) {
+    const std::size_t hi = std::min(num_leaves, lo + kRowBlockLeaves);
+    rows.insert(rows.end(), (hi - lo) * nm, CellStore::kNoCell);
+    std::uint32_t* out = rows.data();
+    const std::uint32_t* members = cube.members.data();
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::uint32_t slot = column[cube.keys[c] & kFullMask];
+      const std::size_t end = cube.member_end[c];
+      const std::uint32_t id = final_id[c];
+      std::size_t m = cursor[c];
+      for (; m < end && members[m] < hi; ++m) out[members[m] * nm + slot] = id;
+      cursor[c] = m;
+    }
+  }
+}
+
 }  // namespace
 
 EpochClusterTable expand_fold(const LeafFold& fold,
                               const ClusterEngineConfig& config,
-                              ThreadPool* pool, std::size_t shards) {
+                              ThreadPool* pool, std::size_t shards,
+                              std::uint32_t floor) {
   const std::vector<std::uint8_t> masks = lattice_masks(config.max_arity);
+  const bool prune = floor > 1 && config.index_cells &&
+                     config.expand == ExpandStrategy::kMaskMajor;
 
   EpochClusterTable table;
   table.epoch = fold.epoch;
   table.root = fold.root;
+  table.floor = prune ? floor : 0;
 
   // Canonical leaf order: ascending raw key.  This fixes the dense-id
   // assignment and the iteration order of every downstream per-leaf sweep,
@@ -613,11 +849,16 @@ EpochClusterTable expand_fold(const LeafFold& fold,
   std::uint32_t* rows = nullptr;
   if (config.index_cells) {
     table.leaf_index.masks = masks;
-    table.leaf_index.cell_rows.resize(leaf_keys.size() * masks.size());
-    rows = table.leaf_index.cell_rows.data();
+    if (!prune) {
+      table.leaf_index.cell_rows.resize(leaf_keys.size() * masks.size());
+      rows = table.leaf_index.cell_rows.data();
+    }
   }
 
-  if (config.expand == ExpandStrategy::kHashed) {
+  if (prune) {
+    expand_fold_pruned(leaf_keys, leaf_stats, masks, config.max_arity, floor,
+                       table);
+  } else if (config.expand == ExpandStrategy::kHashed) {
     expand_fold_hashed(leaf_keys, leaf_stats, masks, table, rows, pool,
                        shards);
   } else {

@@ -1,14 +1,19 @@
 // Per-epoch cluster lattice aggregation (paper §3.1).
 //
-// For every session we bump {total, per-metric problem} counters in every
-// lattice cell the session belongs to: all non-empty subsets of its seven
-// attribute values (127 cells, optionally capped by arity).  The result is
-// one indexed cell store per epoch mapping packed ClusterKey -> dense cell
-// id -> ClusterStats, plus the epoch's global counters (the lattice root).
+// A session belongs to one lattice cell per non-empty subset of its seven
+// attribute values — up to 127 cells, fewer under an arity cap — and each
+// cell carries the {total, per-metric problem} counters of its sessions.
+// The result is one indexed cell store per epoch mapping packed ClusterKey
+// -> dense cell id -> ClusterStats, plus the epoch's global counters (the
+// lattice root).  Given the analysis floor (ProblemClusterParams::
+// min_sessions), expand_fold materialises only the cells that reach it:
+// every §3.2 test reads significant cells alone, and a cell below the
+// floor has no descendant at or above it (see "pruned" below).
 //
 // Two aggregation strategies produce bit-identical tables:
 //
-//  * unfolded (the original): one pass over sessions, 127 hash bumps each.
+//  * unfolded (the original): one pass over sessions, one hash bump per
+//    (session, cell).
 //  * leaf-folded (default): pass 1 folds sessions onto their distinct
 //    full-arity leaves (one hash bump per session); pass 2 expands each
 //    *distinct* leaf once across its projections, adding the leaf's whole
@@ -37,15 +42,26 @@
 //  * hashed: the original per-(leaf, mask) hash bump, retained as the
 //    differential baseline; dense ids in first-touch order.
 //
+// Both build the full lattice.  With a floor above 1 (and the leaf index
+// on) the default engine is instead *pruned*: it builds the iceberg cube
+// bottom-up from the root as BUC does (Beyer & Ramakrishnan, SIGMOD 1999),
+// splitting a group's leaves by one more dimension and refining only the
+// sub-groups whose session sum reaches the floor, because a refinement
+// never holds more sessions than its parent.  The store then holds exactly
+// the full lattice's cells with sessions >= floor, in the same canonical
+// order, and EpochClusterTable::floor records the floor so that an
+// analysis at a lower min_sessions throws instead of silently missing
+// cells.
+//
 // Cells are stored *indexed*: dense uint32 id -> ClusterStats in one
 // contiguous vector.  A hashed-path store maps key -> id through a
 // FlatMap64; a mask-major store is built sorted and resolves keys by
 // binary search within the key's mask group (no hash table at all).  As a
 // byproduct of pass 2, expand_fold can record a LeafCellIndex — for every
 // distinct leaf, the dense ids of its materialised projections — which lets
-// the critical-cluster analysis (critical_cluster.h) replace its 127 hash
-// lookups per leaf with plain array gathers over precomputed per-metric
-// flag bitsets.
+// the critical-cluster analysis (critical_cluster.h) replace its per-leaf
+// hash lookups (one per lattice mask) with plain array gathers over
+// precomputed per-metric flag bitsets.
 
 #pragma once
 
@@ -229,7 +245,9 @@ class CellStore {
 /// ascending raw key — the canonical order every critical-extraction
 /// strategy iterates in, which is what makes sharded and serial runs
 /// bit-identical (see critical_cluster.h).  Rows are row-major: row i holds
-/// cell_rows[i * masks.size() + j] = id of leaf i projected onto masks[j].
+/// cell_rows[i * masks.size() + j] = id of leaf i projected onto masks[j],
+/// or CellStore::kNoCell when a pruned table (EpochClusterTable::floor > 0)
+/// left that projection out because it falls below the floor.
 struct LeafCellIndex {
   std::vector<std::uint8_t> masks;       // materialised masks, ascending
   std::vector<std::uint64_t> leaf_keys;  // distinct leaves, ascending raw
@@ -258,8 +276,8 @@ enum class ExpandStrategy : std::uint8_t {
 };
 
 struct ClusterEngineConfig {
-  /// Largest attribute-subset size to materialise. kNumDims materialises the
-  /// full 127-cell lattice (default, what the paper's method implies); lower
+  /// Largest attribute-subset size to materialise. kNumDims materialises
+  /// all 127 lattice masks (default, what the paper's method implies); lower
   /// caps trade fidelity for speed (explored in the perf benches).
   int max_arity = kNumDims;
   /// Leaf-folded two-pass aggregation (see file comment). Off reverts to
@@ -290,12 +308,17 @@ struct EpochClusterTable {
   /// Per-leaf projection rows; empty unless built by expand_fold with
   /// ClusterEngineConfig::index_cells (the unfolded path never builds it).
   LeafCellIndex leaf_index;
+  /// Session floor the lattice was pruned at: `clusters` holds exactly the
+  /// cells with sessions >= floor.  0 for a full lattice.  Analyses throw
+  /// std::invalid_argument when their min_sessions is below it.
+  std::uint32_t floor = 0;
 
   [[nodiscard]] double global_ratio(Metric m) const noexcept {
     return root.problem_ratio(m);
   }
 
-  /// Stats for a key; zeros when the cluster never appeared.
+  /// Stats for a key; zeros when the cluster never appeared or fell below
+  /// the floor.
   [[nodiscard]] ClusterStats stats(const ClusterKey& key) const noexcept;
 };
 
@@ -314,18 +337,25 @@ struct LeafFold {
                                      const ProblemThresholds& thresholds,
                                      std::uint32_t epoch);
 
-/// Expands a leaf fold into the full cluster table (pass 2), dispatching on
+/// Expands a leaf fold into the cluster table (pass 2), dispatching on
 /// `config.expand`.  With `pool` non-null and `shards > 1` the expansion is
 /// parallelised — the mask-major engine shards whole masks within each
 /// arity tier, the hashed engine contiguous leaf ranges merged in range
-/// order; content
-/// is identical to the serial expansion either way. With
+/// order; content is identical to the serial expansion either way. With
 /// `config.index_cells` the table additionally carries the LeafCellIndex
 /// (same dense ids for any shard count).
+///
+/// `floor` is the analysis floor (ProblemClusterParams::min_sessions) the
+/// table will be read at.  Above 1, with `config.index_cells` and the
+/// mask-major engine, the serial pruned engine builds only the cells with
+/// sessions >= floor and records the floor on the table; otherwise the
+/// full lattice is built.  Every analysis at min_sessions >= floor reads
+/// the same result from either table.
 [[nodiscard]] EpochClusterTable expand_fold(const LeafFold& fold,
                                             const ClusterEngineConfig& config,
                                             ThreadPool* pool = nullptr,
-                                            std::size_t shards = 1);
+                                            std::size_t shards = 1,
+                                            std::uint32_t floor = 0);
 
 /// Aggregates one epoch's sessions into a cluster table, dispatching on
 /// `config.fold_leaves`. All sessions must carry the same epoch id as
@@ -334,8 +364,8 @@ struct LeafFold {
     std::span<const Session> sessions, const ProblemThresholds& thresholds,
     const ClusterEngineConfig& config, std::uint32_t epoch);
 
-/// The original one-pass path (127 hash bumps per session); kept as the
-/// differential-testing and benchmarking baseline.
+/// The original one-pass path (one hash bump per session and lattice
+/// mask); kept as the differential-testing and benchmarking baseline.
 [[nodiscard]] EpochClusterTable aggregate_epoch_unfolded(
     std::span<const Session> sessions, const ProblemThresholds& thresholds,
     const ClusterEngineConfig& config, std::uint32_t epoch);

@@ -87,8 +87,10 @@ void problem_keys_from_flags(CriticalAnalysis& out, const CellStore& cells,
   out.num_problem_clusters = flags.num_flagged;
 }
 
-/// Per-shard scratch for the indexed leaf sweep. Only materialised masks
-/// are written before being read, so no per-leaf clearing is needed.
+/// Per-shard scratch for the indexed leaf sweep.  A leaf writes the slots
+/// of its present projections and reads only those of flagged masks and
+/// their subsets, which are present too (below), so no per-leaf clearing is
+/// needed.
 struct LeafScratch {
   std::array<const ClusterStats*, kNumMasks> stats_by_mask;
   std::array<std::uint32_t, kNumMasks> id_by_mask;
@@ -110,8 +112,13 @@ bool indexed_leaf_candidates(const LeafCellIndex& index, std::size_t leaf,
   MaskBits flagged;
   MaskBits significant;
   for (std::size_t j = 0; j < index.masks.size(); ++j) {
-    const unsigned mask = index.masks[j];
     const std::uint32_t id = row[j];
+    // kNoCell marks a projection below a pruned table's floor, which is at
+    // most params.min_sessions (require_floor): it is insignificant, so
+    // neither flagged nor a veto, and condition (c) reads only subsets of
+    // flagged masks, which hold at least their sessions and are present.
+    if (id == CellStore::kNoCell) continue;
+    const unsigned mask = index.masks[j];
     scratch.stats_by_mask[mask] = &cells.cell(id);
     scratch.id_by_mask[mask] = id;
     if (flags.test_significant(id)) {
@@ -156,6 +163,7 @@ LeafCandidates critical_leaf_candidates(const ClusterKey& leaf,
                                         const EpochClusterTable& table,
                                         const ProblemClusterParams& params,
                                         Metric metric) {
+  require_floor(table, params, "critical_leaf_candidates");
   const double global = table.global_ratio(metric);
 
   LeafCandidates out;
@@ -213,6 +221,7 @@ std::vector<std::uint8_t> critical_candidate_masks(
 CriticalAnalysis find_critical_clusters_hashed(
     const LeafFold& fold, const EpochClusterTable& table,
     const ProblemClusterParams& params, Metric metric) {
+  require_floor(table, params, "find_critical_clusters");
   CriticalAnalysis out;
   fill_header(out, table, metric);
   problem_keys_from_table(out, table, params, metric);
@@ -261,6 +270,7 @@ CriticalAnalysis find_critical_clusters_hashed(
 CriticalAnalysis find_critical_clusters_indexed(
     const EpochClusterTable& table, const ProblemClusterParams& params,
     Metric metric, ThreadPool* pool, std::size_t shards) {
+  require_floor(table, params, "find_critical_clusters");
   if (table.leaf_index.empty() && !table.clusters.empty()) {
     throw std::invalid_argument{
         "find_critical_clusters_indexed: table carries no leaf index "

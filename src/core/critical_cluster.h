@@ -28,14 +28,19 @@
 // Two extraction strategies produce bit-identical analyses (enforced by
 // tests/test_critical_differential.cpp):
 //
-//  * hashed (the original): per leaf, up to 127 table.stats() hash lookups
-//    and per-(leaf, mask) is_problem_cluster evaluations.
+//  * hashed (the original): per leaf, one table.stats() hash lookup and
+//    one is_problem_cluster evaluation per lattice mask (127 at full
+//    arity).
 //  * indexed (default when the table carries a LeafCellIndex): per-metric
 //    flag bitsets are precomputed once over the table's contiguous cell
 //    vector (compute_cell_flags), and each leaf's sweep gathers its
 //    precomputed projection cell ids — zero hash lookups and zero repeated
 //    threshold evaluations in the inner loop; conditions (a)/(b) collapse
-//    to 128-bit subset/superset bit tricks.  The per-leaf loop can shard
+//    to 128-bit subset/superset bit tricks.  On a table pruned at the
+//    session floor (cluster_engine.h) the sweep skips the kNoCell slots of
+//    projections below it: such a cell is insignificant, so it is neither
+//    flagged nor a veto, and condition (c) reads only subsets of flagged
+//    masks, which are significant and present.  The per-leaf loop can shard
 //    across a ThreadPool: shards take contiguous ranges of the canonical
 //    (ascending-key) leaf array and their share lists are replayed in shard
 //    order, reproducing the serial floating-point accumulation sequence
@@ -105,7 +110,9 @@ struct CriticalAnalysis {
 /// the retained hashed baseline otherwise. `fold` must be the pass-1 fold of
 /// the sessions the `table` was aggregated from (run_pipeline computes it
 /// once per epoch and shares it across all four metrics). With `pool`
-/// non-null and `shards > 1` the indexed per-leaf loop runs sharded.
+/// non-null and `shards > 1` the indexed per-leaf loop runs sharded.  Every
+/// strategy throws std::invalid_argument when params.min_sessions is below
+/// table.floor.
 [[nodiscard]] CriticalAnalysis find_critical_clusters(
     const LeafFold& fold, const EpochClusterTable& table,
     const ProblemClusterParams& params, Metric metric,
@@ -119,8 +126,8 @@ struct CriticalAnalysis {
     const ProblemThresholds& thresholds, const ProblemClusterParams& params,
     Metric metric);
 
-/// The retained hash-lookup strategy (127 table.stats() probes per leaf);
-/// the differential-testing and benchmarking baseline.
+/// The retained hash-lookup strategy (one table.stats() probe per leaf and
+/// lattice mask); the differential-testing and benchmarking baseline.
 [[nodiscard]] CriticalAnalysis find_critical_clusters_hashed(
     const LeafFold& fold, const EpochClusterTable& table,
     const ProblemClusterParams& params, Metric metric);
@@ -133,7 +140,7 @@ struct CriticalAnalysis {
     Metric metric, ThreadPool* pool = nullptr, std::size_t shards = 1);
 
 /// Per-leaf candidate evaluation output: the minimal candidate masks plus
-/// whether any of the leaf's 127 projections is a problem cluster (both fall
+/// whether any of the leaf's projections is a problem cluster (both fall
 /// out of the same flagged-mask sweep, so they are computed together).
 struct LeafCandidates {
   std::vector<std::uint8_t> masks;  // minimal candidate masks, ascending

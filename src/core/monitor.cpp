@@ -102,7 +102,8 @@ std::vector<IncidentEvent> StreamingDetector::ingest(
   } else {
     const EpochClusterTable lattice =
         config_.engine.fold_leaves
-            ? expand_fold(fold, config_.engine, pool_ptr, shards)
+            ? expand_fold(fold, config_.engine, pool_ptr, shards,
+                          config_.cluster_params.min_sessions)
             : aggregate_epoch_unfolded(sessions, config_.thresholds,
                                        config_.engine, epoch);
     for (const Metric metric : kAllMetrics) {

@@ -108,7 +108,8 @@ PipelineResult run_pipeline(const SessionTable& table,
     const EpochClusterTable lattice = [&] {
       VQ_SPAN_EPOCH("pipeline.expand_lattice", epoch);
       return config.engine.fold_leaves
-                 ? expand_fold(fold, config.engine, pool_ptr, shards)
+                 ? expand_fold(fold, config.engine, pool_ptr, shards,
+                               config.cluster_params.min_sessions)
                  : aggregate_epoch_unfolded(sessions, config.thresholds,
                                             config.engine, epoch);
     }();
@@ -211,7 +212,8 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
     const EpochClusterTable lattice = [&] {
       VQ_SPAN_EPOCH("pipeline.expand_lattice", epoch);
       if (config.engine.fold_leaves) {
-        return expand_fold(fold, config.engine, pool_ptr, shards);
+        return expand_fold(fold, config.engine, pool_ptr, shards,
+                           config.cluster_params.min_sessions);
       }
       rows.clear();
       columns.append_rows(epoch, rows);

@@ -1,8 +1,22 @@
 #include "src/core/problem_cluster.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "src/obs/trace.h"
 
 namespace vq {
+
+void require_floor(const EpochClusterTable& table,
+                   const ProblemClusterParams& params, const char* caller) {
+  if (params.min_sessions < table.floor) {
+    throw std::invalid_argument{
+        std::string{caller} + ": min_sessions " +
+        std::to_string(params.min_sessions) +
+        " is below the floor the lattice was pruned at (" +
+        std::to_string(table.floor) + ")"};
+  }
+}
 
 bool is_problem_cluster(const ClusterStats& stats, double global_ratio,
                         const ProblemClusterParams& params,
@@ -20,6 +34,7 @@ bool is_problem_cluster(const ClusterStats& stats, double global_ratio,
 std::vector<ProblemCluster> find_problem_clusters(
     const EpochClusterTable& table, const ProblemClusterParams& params,
     Metric metric) {
+  require_floor(table, params, "find_problem_clusters");
   std::vector<ProblemCluster> out;
   const double global = table.global_ratio(metric);
   table.clusters.for_each(
@@ -35,6 +50,7 @@ CellFlags compute_cell_flags(const EpochClusterTable& table,
                              const ProblemClusterParams& params,
                              Metric metric) {
   VQ_SPAN_EPOCH("core.compute_cell_flags", table.epoch);
+  require_floor(table, params, "compute_cell_flags");
   const double global = table.global_ratio(metric);
   const std::span<const ClusterStats> cells = table.clusters.cells();
   CellFlags flags;
@@ -60,6 +76,7 @@ std::uint64_t problem_sessions_covered(std::span<const Session> sessions,
                                        const ProblemThresholds& thresholds,
                                        const ProblemClusterParams& params,
                                        Metric metric) {
+  require_floor(table, params, "problem_sessions_covered");
   const double global = table.global_ratio(metric);
   // Memoise the covered/not decision per distinct leaf: all sessions with
   // identical attributes share the same lattice cells.

@@ -29,6 +29,13 @@ struct ProblemClusterParams {
   return stats.sessions >= params.min_sessions;
 }
 
+/// Throws std::invalid_argument when `params.min_sessions` is below the
+/// floor `table` was pruned at (EpochClusterTable::floor): such a table
+/// lacks cells the analysis would count as significant.  `caller` names
+/// the analysis in the message.
+void require_floor(const EpochClusterTable& table,
+                   const ProblemClusterParams& params, const char* caller);
+
 /// Full problem-cluster test: significance + elevated ratio.
 [[nodiscard]] bool is_problem_cluster(const ClusterStats& stats,
                                       double global_ratio,
@@ -42,7 +49,8 @@ struct ProblemCluster {
 };
 
 /// Extracts every problem cluster of one epoch for the given metric
-/// (dense-id order).
+/// (dense-id order).  Throws std::invalid_argument when params.min_sessions
+/// is below table.floor.
 [[nodiscard]] std::vector<ProblemCluster> find_problem_clusters(
     const EpochClusterTable& table, const ProblemClusterParams& params,
     Metric metric);
@@ -66,14 +74,16 @@ struct CellFlags {
 };
 
 /// One pass over the table's contiguous cell vector evaluating both
-/// problem-cluster predicates per cell.
+/// problem-cluster predicates per cell.  Throws std::invalid_argument when
+/// params.min_sessions is below table.floor.
 [[nodiscard]] CellFlags compute_cell_flags(const EpochClusterTable& table,
                                            const ProblemClusterParams& params,
                                            Metric metric);
 
 /// Number of this epoch's problem sessions that belong to at least one
 /// problem cluster (the "problem cluster coverage" numerator of Table 1).
-/// `sessions` must be the same span the table was aggregated from.
+/// `sessions` must be the same span the table was aggregated from.  Throws
+/// std::invalid_argument when params.min_sessions is below table.floor.
 [[nodiscard]] std::uint64_t problem_sessions_covered(
     std::span<const Session> sessions, const EpochClusterTable& table,
     const ProblemThresholds& thresholds, const ProblemClusterParams& params,
