@@ -3,8 +3,8 @@
 // leaf fold twice — the full lattice and the significance-pruned one
 // (expand_fold with the floor) — checks that the pruned store holds exactly
 // the full store's cells with sessions >= floor, and prints the per-arity
-// means: full cells, significant cells, and their share, plus the leaf-row
-// slots the pruned table fills.
+// means: full cells, significant cells, and their share, plus the mean
+// length of the pruned table's leaf rows against the full lattice's.
 //
 //   usage: lattice_census TRACE.vqtc MIN_SESSIONS
 //
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   std::array<double, vq::kNumDims + 1> full{};
   std::array<double, vq::kNumDims + 1> significant{};
   double leaves = 0.0;
-  double filled_slots = 0.0;
+  double row_ids = 0.0;
   vq::SessionColumns columns;
   for (std::uint32_t e = 0; e < epochs; ++e) {
     reader.read_epoch(e, columns);
@@ -65,8 +65,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     leaves += static_cast<double>(fold.leaves.size());
-    for (const std::uint32_t id : pruned.leaf_index.cell_rows) {
-      filled_slots += id != vq::CellStore::kNoCell ? 1.0 : 0.0;
+    for (std::size_t leaf = 0; leaf < pruned.leaf_index.num_leaves();
+         ++leaf) {
+      row_ids += static_cast<double>(pruned.leaf_index.row(leaf).size());
     }
   }
 
@@ -84,10 +85,10 @@ int main(int argc, char** argv) {
   }
   std::printf("| all | %.1f | %.1f | %.3f %% |\n", full_total,
               significant_total, 100.0 * significant_total / full_total);
-  std::printf("leaves %.1f, leaf-row slots filled %.1f (%.1f %%)\n",
-              leaves / epochs, filled_slots / epochs,
-              100.0 * filled_slots /
-                  (leaves * static_cast<double>(
-                                vq::lattice_masks(vq::kNumDims).size())));
+  const auto masks =
+      static_cast<double>(vq::lattice_masks(vq::kNumDims).size());
+  std::printf("leaves %.1f, ids per leaf row %.1f of %.0f (%.1f %%)\n",
+              leaves / epochs, row_ids / leaves, masks,
+              100.0 * row_ids / (leaves * masks));
   return 0;
 }

@@ -1,6 +1,8 @@
 // Standalone critical-extraction benchmark: times the hashed baseline
-// against the indexed strategy (serial and sharded) on one realistic epoch
-// and writes the numbers to BENCH_critical.json.
+// (four per-metric calls) against the fused sweep (one four-metric call,
+// serial and sharded) on one realistic full-lattice epoch and writes the
+// numbers to BENCH_critical.json.  The JSON keys predate the fused sweep:
+// "indexed" names the strategy that reads the table's LeafCellIndex.
 //
 // Unlike the google-benchmark microbenches (perf_engine), this harness is a
 // plain main() so CI can run it in smoke mode and the JSON can be checked
@@ -101,27 +103,24 @@ int main(int argc, char** argv) {
       if (a.criticals.empty() && a.num_problem_clusters > 0) std::abort();
     }
   });
-  const double indexed_s = time_reps(reps, [&] {
-    for (const Metric m : kAllMetrics) {
-      const auto a = find_critical_clusters_indexed(table, params, m);
-      if (a.criticals.empty() && a.num_problem_clusters > 0) std::abort();
-    }
-  });
-  const double sharded_s = time_reps(reps, [&] {
-    for (const Metric m : kAllMetrics) {
-      const auto a =
-          find_critical_clusters_indexed(table, params, m, &pool, shards);
-      if (a.criticals.empty() && a.num_problem_clusters > 0) std::abort();
-    }
-  });
+  const auto fused_rep = [&](ThreadPool* p, std::size_t s) {
+    return [&, p, s] {
+      const auto all = find_critical_clusters(fold, table, params, p, s);
+      for (const CriticalAnalysis& a : all) {
+        if (a.criticals.empty() && a.num_problem_clusters > 0) std::abort();
+      }
+    };
+  };
+  const double indexed_s = time_reps(reps, fused_rep(nullptr, 1));
+  const double sharded_s = time_reps(reps, fused_rep(&pool, shards));
 
   // Differential sanity: strategies must agree exactly before the numbers
   // mean anything (the full check lives in test_critical_differential.cpp).
   std::size_t criticals = 0;
+  const auto fused = find_critical_clusters(fold, table, params, &pool, shards);
   for (const Metric m : kAllMetrics) {
     const auto h = find_critical_clusters_hashed(fold, table, params, m);
-    const auto x =
-        find_critical_clusters_indexed(table, params, m, &pool, shards);
+    const auto& x = fused[static_cast<std::uint8_t>(m)];
     if (h.criticals.size() != x.criticals.size() ||
         h.attributed_mass != x.attributed_mass ||
         h.problem_cluster_keys != x.problem_cluster_keys) {
@@ -139,9 +138,9 @@ int main(int argc, char** argv) {
   const double speedup = indexed_eps / hash_eps;
 
   std::printf("  hashed          : %8.2f epochs/sec\n", hash_eps);
-  std::printf("  indexed         : %8.2f epochs/sec  (%.2fx)\n", indexed_eps,
+  std::printf("  fused           : %8.2f epochs/sec  (%.2fx)\n", indexed_eps,
               speedup);
-  std::printf("  indexed x%zu     : %8.2f epochs/sec  (%.2fx)\n", shards,
+  std::printf("  fused x%zu       : %8.2f epochs/sec  (%.2fx)\n", shards,
               sharded_eps, sharded_eps / hash_eps);
 
   std::ofstream out{out_path};

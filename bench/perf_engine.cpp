@@ -168,9 +168,10 @@ void BM_ExpandFoldSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpandFoldSharded)->Arg(1)->Arg(2)->Arg(4);
 
-// --- critical extraction: hashed baseline vs indexed strategy ---------------
+// --- critical extraction: hashed baseline vs fused sweep --------------------
 // Shared fixture: one fold + one indexed table per process, so the loops
-// time extraction alone (not aggregation).
+// time extraction alone (not aggregation).  The hashed loops analyse one
+// metric per iteration, the fused ones all four in one call.
 
 struct CriticalFixture {
   LeafFold fold;
@@ -200,31 +201,30 @@ void BM_CriticalHash(benchmark::State& state) {
 }
 BENCHMARK(BM_CriticalHash);
 
-void BM_CriticalIndexed(benchmark::State& state) {
+void BM_CriticalFused(benchmark::State& state) {
   const CriticalFixture& f = critical_fixture();
   for (auto _ : state) {
-    const auto analysis =
-        find_critical_clusters_indexed(f.table, f.params, Metric::kBufRatio);
-    benchmark::DoNotOptimize(analysis.criticals.size());
+    const auto analyses = find_critical_clusters(f.fold, f.table, f.params);
+    benchmark::DoNotOptimize(analyses[0].criticals.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(f.fold.leaves.size()));
 }
-BENCHMARK(BM_CriticalIndexed);
+BENCHMARK(BM_CriticalFused);
 
-void BM_CriticalIndexedSharded(benchmark::State& state) {
+void BM_CriticalFusedSharded(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const CriticalFixture& f = critical_fixture();
   ThreadPool pool{4};
   for (auto _ : state) {
-    const auto analysis = find_critical_clusters_indexed(
-        f.table, f.params, Metric::kBufRatio, &pool, shards);
-    benchmark::DoNotOptimize(analysis.criticals.size());
+    const auto analyses =
+        find_critical_clusters(f.fold, f.table, f.params, &pool, shards);
+    benchmark::DoNotOptimize(analyses[0].criticals.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(f.fold.leaves.size()));
 }
-BENCHMARK(BM_CriticalIndexedSharded)->Arg(2)->Arg(4);
+BENCHMARK(BM_CriticalFusedSharded)->Arg(2)->Arg(4);
 
 void BM_CriticalHashByLeafRatio(benchmark::State& state) {
   const auto ratio = static_cast<std::size_t>(state.range(0));
@@ -244,7 +244,7 @@ void BM_CriticalHashByLeafRatio(benchmark::State& state) {
 }
 BENCHMARK(BM_CriticalHashByLeafRatio)->Arg(4)->Arg(16);
 
-void BM_CriticalIndexedByLeafRatio(benchmark::State& state) {
+void BM_CriticalFusedByLeafRatio(benchmark::State& state) {
   const auto ratio = static_cast<std::size_t>(state.range(0));
   const std::vector<Session> sessions =
       leaf_ratio_epoch(kLeafRatioSessions, kLeafRatioSessions / ratio);
@@ -253,14 +253,13 @@ void BM_CriticalIndexedByLeafRatio(benchmark::State& state) {
   const LeafFold fold = fold_sessions(sessions, {}, 0);
   const EpochClusterTable table = expand_fold(fold, {});
   for (auto _ : state) {
-    const auto analysis =
-        find_critical_clusters_indexed(table, params, Metric::kBufRatio);
-    benchmark::DoNotOptimize(analysis.criticals.size());
+    const auto analyses = find_critical_clusters(fold, table, params);
+    benchmark::DoNotOptimize(analyses[0].criticals.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(fold.leaves.size()));
 }
-BENCHMARK(BM_CriticalIndexedByLeafRatio)->Arg(4)->Arg(16);
+BENCHMARK(BM_CriticalFusedByLeafRatio)->Arg(4)->Arg(16);
 
 void BM_FullPipelinePerEpoch(benchmark::State& state) {
   const SessionTable& trace = bench_trace();

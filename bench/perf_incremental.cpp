@@ -1,6 +1,6 @@
 // Incremental epoch-update benchmark: the per-epoch cost of
 // IncrementalLattice::advance against the from-scratch rebuild
-// (expand_fold + four find_critical_clusters passes) on a low-churn
+// (expand_fold + the four-metric find_critical_clusters) on a low-churn
 // streaming workload — the regime the delta engine targets (DESIGN.md
 // §4.13): a stable leaf population where only a few percent of leaves
 // change per epoch and the global problem ratios hold steady, so the
@@ -182,11 +182,10 @@ int main(int argc, char** argv) {
       const LeafFold& fold = folds[e % period];
       const auto analyses = lattice.advance(fold);
       const EpochClusterTable table = expand_fold(fold, engine);
+      const auto expected = find_critical_clusters(fold, table, params);
       for (const Metric m : kAllMetrics) {
-        const CriticalAnalysis expected =
-            find_critical_clusters(fold, table, params, m);
-        if (!analyses_identical(expected,
-                                analyses[static_cast<std::uint8_t>(m)])) {
+        const auto mi = static_cast<std::uint8_t>(m);
+        if (!analyses_identical(expected[mi], analyses[mi])) {
           std::fprintf(stderr,
                        "FATAL: incremental diverged from rebuild at epoch "
                        "%u metric %d\n",
@@ -206,11 +205,8 @@ int main(int argc, char** argv) {
     for (std::uint32_t e = 0; e < num_epochs; ++e) {
       const LeafFold& fold = folds[rebuild_pos++ % period];
       const EpochClusterTable table = expand_fold(fold, engine);
-      for (const Metric m : kAllMetrics) {
-        const CriticalAnalysis analysis =
-            find_critical_clusters(fold, table, params, m);
-        if (analysis.sessions == 0) std::abort();
-      }
+      const auto analyses = find_critical_clusters(fold, table, params);
+      if (analyses[0].sessions == 0) std::abort();
     }
   });
 

@@ -82,11 +82,10 @@ std::vector<std::uint8_t> lattice_masks(int max_arity) {
   return masks;
 }
 
-LeafFold fold_sessions(std::span<const Session> sessions,
-                       const ProblemThresholds& thresholds,
-                       std::uint32_t epoch) {
-  LeafFold fold;
-  fold.epoch = epoch;
+void fold_sessions_into(std::span<const Session> sessions,
+                        const ProblemThresholds& thresholds,
+                        std::uint32_t epoch, LeafFold& fold) {
+  fold.reset(epoch);
   fold.leaves.reserve(sessions.size() / 4 + 16);
   for (const Session& s : sessions) {
     if (s.epoch != epoch) {
@@ -104,6 +103,13 @@ LeafFold fold_sessions(std::span<const Session> sessions,
       leaf.problems[m] += bit;
     }
   }
+}
+
+LeafFold fold_sessions(std::span<const Session> sessions,
+                       const ProblemThresholds& thresholds,
+                       std::uint32_t epoch) {
+  LeafFold fold;
+  fold_sessions_into(sessions, thresholds, epoch, fold);
   return fold;
 }
 
@@ -290,6 +296,8 @@ std::uint64_t expand_mask(std::size_t j,
                           ExpandScratch& scratch) {
   const std::uint8_t mask = masks[j];
   MaskCells& out = cells[j];
+  out.keys.clear();  // the cells may be a kept workspace's
+  out.stats.clear();
   if (mask == kFullMask) {
     // Identity: the full-mask cells are the leaves themselves, already in
     // canonical ascending order; leaf i's local rank is i (no map needed).
@@ -388,7 +396,7 @@ std::vector<std::uint32_t> assemble_mask_major(
   VQ_SPAN("expand.merge");
   const std::size_t nm = masks.size();
   std::size_t total = 0;
-  for (const MaskCells& c : cells) total += c.keys.size();
+  for (std::size_t j = 0; j < nm; ++j) total += cells[j].keys.size();
   assert(total < CellStore::kNoCell);
 
   std::vector<std::uint64_t> keys;
@@ -432,7 +440,8 @@ void expand_fold_mask_major(std::span<const std::uint64_t> leaf_keys,
                             const std::vector<std::uint8_t>& masks,
                             BatchKernel kernel, EpochClusterTable& table,
                             std::uint32_t* rows, ThreadPool* pool,
-                            std::size_t shards) {
+                            std::size_t shards, std::vector<MaskCells>& cells,
+                            ExpandScratch& serial_scratch) {
   const std::size_t num_leaves = leaf_keys.size();
   const std::size_t nm = masks.size();
   const bool want_map = rows != nullptr;
@@ -445,14 +454,13 @@ void expand_fold_mask_major(std::span<const std::uint64_t> leaf_keys,
     max_arity = std::max(max_arity, std::popcount(unsigned{masks[j]}));
   }
 
-  std::vector<MaskCells> cells(nm);
+  if (cells.size() < nm) cells.resize(nm);
   std::vector<std::uint64_t> cost(nm, 0);
   std::vector<std::uint32_t> topo;  // decreasing arity, ascending mask
   topo.reserve(nm);
   std::uint64_t radix_bytes = 0;
   const bool serial = pool == nullptr || shards <= 1 ||
                       num_leaves < 2 * kMinLeavesPerShard;
-  ExpandScratch serial_scratch;
 
   for (int arity = max_arity; arity >= 1; --arity) {
     std::vector<std::uint32_t> tier;
@@ -572,6 +580,47 @@ void expand_fold_mask_major(std::span<const std::uint64_t> leaf_keys,
   expand_metrics().radix_bytes.add(radix_bytes);
 }
 
+/// A leaf as the pruned engine's splits see it: its key and sessions
+/// travel with it, so the passes over a group read one contiguous array.
+struct CubeMember {
+  std::uint64_t key;
+  std::uint32_t sessions;
+  std::uint32_t leaf;
+};
+
+/// Per-value tallies of one split; reset through the touched list after use.
+struct ValueSlot {
+  std::uint32_t sessions = 0;
+  std::uint32_t leaves = 0;  // then the scatter cursor, or kSkip
+};
+
+/// The significant values of a split and each one's end in the next
+/// level's buffer; one per depth, as they outlive the children.
+struct CubeSplit {
+  std::vector<std::uint32_t> values;
+  std::vector<std::uint32_t> ends;
+};
+
+/// The pruned engine's buffers: the recursion's state, its emitted cells,
+/// and the canonical-order and row-writing arrays.
+struct CubeBuffers {
+  std::vector<ValueSlot> slots;  // indexed by attribute value; all zero
+                                 // between splits
+  std::vector<std::uint32_t> touched;
+  std::vector<std::vector<CubeMember>> level;  // group buffer per depth
+  std::vector<CubeSplit> split;
+  // Emitted cells in emission order: key, stats, and the member leaves
+  // members[member_end of the previous cell, member_end).
+  std::vector<std::uint64_t> keys;
+  std::vector<ClusterStats> stats;
+  std::vector<std::size_t> member_end;
+  std::vector<std::uint32_t> members;
+  // Canonical order and row writing.
+  std::vector<std::uint32_t> order;       // dense id -> emitted cell
+  std::vector<std::size_t> member_next;   // per emitted cell
+  std::vector<std::size_t> row_next;      // per leaf
+};
+
 /// The significance-pruned engine (expand_fold with a floor above 1): the
 /// iceberg cube of BUC (Beyer & Ramakrishnan, SIGMOD 1999).  Starting from
 /// the root's group of all leaves, a group is split by one more dimension
@@ -588,30 +637,29 @@ void expand_fold_mask_major(std::span<const std::uint64_t> leaf_keys,
 /// ascending leaf array, so every cell's member list is ascending.
 class IcebergCube {
  public:
-  IcebergCube(std::span<const std::uint64_t> leaf_keys,
+  /// Emits into `b` (its previous cells are dropped, its capacity kept).
+  IcebergCube(CubeBuffers& b, std::span<const std::uint64_t> leaf_keys,
               std::span<const ClusterStats> leaf_stats, std::uint32_t floor,
               int max_arity)
-      : leaf_stats_(leaf_stats),
+      : b_(b),
+        leaf_stats_(leaf_stats),
         floor_(floor),
-        max_arity_(static_cast<std::size_t>(max_arity)),
-        slots_(std::size_t{1} << kMaxDimBits),
-        level_(max_arity_ + 1),
-        split_(max_arity_) {
-    level_[0].resize(leaf_keys.size());
+        max_arity_(static_cast<std::size_t>(max_arity)) {
+    b_.slots.resize(std::size_t{1} << kMaxDimBits);
+    if (b_.level.size() < max_arity_ + 1) b_.level.resize(max_arity_ + 1);
+    if (b_.split.size() < max_arity_) b_.split.resize(max_arity_);
+    b_.keys.clear();
+    b_.stats.clear();
+    b_.member_end.clear();
+    b_.members.clear();
+    b_.level[0].resize(leaf_keys.size());
     for (std::uint32_t i = 0; i < leaf_keys.size(); ++i) {
-      level_[0][i] = {leaf_keys[i], leaf_stats[i].sessions, i};
+      b_.level[0][i] = {leaf_keys[i], leaf_stats[i].sessions, i};
     }
   }
 
   /// Runs the recursion from the root.
-  void build() { split(0, 0, level_[0].size(), 0, 0); }
-
-  /// Emitted cells in emission order: key, stats, and the member leaves
-  /// members[member_end of the previous cell, member_end).
-  std::vector<std::uint64_t> keys;
-  std::vector<ClusterStats> stats;
-  std::vector<std::size_t> member_end;
-  std::vector<std::uint32_t> members;
+  void build() { split(0, 0, b_.level[0].size(), 0, 0); }
 
  private:
   static constexpr int kMaxDimBits =
@@ -623,74 +671,57 @@ class IcebergCube {
       AttrDim::kConnType, AttrDim::kPlayer, AttrDim::kBrowser,
       AttrDim::kVodLive};
 
-  /// A leaf as the splits see it: its key and sessions travel with it, so
-  /// the passes over a group read one contiguous array.
-  struct Member {
-    std::uint64_t key;
-    std::uint32_t sessions;
-    std::uint32_t leaf;
-  };
-  /// Per-value tallies of one split; reset through `touched_` after use.
-  struct ValueSlot {
-    std::uint32_t sessions = 0;
-    std::uint32_t leaves = 0;  // then the scatter cursor, or kSkip
-  };
-  /// The significant values of a split and each one's end in the next
-  /// level's buffer; one per depth, as they outlive the children.
-  struct Split {
-    std::vector<std::uint32_t> values;
-    std::vector<std::uint32_t> ends;
-  };
-
-  /// Splits the group level_[depth][lo, hi) with packed key `key` by every
+  /// Splits the group level[depth][lo, hi) with packed key `key` by every
   /// dimension from kSplitOrder[from] on, emitting and refining each
   /// sub-group that reaches the floor.
   void split(std::size_t depth, std::size_t lo, std::size_t hi,
              std::uint64_t key, std::size_t from) {
-    const std::vector<Member>& group = level_[depth];
-    std::vector<Member>& children = level_[depth + 1];
-    Split& s = split_[depth];
+    const std::vector<CubeMember>& group = b_.level[depth];
+    std::vector<CubeMember>& children = b_.level[depth + 1];
+    std::vector<ValueSlot>& slots = b_.slots;
+    std::vector<std::uint32_t>& touched = b_.touched;
+    CubeSplit& s = b_.split[depth];
     for (std::size_t p = from; p < kSplitOrder.size(); ++p) {
       const AttrDim d = kSplitOrder[p];
       const DimField f = dim_field(d);
       const std::uint64_t field = (std::uint64_t{1} << f.bits) - 1;
-      const auto value = [&](const Member& m) {
+      const auto value = [&](const CubeMember& m) {
         return static_cast<std::uint32_t>((m.key >> f.offset) & field);
       };
 
-      touched_.clear();
+      touched.clear();
       for (std::size_t i = lo; i < hi; ++i) {
         const std::uint32_t v = value(group[i]);
-        ValueSlot& slot = slots_[v];
-        if (slot.leaves++ == 0) touched_.push_back(v);
+        ValueSlot& slot = slots[v];
+        if (slot.leaves++ == 0) touched.push_back(v);
         slot.sessions += group[i].sessions;
       }
       s.values.clear();
-      for (const std::uint32_t v : touched_) {
-        if (slots_[v].sessions >= floor_) {
+      for (const std::uint32_t v : touched) {
+        if (slots[v].sessions >= floor_) {
           s.values.push_back(v);
         } else {
-          slots_[v].leaves = kSkip;
+          slots[v].leaves = kSkip;
         }
       }
       if (s.values.empty()) {
-        for (const std::uint32_t v : touched_) slots_[v] = {};
+        for (const std::uint32_t v : touched) slots[v] = {};
         continue;
       }
       std::uint32_t cursor = 0;
       for (const std::uint32_t v : s.values) {
-        const std::uint32_t n = slots_[v].leaves;
-        slots_[v].leaves = cursor;
+        const std::uint32_t n = slots[v].leaves;
+        slots[v].leaves = cursor;
         cursor += n;
       }
       if (children.size() < cursor) children.resize(cursor);
       for (std::size_t i = lo; i < hi; ++i) {
-        std::uint32_t& at = slots_[value(group[i])].leaves;
+        std::uint32_t& at = slots[value(group[i])].leaves;
         if (at != kSkip) children[at++] = group[i];
       }
       s.ends.clear();
-      for (const std::uint32_t v : s.values) s.ends.push_back(slots_[v].leaves);
-      for (const std::uint32_t v : touched_) slots_[v] = {};
+      for (const std::uint32_t v : s.values) s.ends.push_back(slots[v].leaves);
+      for (const std::uint32_t v : touched) slots[v] = {};
 
       std::uint32_t begin = 0;
       for (std::size_t k = 0; k < s.values.size(); ++k) {
@@ -707,41 +738,37 @@ class IcebergCube {
     }
   }
 
-  void emit(std::uint64_t key, const std::vector<Member>& group,
+  void emit(std::uint64_t key, const std::vector<CubeMember>& group,
             std::uint32_t begin, std::uint32_t end) {
     ClusterStats sum;
     for (std::uint32_t i = begin; i < end; ++i) {
       sum += leaf_stats_[group[i].leaf];
-      members.push_back(group[i].leaf);
+      b_.members.push_back(group[i].leaf);
     }
-    assert(keys.size() < CellStore::kNoCell);
-    keys.push_back(key);
-    stats.push_back(sum);
-    member_end.push_back(members.size());
+    assert(b_.keys.size() < CellStore::kNoCell);
+    b_.keys.push_back(key);
+    b_.stats.push_back(sum);
+    b_.member_end.push_back(b_.members.size());
   }
 
+  CubeBuffers& b_;
   std::span<const ClusterStats> leaf_stats_;
   std::uint32_t floor_;
   std::size_t max_arity_;
-  std::vector<ValueSlot> slots_;  // indexed by attribute value
-  std::vector<std::uint32_t> touched_;
-  std::vector<std::vector<Member>> level_;  // group buffer per depth
-  std::vector<Split> split_;
 };
 
-/// Leaves per block of the pruned engine's row writing: 256 rows of the
-/// full lattice's 127 masks take 127 KB, which stays in cache between a
-/// block's kNoCell fill and the scatter of its cell ids.
+/// Leaves per block of the pruned engine's row writing: a block's rows
+/// (~20-30 ids each on the generated worlds) stay in L1 while every cell
+/// scatters its ids into them.
 constexpr std::size_t kRowBlockLeaves = 256;
 
-/// Builds the pruned table and its leaf rows: each cell's final id at the
-/// rows of its member leaves, CellStore::kNoCell at every projection below
-/// the floor.
+/// Builds the pruned table and its compact leaf rows: each leaf's row lists
+/// the final ids of the cells it is a member of, in ascending mask order.
 void expand_fold_pruned(std::span<const std::uint64_t> leaf_keys,
                         std::span<const ClusterStats> leaf_stats,
-                        const std::vector<std::uint8_t>& masks, int max_arity,
-                        std::uint32_t floor, EpochClusterTable& table) {
-  IcebergCube cube{leaf_keys, leaf_stats, floor, max_arity};
+                        int max_arity, std::uint32_t floor, CubeBuffers& b,
+                        EpochClusterTable& table) {
+  IcebergCube cube{b, leaf_keys, leaf_stats, floor, max_arity};
   {
     VQ_SPAN("expand.prune");
     cube.build();
@@ -749,27 +776,25 @@ void expand_fold_pruned(std::span<const std::uint64_t> leaf_keys,
 
   VQ_SPAN("expand.merge");
   // Canonical dense ids: emitted cells sorted by (mask, key).
-  const std::size_t n = cube.keys.size();
-  std::vector<std::uint32_t> order(n);
-  for (std::uint32_t c = 0; c < n; ++c) order[c] = c;
-  const auto canonical = [&](std::uint32_t a, std::uint32_t b) {
-    const std::uint64_t ka = cube.keys[a];
-    const std::uint64_t kb = cube.keys[b];
-    return (ka & kFullMask) != (kb & kFullMask)
-               ? (ka & kFullMask) < (kb & kFullMask)
-               : ka < kb;
+  const std::size_t n = b.keys.size();
+  b.order.resize(n);
+  for (std::uint32_t c = 0; c < n; ++c) b.order[c] = c;
+  const auto canonical = [&](std::uint32_t x, std::uint32_t y) {
+    const std::uint64_t kx = b.keys[x];
+    const std::uint64_t ky = b.keys[y];
+    return (kx & kFullMask) != (ky & kFullMask)
+               ? (kx & kFullMask) < (ky & kFullMask)
+               : kx < ky;
   };
-  std::sort(order.begin(), order.end(), canonical);
+  std::sort(b.order.begin(), b.order.end(), canonical);
 
   std::array<std::uint32_t, kFullMask + 2> offsets{};
   std::vector<std::uint64_t> keys(n);
   std::vector<ClusterStats> stats(n);
-  std::vector<std::uint32_t> final_id(n);
   for (std::uint32_t id = 0; id < n; ++id) {
-    const std::uint32_t c = order[id];
-    keys[id] = cube.keys[c];
-    stats[id] = cube.stats[c];
-    final_id[c] = id;
+    const std::uint32_t c = b.order[id];
+    keys[id] = b.keys[c];
+    stats[id] = b.stats[c];
     ++offsets[(keys[id] & kFullMask) + 1];
   }
   for (std::size_t m = 1; m < offsets.size(); ++m) {
@@ -778,97 +803,156 @@ void expand_fold_pruned(std::span<const std::uint64_t> leaf_keys,
   table.clusters =
       CellStore::from_mask_major(std::move(keys), std::move(stats), offsets);
 
-  // Rows, one block of leaves at a time: every member list is ascending,
-  // so a cursor per cell walks it once across all blocks.
-  std::array<std::uint32_t, kFullMask + 1> column{};
-  for (std::uint32_t j = 0; j < masks.size(); ++j) column[masks[j]] = j;
-  const std::size_t nm = masks.size();
+  // Row bounds from each leaf's membership count.
   const std::size_t num_leaves = leaf_keys.size();
-  std::vector<std::uint32_t>& rows = table.leaf_index.cell_rows;
-  rows.reserve(num_leaves * nm);
-  std::vector<std::size_t> cursor(n);
-  for (std::size_t c = 1; c < n; ++c) cursor[c] = cube.member_end[c - 1];
+  std::vector<std::size_t>& row_offsets = table.leaf_index.row_offsets;
+  row_offsets.assign(num_leaves + 1, 0);
+  for (const std::uint32_t leaf : b.members) ++row_offsets[leaf + 1];
+  for (std::size_t i = 1; i <= num_leaves; ++i) {
+    row_offsets[i] += row_offsets[i - 1];
+  }
+  table.leaf_index.cell_rows.resize(b.members.size());
+
+  // Rows, one block of leaves at a time, visiting cells in id order so that
+  // every row comes out in ascending mask order.  Member lists ascend, so a
+  // cursor per cell walks each once across all blocks.
+  b.row_next.assign(row_offsets.begin(), row_offsets.end() - 1);
+  b.member_next.resize(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    b.member_next[c] = c == 0 ? 0 : b.member_end[c - 1];
+  }
+  std::uint32_t* rows = table.leaf_index.cell_rows.data();
+  const std::uint32_t* members = b.members.data();
   for (std::size_t lo = 0; lo < num_leaves; lo += kRowBlockLeaves) {
     const std::size_t hi = std::min(num_leaves, lo + kRowBlockLeaves);
-    rows.insert(rows.end(), (hi - lo) * nm, CellStore::kNoCell);
-    std::uint32_t* out = rows.data();
-    const std::uint32_t* members = cube.members.data();
-    for (std::size_t c = 0; c < n; ++c) {
-      const std::uint32_t slot = column[cube.keys[c] & kFullMask];
-      const std::size_t end = cube.member_end[c];
-      const std::uint32_t id = final_id[c];
-      std::size_t m = cursor[c];
-      for (; m < end && members[m] < hi; ++m) out[members[m] * nm + slot] = id;
-      cursor[c] = m;
+    for (std::uint32_t id = 0; id < n; ++id) {
+      const std::uint32_t c = b.order[id];
+      const std::size_t end = b.member_end[c];
+      std::size_t m = b.member_next[c];
+      for (; m < end && members[m] < hi; ++m) {
+        rows[b.row_next[members[m]]++] = id;
+      }
+      b.member_next[c] = m;
     }
   }
 }
 
 }  // namespace
 
-EpochClusterTable expand_fold(const LeafFold& fold,
-                              const ClusterEngineConfig& config,
-                              ThreadPool* pool, std::size_t shards,
-                              std::uint32_t floor) {
-  const std::vector<std::uint8_t> masks = lattice_masks(config.max_arity);
+struct ExpandWorkspace::Buffers {
+  // Leaf sort.
+  std::vector<std::uint64_t> sort_keys;
+  std::vector<std::uint32_t> sort_slots;
+  std::vector<ClusterStats> gathered;
+  std::vector<std::uint64_t> key_scratch;
+  std::vector<std::uint32_t> slot_scratch;
+  // Engines.
+  CubeBuffers cube;
+  std::vector<MaskCells> mask_cells;
+  ExpandScratch mask_scratch;
+};
+
+ExpandWorkspace::ExpandWorkspace() : buffers_(std::make_unique<Buffers>()) {}
+ExpandWorkspace::~ExpandWorkspace() = default;
+
+namespace {
+
+/// Canonical leaf order: ascending raw key, by a radix sort of (key, slot)
+/// pairs gathered from the fold's hash table.  Leaves `keys`/`stats` in
+/// that order.
+void sort_leaves(const LeafFold& fold, ExpandWorkspace::Buffers& b,
+                 std::vector<std::uint64_t>& keys,
+                 std::vector<ClusterStats>& stats) {
+  b.sort_keys.clear();
+  b.gathered.clear();
+  // Gathered in hash order, then radix-sorted by key just below.
+  // vq-lint: allow(unordered-iter)
+  fold.leaves.for_each([&](std::uint64_t raw, const ClusterStats& s) {
+    b.sort_keys.push_back(raw);
+    b.gathered.push_back(s);
+  });
+  const std::size_t n = b.sort_keys.size();
+  b.sort_slots.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) b.sort_slots[i] = i;
+  // Leaf keys are distinct, so any sort gives the same order; the radix
+  // traffic is not counted in expand.radix_bytes, which measures the
+  // lattice grouping alone.
+  (void)radix_sort_pairs(b.sort_keys, b.sort_slots, radix_plan(kFullMask),
+                         b.key_scratch, b.slot_scratch);
+  keys.swap(b.sort_keys);
+  stats.resize(n);
+  for (std::size_t i = 0; i < n; ++i) stats[i] = b.gathered[b.sort_slots[i]];
+}
+
+}  // namespace
+
+void expand_fold_into(const LeafFold& fold, const ClusterEngineConfig& config,
+                      ThreadPool* pool, std::size_t shards,
+                      std::uint32_t floor, ExpandWorkspace& workspace,
+                      EpochClusterTable& table) {
+  LeafCellIndex& index = table.leaf_index;
+  index.masks = lattice_masks(config.max_arity);
+  const std::vector<std::uint8_t>& masks = index.masks;
   const bool prune = floor > 1 && config.index_cells &&
                      config.expand == ExpandStrategy::kMaskMajor;
+  ExpandWorkspace::Buffers& b = workspace.buffers();
 
-  EpochClusterTable table;
   table.epoch = fold.epoch;
   table.root = fold.root;
   table.floor = prune ? floor : 0;
 
   // Canonical leaf order: ascending raw key.  This fixes the dense-id
   // assignment and the iteration order of every downstream per-leaf sweep,
-  // independent of hash-table layout and shard count.
-  std::vector<std::pair<std::uint64_t, const ClusterStats*>> sorted_leaves;
-  sorted_leaves.reserve(fold.leaves.size());
-  fold.leaves.for_each([&](std::uint64_t raw, const ClusterStats& s) {
-    sorted_leaves.emplace_back(raw, &s);
-  });
-  std::sort(sorted_leaves.begin(), sorted_leaves.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // SoA copies: both engines consume contiguous key/stat arrays (the
-  // mask-major kernels batch over the keys), and with index_cells they are
-  // stored on the table as the LeafCellIndex anyway.
-  std::vector<std::uint64_t> local_keys;
-  std::vector<ClusterStats> local_stats;
-  std::vector<std::uint64_t>& leaf_keys =
-      config.index_cells ? table.leaf_index.leaf_keys : local_keys;
-  std::vector<ClusterStats>& leaf_stats =
-      config.index_cells ? table.leaf_index.leaf_stats : local_stats;
-  leaf_keys.reserve(sorted_leaves.size());
-  leaf_stats.reserve(sorted_leaves.size());
-  for (const auto& [raw, stats] : sorted_leaves) {
-    leaf_keys.push_back(raw);
-    leaf_stats.push_back(*stats);
-  }
+  // independent of hash-table layout and shard count.  Every engine
+  // consumes the contiguous key/stat arrays (the mask-major kernels batch
+  // over the keys); with index_cells they stay on the table as the index.
+  sort_leaves(fold, b, index.leaf_keys, index.leaf_stats);
+  const std::size_t num_leaves = index.leaf_keys.size();
 
   std::uint32_t* rows = nullptr;
-  if (config.index_cells) {
-    table.leaf_index.masks = masks;
-    if (!prune) {
-      table.leaf_index.cell_rows.resize(leaf_keys.size() * masks.size());
-      rows = table.leaf_index.cell_rows.data();
+  if (config.index_cells && !prune) {
+    // Full lattice: one id per mask in every row.
+    const std::size_t nm = masks.size();
+    index.row_offsets.resize(num_leaves + 1);
+    for (std::size_t i = 0; i <= num_leaves; ++i) {
+      index.row_offsets[i] = i * nm;
     }
+    index.cell_rows.resize(num_leaves * nm);
+    rows = index.cell_rows.data();
   }
 
   if (prune) {
-    expand_fold_pruned(leaf_keys, leaf_stats, masks, config.max_arity, floor,
-                       table);
+    expand_fold_pruned(index.leaf_keys, index.leaf_stats, config.max_arity,
+                       floor, b.cube, table);
   } else if (config.expand == ExpandStrategy::kHashed) {
-    expand_fold_hashed(leaf_keys, leaf_stats, masks, table, rows, pool,
-                       shards);
+    table.clusters = CellStore{};
+    expand_fold_hashed(index.leaf_keys, index.leaf_stats, masks, table, rows,
+                       pool, shards);
   } else {
-    expand_fold_mask_major(leaf_keys, leaf_stats, masks, config.expand_kernel,
-                           table, rows, pool, shards);
+    expand_fold_mask_major(index.leaf_keys, index.leaf_stats, masks,
+                           config.expand_kernel, table, rows, pool, shards,
+                           b.mask_cells, b.mask_scratch);
   }
 
   ExpandMetrics& metrics = expand_metrics();
-  metrics.leaves.add(static_cast<std::uint64_t>(leaf_keys.size()));
+  metrics.leaves.add(static_cast<std::uint64_t>(num_leaves));
   metrics.cells.add(static_cast<std::uint64_t>(table.clusters.size()));
+  if (!config.index_cells) {
+    index.masks.clear();
+    index.leaf_keys.clear();
+    index.leaf_stats.clear();
+    index.row_offsets.clear();
+    index.cell_rows.clear();
+  }
+}
+
+EpochClusterTable expand_fold(const LeafFold& fold,
+                              const ClusterEngineConfig& config,
+                              ThreadPool* pool, std::size_t shards,
+                              std::uint32_t floor) {
+  ExpandWorkspace workspace;
+  EpochClusterTable table;
+  expand_fold_into(fold, config, pool, shards, floor, workspace, table);
   return table;
 }
 

@@ -60,14 +60,23 @@
 // byproduct of pass 2, expand_fold can record a LeafCellIndex — for every
 // distinct leaf, the dense ids of its materialised projections — which lets
 // the critical-cluster analysis (critical_cluster.h) replace its per-leaf
-// hash lookups (one per lattice mask) with plain array gathers over
-// precomputed per-metric flag bitsets.
+// hash lookups (one per lattice mask) with plain array gathers of
+// precomputed per-cell flag words.  Rows are compact: a pruned table's row
+// lists only the leaf's projections at or above the floor (19.7 of 127 on
+// the paper world), so no row slot ever names an absent cell.
+//
+// The canonical leaf order (ascending raw key) comes from an LSD radix
+// sort of (key, slot) pairs (expand_kernels.h).  expand_fold_into rebuilds
+// a caller's table in place and draws every scratch buffer from an
+// ExpandWorkspace; EpochAnalyzer (epoch_analyzer.h) keeps both across
+// epochs, so a stream of epochs allocates its large buffers once.
 
 #pragma once
 
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -244,15 +253,18 @@ class CellStore {
 /// dense cell ids of its materialised projections.  Leaves are sorted by
 /// ascending raw key — the canonical order every critical-extraction
 /// strategy iterates in, which is what makes sharded and serial runs
-/// bit-identical (see critical_cluster.h).  Rows are row-major: row i holds
-/// cell_rows[i * masks.size() + j] = id of leaf i projected onto masks[j],
-/// or CellStore::kNoCell when a pruned table (EpochClusterTable::floor > 0)
-/// left that projection out because it falls below the floor.
+/// bit-identical (see critical_cluster.h).  Row i is
+/// cell_rows[row_offsets[i], row_offsets[i + 1]): the ids of leaf i's
+/// projections in ascending mask order.  A full-lattice table's rows hold
+/// one id per lattice mask (masks.size() each); a pruned table's row holds
+/// only the projections with sessions >= EpochClusterTable::floor, so rows
+/// differ in length.  No slot is ever CellStore::kNoCell.
 struct LeafCellIndex {
   std::vector<std::uint8_t> masks;       // materialised masks, ascending
   std::vector<std::uint64_t> leaf_keys;  // distinct leaves, ascending raw
   std::vector<ClusterStats> leaf_stats;  // parallel to leaf_keys
-  std::vector<std::uint32_t> cell_rows;  // leaf_keys.size() x masks.size()
+  std::vector<std::size_t> row_offsets;  // num_leaves() + 1 row bounds
+  std::vector<std::uint32_t> cell_rows;  // every row, concatenated
 
   [[nodiscard]] bool empty() const noexcept { return leaf_keys.empty(); }
   [[nodiscard]] std::size_t num_leaves() const noexcept {
@@ -260,7 +272,8 @@ struct LeafCellIndex {
   }
   [[nodiscard]] std::span<const std::uint32_t> row(
       std::size_t leaf) const noexcept {
-    return std::span{cell_rows}.subspan(leaf * masks.size(), masks.size());
+    return std::span{cell_rows}.subspan(
+        row_offsets[leaf], row_offsets[leaf + 1] - row_offsets[leaf]);
   }
 };
 
@@ -329,6 +342,14 @@ struct LeafFold {
   std::uint32_t epoch = 0;
   ClusterStats root;
   FlatMap64<ClusterStats> leaves;
+
+  /// Empties the fold for `e`, keeping the leaf table's capacity (the
+  /// streaming consumers refill one fold per epoch).
+  void reset(std::uint32_t e) noexcept {
+    epoch = e;
+    root = {};
+    leaves.clear();
+  }
 };
 
 /// Folds one epoch's sessions into their distinct leaves (one hash op per
@@ -336,6 +357,31 @@ struct LeafFold {
 [[nodiscard]] LeafFold fold_sessions(std::span<const Session> sessions,
                                      const ProblemThresholds& thresholds,
                                      std::uint32_t epoch);
+
+/// fold_sessions into `fold`, which is reset first (its capacity is kept).
+void fold_sessions_into(std::span<const Session> sessions,
+                        const ProblemThresholds& thresholds,
+                        std::uint32_t epoch, LeafFold& fold);
+
+/// Scratch buffers of expand_fold_into: the leaf sort's key/slot arrays and
+/// radix double buffers, the pruned engine's per-depth group buffers,
+/// per-value tallies and member lists, and the mask-major engine's per-mask
+/// cells.  Keeping one across epochs (EpochAnalyzer does) keeps those
+/// buffers' pages mapped: freed and re-requested every epoch, a buffer
+/// above glibc's dynamic mmap threshold, or one freed at the heap top past
+/// its trim threshold, comes back as fresh zero pages that fault in again.
+/// The hashed engine does not use it.
+class ExpandWorkspace {
+ public:
+  ExpandWorkspace();
+  ~ExpandWorkspace();
+
+  struct Buffers;  // defined in cluster_engine.cpp
+  [[nodiscard]] Buffers& buffers() noexcept { return *buffers_; }
+
+ private:
+  std::unique_ptr<Buffers> buffers_;
+};
 
 /// Expands a leaf fold into the cluster table (pass 2), dispatching on
 /// `config.expand`.  With `pool` non-null and `shards > 1` the expansion is
@@ -356,6 +402,14 @@ struct LeafFold {
                                             ThreadPool* pool = nullptr,
                                             std::size_t shards = 1,
                                             std::uint32_t floor = 0);
+
+/// expand_fold into `table`, overwriting every field and reusing its
+/// vectors' capacity, with scratch drawn from `workspace`.  The result is
+/// identical to expand_fold's whatever the table and workspace last held.
+void expand_fold_into(const LeafFold& fold, const ClusterEngineConfig& config,
+                      ThreadPool* pool, std::size_t shards,
+                      std::uint32_t floor, ExpandWorkspace& workspace,
+                      EpochClusterTable& table);
 
 /// Aggregates one epoch's sessions into a cluster table, dispatching on
 /// `config.fold_leaves`. All sessions must carry the same epoch id as

@@ -262,7 +262,15 @@ LeafFold fold_sessions_columns(const SessionColumns& columns,
                                const ProblemThresholds& thresholds,
                                std::uint32_t epoch, BatchKernel kernel) {
   LeafFold fold;
-  fold.epoch = epoch;
+  fold_sessions_columns_into(columns, thresholds, epoch, fold, kernel);
+  return fold;
+}
+
+void fold_sessions_columns_into(const SessionColumns& columns,
+                                const ProblemThresholds& thresholds,
+                                std::uint32_t epoch, LeafFold& fold,
+                                BatchKernel kernel) {
+  fold.reset(epoch);
   fold.leaves.reserve(columns.size() / 4 + 16);
   validate_attr_columns(columns);
 
@@ -294,7 +302,6 @@ LeafFold fold_sessions_columns(const SessionColumns& columns,
       }
     }
   }
-  return fold;
 }
 
 std::string_view batch_kernel_name() noexcept {

@@ -109,6 +109,13 @@ void pack_leaf_keys_columns(const SessionColumns& columns,
     const SessionColumns& columns, const ProblemThresholds& thresholds,
     std::uint32_t epoch, BatchKernel kernel = BatchKernel::kAuto);
 
+/// fold_sessions_columns into `fold`, which is reset first (its capacity
+/// is kept).
+void fold_sessions_columns_into(const SessionColumns& columns,
+                                const ProblemThresholds& thresholds,
+                                std::uint32_t epoch, LeafFold& fold,
+                                BatchKernel kernel = BatchKernel::kAuto);
+
 /// Name of the widest kernel kAuto resolves to in this build ("avx2",
 /// "sse2", or "scalar") — benchmark/report labelling only.
 [[nodiscard]] std::string_view batch_kernel_name() noexcept;

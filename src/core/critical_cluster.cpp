@@ -33,16 +33,10 @@ namespace {
 
 using detail::MaskBits;
 using detail::filter_minimal;
+using detail::strict_subset_or;
 using detail::strict_superset_or;
 
 constexpr int kNumMasks = kFullMask + 1;  // 128 subsets incl. root
-
-/// Shared tail of every strategy: deterministic record order (attributed
-/// mass descending, raw key ascending) and the attributed-mass total summed
-/// in that order, so hashed/indexed/sharded runs agree bit for bit.
-void finalize_analysis(CriticalAnalysis& out) {
-  detail::finalize_critical_analysis(out);
-}
 
 void fill_header(CriticalAnalysis& out, const EpochClusterTable& table,
                  Metric metric) {
@@ -56,8 +50,7 @@ void fill_header(CriticalAnalysis& out, const EpochClusterTable& table,
 
 /// Both strategies publish the epoch's problem-cluster keys (ascending) so
 /// downstream analytics never re-run the per-cell predicate sweep. The
-/// hashed strategy sweeps the table; the indexed one derives the keys from
-/// the already-computed flag bitset (see find_critical_clusters_indexed).
+/// hashed strategy sweeps the table; the fused one reads the cell words.
 void problem_keys_from_table(CriticalAnalysis& out,
                              const EpochClusterTable& table,
                              const ProblemClusterParams& params,
@@ -74,90 +67,206 @@ void problem_keys_from_table(CriticalAnalysis& out,
       static_cast<std::uint32_t>(out.problem_cluster_keys.size());
 }
 
-void problem_keys_from_flags(CriticalAnalysis& out, const CellStore& cells,
-                             const CellFlags& flags) {
-  out.problem_cluster_keys.clear();
-  out.problem_cluster_keys.reserve(flags.num_flagged);
-  for (std::uint32_t id = 0; id < cells.size(); ++id) {
-    if (flags.test_flagged(id)) {
-      out.problem_cluster_keys.push_back(cells.key(id));
-    }
+/// Condition (c) of a flagged cell, for each metric flagged in `word`.
+std::uint16_t removal_flags(const EpochClusterTable& table, std::uint64_t raw,
+                            const ClusterStats& stats, std::uint16_t word,
+                            const std::array<double, kNumMetrics>& global,
+                            const ProblemClusterParams& params) {
+  std::uint16_t ok = 0;
+  for (int m = 0; m < kNumMetrics; ++m) {
+    if (word & cell_word::flagged(m)) ok |= cell_word::removal_ok(m);
   }
-  std::sort(out.problem_cluster_keys.begin(), out.problem_cluster_keys.end());
-  out.num_problem_clusters = flags.num_flagged;
-}
-
-/// Per-shard scratch for the indexed leaf sweep.  A leaf writes the slots
-/// of its present projections and reads only those of flagged masks and
-/// their subsets, which are present too (below), so no per-leaf clearing is
-/// needed.
-struct LeafScratch {
-  std::array<const ClusterStats*, kNumMasks> stats_by_mask;
-  std::array<std::uint32_t, kNumMasks> id_by_mask;
-  std::vector<std::uint8_t> raw_candidates;
-  std::vector<std::uint8_t> masks;
-};
-
-/// Indexed equivalent of critical_leaf_candidates: gathers the leaf's
-/// precomputed projection cell ids and flag bits, then applies conditions
-/// (a)/(b) with 128-bit bit tricks and (c)/minimality on the gathered stats.
-/// Returns whether any projection is a problem cluster; minimal candidate
-/// masks land in scratch.masks (ascending).
-bool indexed_leaf_candidates(const LeafCellIndex& index, std::size_t leaf,
-                             const CellStore& cells, const CellFlags& flags,
-                             const ProblemClusterParams& params,
-                             double global, Metric metric,
-                             LeafScratch& scratch) {
-  const std::span<const std::uint32_t> row = index.row(leaf);
-  MaskBits flagged;
-  MaskBits significant;
-  for (std::size_t j = 0; j < index.masks.size(); ++j) {
-    const std::uint32_t id = row[j];
-    // kNoCell marks a projection below a pruned table's floor, which is at
-    // most params.min_sessions (require_floor): it is insignificant, so
-    // neither flagged nor a veto, and condition (c) reads only subsets of
-    // flagged masks, which hold at least their sessions and are present.
-    if (id == CellStore::kNoCell) continue;
-    const unsigned mask = index.masks[j];
-    scratch.stats_by_mask[mask] = &cells.cell(id);
-    scratch.id_by_mask[mask] = id;
-    if (flags.test_significant(id)) {
-      significant.set(mask);
-      if (flags.test_flagged(id)) flagged.set(mask);
-    }
-  }
-  scratch.masks.clear();
-  if (!flagged.any()) return false;  // (a) can never hold
-
-  // (b): a mask is vetoed when any strict superset within the leaf is
-  // significant but not flagged.
-  const MaskBits bad{significant.lo & ~flagged.lo,
-                     significant.hi & ~flagged.hi};
-  const MaskBits veto = strict_superset_or(bad);
-
-  scratch.raw_candidates.clear();
-  for (const std::uint8_t mask : index.masks) {
-    if (!flagged.test(mask) || veto.test(mask)) continue;
-
-    // (c) removing this cluster's sessions un-flags every proper ancestor.
-    const ClusterStats& m_stats = *scratch.stats_by_mask[mask];
-    bool down_ok = true;
-    const unsigned mu = mask;
-    for (unsigned a = (mu - 1) & mu; a != 0; a = (a - 1) & mu) {
-      const ClusterStats remaining =
-          scratch.stats_by_mask[a]->minus(m_stats);
-      if (is_problem_cluster(remaining, global, params, metric)) {
-        down_ok = false;
-        break;
+  const ClusterKey key = ClusterKey::from_raw(raw);
+  const unsigned mu = raw & kFullMask;
+  for (unsigned a = (mu - 1) & mu; a != 0 && ok != 0; a = (a - 1) & mu) {
+    const ClusterStats remaining =
+        table.stats(key.project(static_cast<std::uint8_t>(a))).minus(stats);
+    for (int m = 0; m < kNumMetrics; ++m) {
+      if ((ok & cell_word::removal_ok(m)) &&
+          is_problem_cluster(remaining, global[m], params,
+                             static_cast<Metric>(m))) {
+        ok &= static_cast<std::uint16_t>(~cell_word::removal_ok(m));
       }
     }
-    if (down_ok) scratch.raw_candidates.push_back(mask);
   }
-  filter_minimal(scratch.raw_candidates, scratch.masks);
-  return true;
+  return ok;
 }
 
 }  // namespace
+
+void compute_cell_flags(const EpochClusterTable& table,
+                        const ProblemClusterParams& params, MetricSet metrics,
+                        std::vector<std::uint16_t>& words) {
+  VQ_SPAN_EPOCH("core.compute_cell_flags", table.epoch);
+  require_floor(table, params, "compute_cell_flags");
+  std::array<double, kNumMetrics> global{};
+  for (const Metric m : kAllMetrics) {
+    global[static_cast<std::uint8_t>(m)] = table.global_ratio(m);
+  }
+  const CellStore& cells = table.clusters;
+  words.assign(cells.size(), 0);
+  for (std::uint32_t id = 0; id < cells.size(); ++id) {
+    const ClusterStats& stats = cells.cell(id);
+    // Significance is a precondition of the problem test; only significant
+    // cells can be flagged, and the sweep reads nothing else of the others.
+    if (!is_significant(stats, params)) continue;
+    const std::uint64_t raw = cells.key(id);
+    auto word = static_cast<std::uint16_t>((raw & cell_word::kMask) |
+                                           cell_word::kSignificant);
+    for (int m = 0; m < kNumMetrics; ++m) {
+      if (((metrics >> m) & 1u) &&
+          is_problem_cluster(stats, global[m], params,
+                             static_cast<Metric>(m))) {
+        word |= cell_word::flagged(m);
+      }
+    }
+    if (word & cell_word::kAnyFlagged) {
+      word |= removal_flags(table, raw, stats, word, global, params);
+    }
+    words[id] = word;
+  }
+}
+
+void CriticalSweep::sweep_leaves(const LeafCellIndex& index,
+                                 MetricSet metrics, std::size_t lo,
+                                 std::size_t hi, ShardOut& out) const {
+  // Written for flagged masks only, and read only for candidates, which
+  // are flagged; a row names each mask at most once.
+  std::array<std::uint32_t, kNumMasks> id_by_mask{};
+  for (std::size_t i = lo; i < hi; ++i) {
+    const ClusterStats& leaf = index.leaf_stats[i];
+    unsigned active = 0;  // requested metrics with problem sessions here
+    for (int m = 0; m < kNumMetrics; ++m) {
+      if (((metrics >> m) & 1u) && leaf.problems[m] > 0) active |= 1u << m;
+    }
+    if (active == 0) continue;
+
+    MaskBits significant;
+    std::array<MaskBits, kNumMetrics> flagged;
+    std::array<MaskBits, kNumMetrics> removal_ok;
+    for (const std::uint32_t id : index.row(i)) {
+      const std::uint16_t word = words_[id];
+      // An insignificant cell is neither flagged nor a veto.
+      if (!(word & cell_word::kSignificant)) continue;
+      const unsigned mask = word & cell_word::kMask;
+      significant.set(mask);
+      if (!(word & cell_word::kAnyFlagged)) continue;
+      id_by_mask[mask] = id;
+      for (int m = 0; m < kNumMetrics; ++m) {
+        if (word & cell_word::flagged(m)) flagged[m].set(mask);
+        if (word & cell_word::removal_ok(m)) removal_ok[m].set(mask);
+      }
+    }
+
+    for (int m = 0; m < kNumMetrics; ++m) {
+      if (!((active >> m) & 1u) || !flagged[m].any()) continue;  // (a)
+      out.in_pc[m] += leaf.problems[m];
+      // (b): a mask is vetoed when any strict superset within the leaf is
+      // significant but not flagged.
+      const MaskBits veto = strict_superset_or(
+          {significant.lo & ~flagged[m].lo, significant.hi & ~flagged[m].hi});
+      MaskBits candidates{flagged[m].lo & ~veto.lo & removal_ok[m].lo,
+                          flagged[m].hi & ~veto.hi & removal_ok[m].hi};
+      if (!candidates.any()) continue;
+      // Minimal by inclusion ("closest to the root").
+      const MaskBits below = strict_subset_or(candidates);
+      candidates.lo &= ~below.lo;
+      candidates.hi &= ~below.hi;
+      const double share =
+          static_cast<double>(leaf.problems[m]) /
+          static_cast<double>(std::popcount(candidates.lo) +
+                              std::popcount(candidates.hi));
+      for (int half = 0; half < 2; ++half) {
+        for (std::uint64_t bits = half == 0 ? candidates.lo : candidates.hi;
+             bits != 0; bits &= bits - 1) {
+          const unsigned mask = 64u * half + std::countr_zero(bits);
+          out.shares[m].emplace_back(id_by_mask[mask], share);
+        }
+      }
+    }
+  }
+}
+
+std::array<CriticalAnalysis, kNumMetrics> CriticalSweep::run(
+    const LeafFold& fold, const EpochClusterTable& table,
+    const ProblemClusterParams& params, MetricSet metrics, ThreadPool* pool,
+    std::size_t shards) {
+  VQ_SPAN_EPOCH("core.find_critical_clusters", table.epoch);
+  std::array<CriticalAnalysis, kNumMetrics> out;
+  if (table.leaf_index.empty() && !table.clusters.empty()) {
+    for (const Metric m : kAllMetrics) {
+      if ((metrics >> static_cast<unsigned>(m)) & 1u) {
+        out[static_cast<std::uint8_t>(m)] =
+            find_critical_clusters_hashed(fold, table, params, m);
+      }
+    }
+    return out;
+  }
+
+  compute_cell_flags(table, params, metrics, words_);
+  const LeafCellIndex& index = table.leaf_index;
+  const CellStore& cells = table.clusters;
+  const std::size_t num_leaves = index.num_leaves();
+
+  // Sharding only pays off when each shard gets a meaningful slice.
+  constexpr std::size_t kMinLeavesPerShard = 256;
+  std::size_t num_shards = 1;
+  if (pool != nullptr && shards > 1 &&
+      num_leaves >= 2 * kMinLeavesPerShard) {
+    num_shards = std::min(shards, num_leaves / kMinLeavesPerShard);
+  }
+  if (shards_.size() < num_shards) shards_.resize(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    for (auto& list : shards_[s].shares) list.clear();
+    shards_[s].in_pc.fill(0);
+  }
+  const auto sweep_shard = [&](std::size_t s) {
+    sweep_leaves(index, metrics, num_leaves * s / num_shards,
+                 num_leaves * (s + 1) / num_shards, shards_[s]);
+  };
+  if (num_shards == 1) {
+    sweep_shard(0);
+  } else {
+    pool->parallel_for(0, num_shards, sweep_shard);
+  }
+
+  attribution_.resize(cells.size());
+  for (const Metric metric : kAllMetrics) {
+    const auto m = static_cast<std::uint8_t>(metric);
+    if (!((metrics >> m) & 1u)) continue;
+    CriticalAnalysis& a = out[m];
+    fill_header(a, table, metric);
+    for (std::uint32_t id = 0; id < cells.size(); ++id) {
+      if (words_[id] & cell_word::flagged(m)) {
+        a.problem_cluster_keys.push_back(cells.key(id));
+      }
+    }
+    std::sort(a.problem_cluster_keys.begin(), a.problem_cluster_keys.end());
+    a.num_problem_clusters =
+        static_cast<std::uint32_t>(a.problem_cluster_keys.size());
+
+    // Deterministic merge: shards cover contiguous ranges of the ascending
+    // leaf array and appended their shares in leaf order, so replaying the
+    // lists in shard order reproduces the serial floating-point
+    // accumulation sequence exactly — for any shard count.
+    touched_.clear();
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      a.problem_sessions_in_pc += shards_[s].in_pc[m];
+      for (const auto& [id, share] : shards_[s].shares[m]) {
+        if (attribution_[id] == 0.0) touched_.push_back(id);
+        attribution_[id] += share;  // share > 0, so touched_ stays accurate
+      }
+    }
+    a.criticals.reserve(touched_.size());
+    for (const std::uint32_t id : touched_) {
+      a.criticals.push_back({ClusterKey::from_raw(cells.key(id)),
+                             attribution_[id], cells.cell(id)});
+      attribution_[id] = 0.0;
+    }
+    detail::finalize_critical_analysis(a);
+  }
+  return out;
+}
 
 LeafCandidates critical_leaf_candidates(const ClusterKey& leaf,
                                         const EpochClusterTable& table,
@@ -256,101 +365,23 @@ CriticalAnalysis find_critical_clusters_hashed(
   }
 
   out.criticals.reserve(attribution.size());
-  // Accumulation only: finalize_analysis below sorts out.criticals by
+  // Accumulation only: finalize_critical_analysis below sorts criticals by
   // (mass, key) before anything is emitted.
   // vq-lint: allow(unordered-iter)
   attribution.for_each([&](std::uint64_t raw, double mass) {
     const ClusterKey key = ClusterKey::from_raw(raw);
     out.criticals.push_back({key, mass, table.stats(key)});
   });
-  finalize_analysis(out);
+  detail::finalize_critical_analysis(out);
   return out;
 }
 
-CriticalAnalysis find_critical_clusters_indexed(
-    const EpochClusterTable& table, const ProblemClusterParams& params,
-    Metric metric, ThreadPool* pool, std::size_t shards) {
-  require_floor(table, params, "find_critical_clusters");
-  if (table.leaf_index.empty() && !table.clusters.empty()) {
-    throw std::invalid_argument{
-        "find_critical_clusters_indexed: table carries no leaf index "
-        "(expand_fold with ClusterEngineConfig::index_cells builds one)"};
-  }
-
-  CriticalAnalysis out;
-  fill_header(out, table, metric);
-
-  const CellFlags flags = compute_cell_flags(table, params, metric);
-  const LeafCellIndex& index = table.leaf_index;
-  const CellStore& cells = table.clusters;
-  problem_keys_from_flags(out, cells, flags);
-  const double global = out.global_ratio;
-  const auto mi = static_cast<std::uint8_t>(metric);
-  const std::size_t num_leaves = index.num_leaves();
-
-  // Sharding only pays off when each shard gets a meaningful slice.
-  constexpr std::size_t kMinLeavesPerShard = 256;
-  std::size_t num_shards = 1;
-  if (pool != nullptr && shards > 1 &&
-      num_leaves >= 2 * kMinLeavesPerShard) {
-    num_shards = std::min(shards, num_leaves / kMinLeavesPerShard);
-  }
-
-  struct ShardOut {
-    std::vector<std::pair<std::uint32_t, double>> shares;  // (cell id, share)
-    std::uint64_t in_pc_problems = 0;
-  };
-  std::vector<ShardOut> shard_out(num_shards);
-  std::vector<std::size_t> bounds(num_shards + 1);
-  for (std::size_t s = 0; s <= num_shards; ++s) {
-    bounds[s] = num_leaves * s / num_shards;
-  }
-
-  const auto sweep_shard = [&](std::size_t shard) {
-    LeafScratch scratch;
-    ShardOut& so = shard_out[shard];
-    for (std::size_t i = bounds[shard]; i < bounds[shard + 1]; ++i) {
-      const std::uint32_t problems = index.leaf_stats[i].problems[mi];
-      if (problems == 0) continue;
-      const bool in_pc = indexed_leaf_candidates(index, i, cells, flags,
-                                                 params, global, metric,
-                                                 scratch);
-      if (in_pc) so.in_pc_problems += problems;
-      if (scratch.masks.empty()) continue;
-      const double share = static_cast<double>(problems) /
-                           static_cast<double>(scratch.masks.size());
-      for (const std::uint8_t mask : scratch.masks) {
-        so.shares.emplace_back(scratch.id_by_mask[mask], share);
-      }
-    }
-  };
-  if (num_shards == 1) {
-    sweep_shard(0);
-  } else {
-    pool->parallel_for(0, num_shards, sweep_shard);
-  }
-
-  // Deterministic merge: shards cover contiguous ranges of the ascending
-  // leaf array and appended their shares in leaf order, so replaying the
-  // lists in shard order reproduces the serial floating-point accumulation
-  // sequence exactly — for any shard count.
-  std::vector<double> attribution(cells.size(), 0.0);
-  std::vector<std::uint32_t> touched;
-  for (const ShardOut& so : shard_out) {
-    out.problem_sessions_in_pc += so.in_pc_problems;
-    for (const auto& [id, share] : so.shares) {
-      if (attribution[id] == 0.0) touched.push_back(id);
-      attribution[id] += share;  // share > 0, so touched stays accurate
-    }
-  }
-
-  out.criticals.reserve(touched.size());
-  for (const std::uint32_t id : touched) {
-    out.criticals.push_back({ClusterKey::from_raw(cells.key(id)),
-                             attribution[id], cells.cell(id)});
-  }
-  finalize_analysis(out);
-  return out;
+std::array<CriticalAnalysis, kNumMetrics> find_critical_clusters(
+    const LeafFold& fold, const EpochClusterTable& table,
+    const ProblemClusterParams& params, ThreadPool* pool,
+    std::size_t shards) {
+  return CriticalSweep{}.run(fold, table, params, kAllMetricSet, pool,
+                             shards);
 }
 
 CriticalAnalysis find_critical_clusters(const LeafFold& fold,
@@ -358,12 +389,10 @@ CriticalAnalysis find_critical_clusters(const LeafFold& fold,
                                         const ProblemClusterParams& params,
                                         Metric metric, ThreadPool* pool,
                                         std::size_t shards) {
-  VQ_SPAN_EPOCH("core.find_critical_clusters", table.epoch);
-  if (!table.leaf_index.empty() || table.clusters.empty()) {
-    return find_critical_clusters_indexed(table, params, metric, pool,
-                                          shards);
-  }
-  return find_critical_clusters_hashed(fold, table, params, metric);
+  return std::move(CriticalSweep{}.run(fold, table, params,
+                                       metric_set(metric), pool,
+                                       shards)[static_cast<std::uint8_t>(
+      metric)]);
 }
 
 CriticalAnalysis find_critical_clusters(std::span<const Session> sessions,

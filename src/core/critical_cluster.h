@@ -30,26 +30,35 @@
 //
 //  * hashed (the original): per leaf, one table.stats() hash lookup and
 //    one is_problem_cluster evaluation per lattice mask (127 at full
-//    arity).
-//  * indexed (default when the table carries a LeafCellIndex): per-metric
-//    flag bitsets are precomputed once over the table's contiguous cell
-//    vector (compute_cell_flags), and each leaf's sweep gathers its
-//    precomputed projection cell ids — zero hash lookups and zero repeated
-//    threshold evaluations in the inner loop; conditions (a)/(b) collapse
-//    to 128-bit subset/superset bit tricks.  On a table pruned at the
-//    session floor (cluster_engine.h) the sweep skips the kNoCell slots of
-//    projections below it: such a cell is insignificant, so it is neither
-//    flagged nor a veto, and condition (c) reads only subsets of flagged
-//    masks, which are significant and present.  The per-leaf loop can shard
-//    across a ThreadPool: shards take contiguous ranges of the canonical
-//    (ascending-key) leaf array and their share lists are replayed in shard
-//    order, reproducing the serial floating-point accumulation sequence
-//    exactly — output is bit-identical for any shard count.
+//    arity), per metric.
+//  * fused (default when the table carries a LeafCellIndex): one sweep
+//    serves every requested metric.  It first computes one 16-bit word per
+//    cell (compute_cell_flags): the cell's mask, its significance, its
+//    problem flag per metric, and per metric whether condition (c) holds.
+//    (c) is a property of the cell, not of the leaf it is reached from:
+//    its ancestors are projections of the cell's own key.  Then each leaf
+//    is read once: its compact row of cell ids (cluster_engine.h) gathers
+//    the words into 128-bit mask sets, and per metric (a) and (c) are set
+//    membership, (b) one superset-OR of the significant-but-unflagged set,
+//    and minimality one subset-OR of the candidates — zero hash lookups and
+//    zero threshold evaluations per leaf.  A pruned table's row omits the
+//    cells below its floor; those are insignificant, so they could be
+//    neither flagged nor a veto.  The per-leaf loop can shard across a
+//    ThreadPool: shards take contiguous ranges of the canonical
+//    (ascending-key) leaf array and their share lists are replayed in
+//    shard order, reproducing the serial floating-point accumulation
+//    sequence exactly — output is bit-identical for any shard count.
+//
+// The single-metric find_critical_clusters is the same sweep restricted to
+// one metric.  CriticalSweep keeps the sweep's buffers (cell words, share
+// lists, attribution) across epochs for EpochAnalyzer (epoch_analyzer.h).
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/cluster_engine.h"
@@ -104,15 +113,83 @@ struct CriticalAnalysis {
   }
 };
 
-/// Runs the phase-transition algorithm for one epoch and metric, dispatching
-/// to the indexed strategy when the table carries a LeafCellIndex (i.e. it
-/// was built by expand_fold with ClusterEngineConfig::index_cells) and to
-/// the retained hashed baseline otherwise. `fold` must be the pass-1 fold of
-/// the sessions the `table` was aggregated from (run_pipeline computes it
-/// once per epoch and shares it across all four metrics). With `pool`
-/// non-null and `shards > 1` the indexed per-leaf loop runs sharded.  Every
-/// strategy throws std::invalid_argument when params.min_sessions is below
+/// Bit set of metrics: bit m selects Metric m.
+using MetricSet = std::uint8_t;
+inline constexpr MetricSet kAllMetricSet = (1u << kNumMetrics) - 1;
+[[nodiscard]] constexpr MetricSet metric_set(Metric m) noexcept {
+  return static_cast<MetricSet>(1u << static_cast<unsigned>(m));
+}
+
+/// The per-cell word of the fused sweep (compute_cell_flags).
+namespace cell_word {
+/// A significant cell's mask.
+inline constexpr std::uint16_t kMask = kFullMask;
+inline constexpr std::uint16_t kSignificant = 1u << 7;
+inline constexpr std::uint16_t kAnyFlagged = 0xFu << 8;
+/// is_problem_cluster for metric m.
+[[nodiscard]] constexpr std::uint16_t flagged(int m) noexcept {
+  return static_cast<std::uint16_t>(1u << (8 + m));
+}
+/// Condition (c) for metric m: removing the cell's sessions leaves no
+/// proper ancestor a problem cluster.  Set only on flagged cells.
+[[nodiscard]] constexpr std::uint16_t removal_ok(int m) noexcept {
+  return static_cast<std::uint16_t>(1u << (12 + m));
+}
+}  // namespace cell_word
+
+/// One pass over the table's cells writing each cell's word to words[id]:
+/// for a significant cell its mask, kSignificant, the problem flag of every
+/// metric in `metrics`, and for flagged cells condition (c), whose
+/// ancestors are looked up by key (each holds at least the flagged cell's
+/// sessions, so a pruned table has it too); 0 for an insignificant cell.
+/// Throws std::invalid_argument when params.min_sessions is below
 /// table.floor.
+void compute_cell_flags(const EpochClusterTable& table,
+                        const ProblemClusterParams& params, MetricSet metrics,
+                        std::vector<std::uint16_t>& words);
+
+/// The fused critical sweep with buffers kept across calls.  Output never
+/// depends on what a previous call left behind.
+class CriticalSweep {
+ public:
+  /// The analyses of every metric in `metrics` (the others are left
+  /// default): the fused sweep when the table carries a LeafCellIndex or
+  /// is empty, the hashed strategy otherwise.  `fold` must be the pass-1
+  /// fold the table was expanded from; only the hashed strategy reads it.
+  /// With `pool` non-null and `shards > 1` the per-leaf loop runs sharded.
+  /// Throws std::invalid_argument when params.min_sessions is below
+  /// table.floor.
+  [[nodiscard]] std::array<CriticalAnalysis, kNumMetrics> run(
+      const LeafFold& fold, const EpochClusterTable& table,
+      const ProblemClusterParams& params, MetricSet metrics,
+      ThreadPool* pool = nullptr, std::size_t shards = 1);
+
+ private:
+  /// One shard's output: per metric, the (cell id, share) list in leaf
+  /// order and the problem sessions of leaves inside a problem cluster.
+  struct ShardOut {
+    std::array<std::vector<std::pair<std::uint32_t, double>>, kNumMetrics>
+        shares;
+    std::array<std::uint64_t, kNumMetrics> in_pc{};
+  };
+
+  void sweep_leaves(const LeafCellIndex& index, MetricSet metrics,
+                    std::size_t lo, std::size_t hi, ShardOut& out) const;
+
+  std::vector<std::uint16_t> words_;
+  std::vector<ShardOut> shards_;
+  std::vector<double> attribution_;  // per cell; all zero between metrics
+  std::vector<std::uint32_t> touched_;
+};
+
+/// All four analyses of one epoch in one sweep (CriticalSweep::run with
+/// every metric and fresh buffers).
+[[nodiscard]] std::array<CriticalAnalysis, kNumMetrics> find_critical_clusters(
+    const LeafFold& fold, const EpochClusterTable& table,
+    const ProblemClusterParams& params, ThreadPool* pool = nullptr,
+    std::size_t shards = 1);
+
+/// One metric's analysis: the same sweep restricted to `metric`.
 [[nodiscard]] CriticalAnalysis find_critical_clusters(
     const LeafFold& fold, const EpochClusterTable& table,
     const ProblemClusterParams& params, Metric metric,
@@ -132,13 +209,6 @@ struct CriticalAnalysis {
     const LeafFold& fold, const EpochClusterTable& table,
     const ProblemClusterParams& params, Metric metric);
 
-/// The indexed strategy: precomputed flag bitsets + per-leaf cell-id
-/// gathers, optionally sharded. Requires the table to carry a LeafCellIndex
-/// (throws std::invalid_argument on a non-empty table without one).
-[[nodiscard]] CriticalAnalysis find_critical_clusters_indexed(
-    const EpochClusterTable& table, const ProblemClusterParams& params,
-    Metric metric, ThreadPool* pool = nullptr, std::size_t shards = 1);
-
 /// Per-leaf candidate evaluation output: the minimal candidate masks plus
 /// whether any of the leaf's projections is a problem cluster (both fall
 /// out of the same flagged-mask sweep, so they are computed together).
@@ -148,8 +218,8 @@ struct LeafCandidates {
 };
 
 /// Critical candidate masks + problem-cluster membership for a single leaf
-/// (hash-lookup evaluation; the indexed strategy computes the same result
-/// from the LeafCellIndex).
+/// (hash-lookup evaluation; the fused sweep computes the same result from
+/// the LeafCellIndex).
 [[nodiscard]] LeafCandidates critical_leaf_candidates(
     const ClusterKey& leaf, const EpochClusterTable& table,
     const ProblemClusterParams& params, Metric metric);

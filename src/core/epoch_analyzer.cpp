@@ -1,0 +1,17 @@
+#include "src/core/epoch_analyzer.h"
+
+#include "src/obs/trace.h"
+
+namespace vq {
+
+std::array<CriticalAnalysis, kNumMetrics> EpochAnalyzer::analyze(
+    const LeafFold& fold, ThreadPool* pool, std::size_t shards) {
+  {
+    VQ_SPAN_EPOCH("pipeline.expand_lattice", fold.epoch);
+    expand_fold_into(fold, engine_, pool, shards, params_.min_sessions,
+                     workspace_, table_);
+  }
+  return sweep_.run(fold, table_, params_, kAllMetricSet, pool, shards);
+}
+
+}  // namespace vq

@@ -1,0 +1,58 @@
+// One epoch's rebuild path as one object: leaf fold -> pruned (or full)
+// lattice -> the four §3.2 analyses in one fused sweep.
+//
+// EpochAnalyzer owns the epoch table and every expansion and sweep buffer
+// (ExpandWorkspace, CriticalSweep) and keeps them from one analyze() to the
+// next.  That matters to consumers that analyse many epochs in sequence —
+// run_pipeline_streaming and StreamingDetector each keep one analyzer for
+// their whole lifetime; run_pipeline makes one per epoch task.  Freed and
+// re-requested every epoch, the large buffers would be served by glibc
+// from fresh mmap'd (or trimmed) pages whenever they cross its dynamic
+// mmap and trim thresholds, and every page would fault in again; kept,
+// they stay mapped.  Output never depends on what an earlier epoch left
+// in the buffers.
+//
+// The incremental lattice (incremental.h) and the unfolded aggregation
+// stay outside: callers choose them before reaching the analyzer.
+
+#pragma once
+
+#include <array>
+#include <cstddef>
+
+#include "src/core/cluster_engine.h"
+#include "src/core/critical_cluster.h"
+#include "src/core/problem_cluster.h"
+
+namespace vq {
+
+class ThreadPool;
+
+class EpochAnalyzer {
+ public:
+  EpochAnalyzer(const ClusterEngineConfig& engine,
+                const ProblemClusterParams& params)
+      : engine_(engine), params_(params) {}
+
+  /// Expands `fold` at the analysis floor (params.min_sessions) and returns
+  /// its four critical analyses — identical to expand_fold followed by
+  /// find_critical_clusters.  `pool`/`shards` parallelise both steps as
+  /// there.
+  [[nodiscard]] std::array<CriticalAnalysis, kNumMetrics> analyze(
+      const LeafFold& fold, ThreadPool* pool = nullptr,
+      std::size_t shards = 1);
+
+  /// The last analysed epoch's table.
+  [[nodiscard]] const EpochClusterTable& table() const noexcept {
+    return table_;
+  }
+
+ private:
+  ClusterEngineConfig engine_;
+  ProblemClusterParams params_;
+  EpochClusterTable table_;
+  ExpandWorkspace workspace_;
+  CriticalSweep sweep_;
+};
+
+}  // namespace vq

@@ -348,7 +348,7 @@ CriticalAnalysis IncrementalLattice::extract(Metric metric, ThreadPool* pool,
 
   const std::size_t num_active = active_slots_.size();
 
-  // Same shard gating as find_critical_clusters_indexed.
+  // Same shard gating as the fused critical sweep (CriticalSweep::run).
   constexpr std::size_t kMinLeavesPerShard = 256;
   std::size_t num_shards = 1;
   if (pool != nullptr && shards > 1 && num_active >= 2 * kMinLeavesPerShard) {

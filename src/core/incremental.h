@@ -105,10 +105,10 @@ class IncrementalLattice {
 
   /// Applies the epoch's fold as a delta against the retained state and
   /// extracts all four per-metric critical analyses.  With `pool` non-null
-  /// and `shards > 1` the per-leaf sweep shards exactly like
-  /// find_critical_clusters_indexed (contiguous ranges of the ascending
-  /// active-leaf array, replayed in shard order) — output is bit-identical
-  /// for any shard count.
+  /// and `shards > 1` the per-leaf sweep shards exactly like the fused
+  /// critical sweep (contiguous ranges of the ascending active-leaf array,
+  /// replayed in shard order) — output is bit-identical for any shard
+  /// count.
   std::array<CriticalAnalysis, kNumMetrics> advance(const LeafFold& fold,
                                                     ThreadPool* pool = nullptr,
                                                     std::size_t shards = 1);
@@ -136,7 +136,7 @@ class IncrementalLattice {
   CriticalAnalysis extract(Metric metric, ThreadPool* pool,
                            std::size_t shards);
   /// Evaluates one leaf's candidate masks + problem-cluster membership
-  /// against the retained flags (the indexed_leaf_candidates math, applied
+  /// against the retained flags (the fused sweep's per-leaf math, applied
   /// to the incremental store).  Returns in_problem_cluster; minimal
   /// candidate masks land in scratch (ascending).
   bool eval_leaf(std::uint32_t slot, Metric metric, double global,

@@ -1,6 +1,6 @@
 // 128-bit bitsets over the 7-dimension subset lattice, shared by the
-// indexed critical extraction (critical_cluster.cpp) and the incremental
-// delta engine (incremental.cpp).  Bit index is the attribute mask value
+// fused critical sweep (critical_cluster.cpp) and the incremental delta
+// engine (incremental.cpp).  Bit index is the attribute mask value
 // (0..127).  Both strategies must apply conditions (a)/(b)/(c) with exactly
 // the same bit tricks for their analyses to stay bit-identical, so the
 // tricks live here once.
@@ -57,6 +57,30 @@ inline constexpr std::array<std::uint64_t, 6> kDimAbsent = {
     strict.hi |= (h.hi >> k) & kDimAbsent[d];
   }
   strict.lo |= h.hi;
+  return strict;
+}
+
+/// strict[m] = OR over every strict subset s of m of b[s]: the downward
+/// mirror of strict_superset_or.  The first sweep closes b downward-to-up
+/// (h[m] = OR over s <= m), the second ORs h over the seven
+/// single-dimension removals from m.  `b & ~strict_subset_or(b)` keeps the
+/// masks of b minimal by inclusion, as filter_minimal does.
+[[nodiscard]] inline MaskBits strict_subset_or(const MaskBits& b) noexcept {
+  MaskBits h = b;
+  for (int d = 0; d < 6; ++d) {
+    const int k = 1 << d;
+    h.lo |= (h.lo << k) & ~kDimAbsent[d];
+    h.hi |= (h.hi << k) & ~kDimAbsent[d];
+  }
+  h.hi |= h.lo;
+
+  MaskBits strict;
+  for (int d = 0; d < 6; ++d) {
+    const int k = 1 << d;
+    strict.lo |= (h.lo << k) & ~kDimAbsent[d];
+    strict.hi |= (h.hi << k) & ~kDimAbsent[d];
+  }
+  strict.hi |= h.lo;
   return strict;
 }
 

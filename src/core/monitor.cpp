@@ -89,8 +89,7 @@ std::vector<IncidentEvent> StreamingDetector::ingest(
   // engine) and all metrics.
   ThreadPool* pool_ptr = pool_ ? &*pool_ : nullptr;
   const std::size_t shards = std::max<std::uint32_t>(1, config_.shards);
-  const LeafFold fold =
-      fold_sessions(sessions, config_.thresholds, epoch);
+  fold_sessions_into(sessions, config_.thresholds, epoch, fold_);
 
   // Incremental mode applies the fold as a per-leaf delta against the
   // retained lattice; otherwise re-expand from scratch.  Both paths yield
@@ -98,21 +97,15 @@ std::vector<IncidentEvent> StreamingDetector::ingest(
   // stream cannot depend on the mode.
   std::array<CriticalAnalysis, kNumMetrics> analyses;
   if (lattice_) {
-    analyses = lattice_->advance(fold, pool_ptr, shards);
+    analyses = lattice_->advance(fold_, pool_ptr, shards);
+  } else if (config_.engine.fold_leaves) {
+    analyses = analyzer_.analyze(fold_, pool_ptr, shards);
   } else {
-    const EpochClusterTable lattice =
-        config_.engine.fold_leaves
-            ? expand_fold(fold, config_.engine, pool_ptr, shards,
-                          config_.cluster_params.min_sessions)
-            : aggregate_epoch_unfolded(sessions, config_.thresholds,
-                                       config_.engine, epoch);
-    for (const Metric metric : kAllMetrics) {
-      // Dispatches to the indexed extraction when the expansion built a
-      // leaf index (the fold_leaves default); falls back to the hashed
-      // baseline for unfolded configs.
-      analyses[static_cast<std::uint8_t>(metric)] = find_critical_clusters(
-          fold, lattice, config_.cluster_params, metric, pool_ptr, shards);
-    }
+    analyses = find_critical_clusters(
+        fold_,
+        aggregate_epoch_unfolded(sessions, config_.thresholds, config_.engine,
+                                 epoch),
+        config_.cluster_params, pool_ptr, shards);
   }
 
   std::vector<IncidentEvent> events;

@@ -47,6 +47,7 @@
 
 #include "src/core/cluster_engine.h"
 #include "src/core/critical_cluster.h"
+#include "src/core/epoch_analyzer.h"
 #include "src/core/incremental.h"
 #include "src/core/problem_cluster.h"
 #include "src/core/session.h"
@@ -143,7 +144,8 @@ struct ProblemStreak {
 
 class StreamingDetector {
  public:
-  explicit StreamingDetector(const MonitorConfig& config) : config_(config) {
+  explicit StreamingDetector(const MonitorConfig& config)
+      : config_(config), analyzer_(config.engine, config.cluster_params) {
     if (config_.incremental && !config_.engine.fold_leaves) {
       throw std::invalid_argument{
           "StreamingDetector: incremental mode requires engine.fold_leaves "
@@ -257,6 +259,11 @@ class StreamingDetector {
   /// Cross-epoch lattice state; engaged only when config_.incremental.
   /// Used exclusively from inside ingest() (under mutex_).
   std::optional<IncrementalLattice> lattice_;
+  /// The epoch's leaf fold and the rebuild path's table and buffers, kept
+  /// across epochs (epoch_analyzer.h).  Used exclusively from inside
+  /// ingest() (under mutex_).
+  LeafFold fold_;
+  EpochAnalyzer analyzer_;
 
   mutable Mutex mutex_;
   std::array<std::unordered_map<std::uint64_t, Incident>, kNumMetrics>

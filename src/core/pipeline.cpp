@@ -5,8 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/core/epoch_analyzer.h"
 #include "src/core/incremental.h"
-
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
@@ -44,6 +44,33 @@ PipelineResult::MetricAggregates PipelineResult::aggregates(Metric m) const {
 }
 
 namespace {
+
+/// Moves one epoch's analyses into the result and counts them.  The
+/// counts are properties of the analysis, not the schedule, so they are
+/// kStable: totals match for any workers/shards setting.
+struct EpochCounters {
+  obs::Counter& epochs = obs::Registry::global().counter("pipeline.epochs");
+  obs::Counter& sessions =
+      obs::Registry::global().counter("pipeline.sessions");
+  obs::Counter& problem_clusters =
+      obs::Registry::global().counter("pipeline.problem_clusters");
+  obs::Counter& critical_clusters =
+      obs::Registry::global().counter("pipeline.critical_clusters");
+
+  void record(PipelineResult& result, std::uint32_t epoch,
+              std::array<CriticalAnalysis, kNumMetrics>& analyses,
+              std::size_t num_sessions) {
+    for (const Metric m : kAllMetrics) {
+      const auto mi = static_cast<std::uint8_t>(m);
+      CriticalAnalysis& analysis = result.per_metric[mi][epoch].analysis;
+      analysis = std::move(analyses[mi]);
+      problem_clusters.add(analysis.num_problem_clusters);
+      critical_clusters.add(analysis.criticals.size());
+    }
+    epochs.add(1);
+    sessions.add(num_sessions);
+  }
+};
 
 std::size_t resolve_shards(const PipelineConfig& config, std::size_t workers,
                            std::size_t num_epochs) {
@@ -87,44 +114,34 @@ PipelineResult run_pipeline(const SessionTable& table,
   const std::size_t shards = resolve_shards(config, workers,
                                             result.num_epochs);
 
-  // Event counts here are properties of the analysis, not the schedule, so
-  // they are kStable: totals match for any workers/shards setting.
-  obs::Registry& reg = obs::Registry::global();
-  obs::Counter& epochs_done = reg.counter("pipeline.epochs");
-  obs::Counter& sessions_seen = reg.counter("pipeline.sessions");
-  obs::Counter& problem_clusters = reg.counter("pipeline.problem_clusters");
-  obs::Counter& critical_clusters = reg.counter("pipeline.critical_clusters");
+  EpochCounters counters;
 
   const auto process_epoch = [&](std::size_t e) {
     const auto epoch = static_cast<std::uint32_t>(e);
     VQ_SPAN_EPOCH("pipeline.epoch", epoch);
     const std::span<const Session> sessions = table.epoch(epoch);
     // One leaf fold per epoch feeds both the lattice expansion and all four
-    // per-metric critical analyses.
+    // critical analyses.
     const LeafFold fold = [&] {
       VQ_SPAN_EPOCH("pipeline.fold_sessions", epoch);
       return fold_sessions(sessions, config.thresholds, epoch);
     }();
-    const EpochClusterTable lattice = [&] {
-      VQ_SPAN_EPOCH("pipeline.expand_lattice", epoch);
-      return config.engine.fold_leaves
-                 ? expand_fold(fold, config.engine, pool_ptr, shards,
-                               config.cluster_params.min_sessions)
-                 : aggregate_epoch_unfolded(sessions, config.thresholds,
-                                            config.engine, epoch);
-    }();
-    for (const Metric m : kAllMetrics) {
-      EpochMetricSummary& summary =
-          result.per_metric[static_cast<std::uint8_t>(m)][epoch];
-      // Publishes analysis.problem_cluster_keys as a byproduct, so no
-      // separate find_problem_clusters pass is needed per metric.
-      summary.analysis = find_critical_clusters(
-          fold, lattice, config.cluster_params, m, pool_ptr, shards);
-      problem_clusters.add(summary.analysis.num_problem_clusters);
-      critical_clusters.add(summary.analysis.criticals.size());
+    // The analyses publish problem_cluster_keys as a byproduct, so no
+    // separate find_problem_clusters pass is needed per metric.
+    std::array<CriticalAnalysis, kNumMetrics> analyses;
+    if (config.engine.fold_leaves) {
+      EpochAnalyzer analyzer{config.engine, config.cluster_params};
+      analyses = analyzer.analyze(fold, pool_ptr, shards);
+    } else {
+      const EpochClusterTable lattice = [&] {
+        VQ_SPAN_EPOCH("pipeline.expand_lattice", epoch);
+        return aggregate_epoch_unfolded(sessions, config.thresholds,
+                                        config.engine, epoch);
+      }();
+      analyses = find_critical_clusters(fold, lattice, config.cluster_params,
+                                        pool_ptr, shards);
     }
-    epochs_done.add(1);
-    sessions_seen.add(sessions.size());
+    counters.record(result, epoch, analyses, sessions.size());
   };
 
   if (pool_ptr == nullptr) {
@@ -158,11 +175,8 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
   const std::size_t shards =
       config.shards != 0 ? config.shards : std::max<std::size_t>(1, workers);
 
+  EpochCounters counters;
   obs::Registry& reg = obs::Registry::global();
-  obs::Counter& epochs_done = reg.counter("pipeline.epochs");
-  obs::Counter& sessions_seen = reg.counter("pipeline.sessions");
-  obs::Counter& problem_clusters = reg.counter("pipeline.problem_clusters");
-  obs::Counter& critical_clusters = reg.counter("pipeline.critical_clusters");
   // Largest batch ever held: the structural O(one epoch) memory witness.
   obs::Gauge& held_max = reg.gauge("pipeline.stream_epoch_sessions_max");
 
@@ -176,7 +190,11 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
     incremental.emplace(config.cluster_params, config.engine.max_arity);
   }
 
-  SessionColumns columns;  // reused across epochs; capacity is retained
+  // Reused across epochs, capacity retained: the column batch, the fold
+  // and the analyzer's table and buffers.
+  SessionColumns columns;
+  LeafFold fold;
+  EpochAnalyzer analyzer{config.engine, config.cluster_params};
   std::vector<Session> rows;  // only for the unfolded (diagnostic) engine
   for (std::uint32_t epoch = 0; epoch < result.num_epochs; ++epoch) {
     VQ_SPAN_EPOCH("pipeline.epoch", epoch);
@@ -187,49 +205,32 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
     if (degraded) result.degraded_epochs.push_back(epoch);
     held_max.update_max(static_cast<std::int64_t>(columns.size()));
 
-    const LeafFold fold = [&] {
+    {
       VQ_SPAN_EPOCH("pipeline.fold_sessions", epoch);
-      return config.fold_provider
-                 ? config.fold_provider(columns, config.thresholds, epoch)
-                 : fold_sessions_columns(columns, config.thresholds, epoch);
-    }();
+      if (config.fold_provider) {
+        fold = config.fold_provider(columns, config.thresholds, epoch);
+      } else {
+        fold_sessions_columns_into(columns, config.thresholds, epoch, fold);
+      }
+    }
 
+    std::array<CriticalAnalysis, kNumMetrics> analyses;
     if (incremental) {
-      std::array<CriticalAnalysis, kNumMetrics> analyses =
-          incremental->advance(fold, pool_ptr, shards);
-      for (const Metric m : kAllMetrics) {
-        const auto mi = static_cast<std::uint8_t>(m);
-        EpochMetricSummary& summary = result.per_metric[mi][epoch];
-        summary.analysis = std::move(analyses[mi]);
-        problem_clusters.add(summary.analysis.num_problem_clusters);
-        critical_clusters.add(summary.analysis.criticals.size());
-      }
-      epochs_done.add(1);
-      sessions_seen.add(columns.size());
-      continue;
+      analyses = incremental->advance(fold, pool_ptr, shards);
+    } else if (config.engine.fold_leaves) {
+      analyses = analyzer.analyze(fold, pool_ptr, shards);
+    } else {
+      const EpochClusterTable lattice = [&] {
+        VQ_SPAN_EPOCH("pipeline.expand_lattice", epoch);
+        rows.clear();
+        columns.append_rows(epoch, rows);
+        return aggregate_epoch_unfolded(rows, config.thresholds,
+                                        config.engine, epoch);
+      }();
+      analyses = find_critical_clusters(fold, lattice, config.cluster_params,
+                                        pool_ptr, shards);
     }
-
-    const EpochClusterTable lattice = [&] {
-      VQ_SPAN_EPOCH("pipeline.expand_lattice", epoch);
-      if (config.engine.fold_leaves) {
-        return expand_fold(fold, config.engine, pool_ptr, shards,
-                           config.cluster_params.min_sessions);
-      }
-      rows.clear();
-      columns.append_rows(epoch, rows);
-      return aggregate_epoch_unfolded(rows, config.thresholds, config.engine,
-                                      epoch);
-    }();
-    for (const Metric m : kAllMetrics) {
-      EpochMetricSummary& summary =
-          result.per_metric[static_cast<std::uint8_t>(m)][epoch];
-      summary.analysis = find_critical_clusters(
-          fold, lattice, config.cluster_params, m, pool_ptr, shards);
-      problem_clusters.add(summary.analysis.num_problem_clusters);
-      critical_clusters.add(summary.analysis.criticals.size());
-    }
-    epochs_done.add(1);
-    sessions_seen.add(columns.size());
+    counters.record(result, epoch, analyses, columns.size());
   }
   return result;
 }

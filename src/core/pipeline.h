@@ -2,10 +2,10 @@
 // clusters -> critical clusters, per metric.
 //
 // This is the library's primary entry point.  It processes epochs one at a
-// time (optionally in parallel), discards the bulky per-epoch lattice tables
-// after extracting what the longitudinal analyses need, and returns a
-// PipelineResult the §4/§5 analytics (prevalence, persistence, overlap,
-// what-if) consume.
+// time (optionally in parallel) through an EpochAnalyzer
+// (epoch_analyzer.h), keeps only what the longitudinal analyses need from
+// each epoch's lattice table, and returns a PipelineResult the §4/§5
+// analytics (prevalence, persistence, overlap, what-if) consume.
 //
 // Parallelism has two levels sharing one thread pool: epochs are spread
 // across workers, and within an epoch the lattice expansion can be sharded

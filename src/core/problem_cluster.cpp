@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/obs/trace.h"
-
 namespace vq {
 
 void require_floor(const EpochClusterTable& table,
@@ -44,31 +42,6 @@ std::vector<ProblemCluster> find_problem_clusters(
         }
       });
   return out;
-}
-
-CellFlags compute_cell_flags(const EpochClusterTable& table,
-                             const ProblemClusterParams& params,
-                             Metric metric) {
-  VQ_SPAN_EPOCH("core.compute_cell_flags", table.epoch);
-  require_floor(table, params, "compute_cell_flags");
-  const double global = table.global_ratio(metric);
-  const std::span<const ClusterStats> cells = table.clusters.cells();
-  CellFlags flags;
-  flags.flagged.assign((cells.size() + 63) / 64, 0);
-  flags.significant.assign((cells.size() + 63) / 64, 0);
-  for (std::size_t id = 0; id < cells.size(); ++id) {
-    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
-    if (is_significant(cells[id], params)) {
-      flags.significant[id >> 6] |= bit;
-      // Significance is a precondition of the full test; only significant
-      // cells can be flagged.
-      if (is_problem_cluster(cells[id], global, params, metric)) {
-        flags.flagged[id >> 6] |= bit;
-        ++flags.num_flagged;
-      }
-    }
-  }
-  return flags;
 }
 
 std::uint64_t problem_sessions_covered(std::span<const Session> sessions,

@@ -55,31 +55,6 @@ struct ProblemCluster {
     const EpochClusterTable& table, const ProblemClusterParams& params,
     Metric metric);
 
-/// Per-(epoch, metric) precomputed cell flags: one bit per dense cell id of
-/// the table's CellStore.  Evaluating both predicates once per cell here is
-/// what lets the indexed critical path (critical_cluster.h) run its inner
-/// loop with zero hash lookups and zero repeated threshold evaluations —
-/// per leaf it only gathers the bits of its projection ids.
-struct CellFlags {
-  std::vector<std::uint64_t> flagged;      // is_problem_cluster per cell
-  std::vector<std::uint64_t> significant;  // is_significant per cell
-  std::uint32_t num_flagged = 0;
-
-  [[nodiscard]] bool test_flagged(std::uint32_t id) const noexcept {
-    return (flagged[id >> 6] >> (id & 63)) & 1u;
-  }
-  [[nodiscard]] bool test_significant(std::uint32_t id) const noexcept {
-    return (significant[id >> 6] >> (id & 63)) & 1u;
-  }
-};
-
-/// One pass over the table's contiguous cell vector evaluating both
-/// problem-cluster predicates per cell.  Throws std::invalid_argument when
-/// params.min_sessions is below table.floor.
-[[nodiscard]] CellFlags compute_cell_flags(const EpochClusterTable& table,
-                                           const ProblemClusterParams& params,
-                                           Metric metric);
-
 /// Number of this epoch's problem sessions that belong to at least one
 /// problem cluster (the "problem cluster coverage" numerator of Table 1).
 /// `sessions` must be the same span the table was aggregated from.  Throws

@@ -1,6 +1,7 @@
 #include "src/gen/columnar.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -511,12 +512,17 @@ bool ColumnarReader::Impl::read_epoch(std::uint32_t e, SessionColumns& out) {
            std::to_string(entry.epoch) + " (offset " +
            std::to_string(entry.offset) + ")";
   };
+  std::array<std::size_t, kNumDims> cardinality{};
+  for (int d = 0; d < kNumDims; ++d) {
+    cardinality[static_cast<std::size_t>(d)] =
+        schema.cardinality(static_cast<AttrDim>(d));
+  }
   for (std::size_t r = 0; r < n; ++r) {
     bool rejected = false;
     for (int d = 0; d < kNumDims && !rejected; ++d) {
       const auto dim = static_cast<AttrDim>(d);
       const std::uint16_t id = out.attrs[static_cast<std::size_t>(d)][r];
-      if (id >= schema.cardinality(dim)) {
+      if (id >= cardinality[static_cast<std::size_t>(d)]) {
         tally.quarantined(entry.epoch);
         sink.reject(r + 1, entry.offset, RowErrorKind::kSchemaViolation,
                     "attribute id outside schema (" +

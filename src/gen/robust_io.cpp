@@ -1,6 +1,7 @@
 #include "src/gen/robust_io.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstring>
@@ -352,6 +353,13 @@ RobustLoadedTrace read_trace_binary_robust(std::istream& in,
       static_cast<std::size_t>(std::min(count, kMaxInitialReserve)));
 
   const bool best_effort = options.policy == ErrorPolicy::kBestEffort;
+  // The schema is fixed once its section is read: look each dimension's
+  // cardinality up once, not once per record.
+  std::array<std::size_t, kNumDims> cardinality{};
+  for (int d = 0; d < kNumDims; ++d) {
+    cardinality[static_cast<std::size_t>(d)] =
+        out.schema.cardinality(static_cast<AttrDim>(d));
+  }
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t ordinal = i + 1;  // 1-based, mirrors CSV lines
     char record[kBinaryRecordSize];
@@ -396,7 +404,7 @@ RobustLoadedTrace read_trace_binary_robust(std::istream& in,
     bool rejected = false;
     for (int d = 0; d < kNumDims && !rejected; ++d) {
       const auto dim = static_cast<AttrDim>(d);
-      if (s.attrs.v[d] >= out.schema.cardinality(dim)) {
+      if (s.attrs.v[d] >= cardinality[static_cast<std::size_t>(d)]) {
         // An unknown attribute id has no salvageable interpretation.
         tally.quarantined(s.epoch);
         sink.reject(ordinal, offset, RowErrorKind::kSchemaViolation,

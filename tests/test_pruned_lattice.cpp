@@ -1,8 +1,8 @@
 // Differential tests for the significance-pruned lattice: expand_fold with
 // an analysis floor above 1 must build exactly the full lattice's cells
-// with sessions >= floor (same keys, stats and canonical id order), leaf
-// rows holding those ids at every projection at or above the floor and
-// CellStore::kNoCell elsewhere, and every CriticalAnalysis equal to the
+// with sessions >= floor (same keys, stats and canonical id order), compact
+// leaf rows holding exactly the ids of the leaf's projections at or above
+// the floor in ascending mask order, and every CriticalAnalysis equal to the
 // full lattice's field by field, doubles by bit pattern — over randomized
 // folds with planted events, floors {2, 3, median cell size, root sessions,
 // root sessions + 1}, arity caps {2, 7} and shard counts {1, 4}.  Also
@@ -132,28 +132,35 @@ std::size_t expect_pruned_matches_full(const LeafFold& fold,
     EXPECT_EQ(pruned.clusters.id_of(keys[id]), id);
   }
 
-  // Rows: same shape; the pruned id at projections at or above the floor,
-  // kNoCell elsewhere.
+  // Rows: each pruned row is the full row's cells with sessions >= floor,
+  // as pruned ids, in the full row's ascending mask order; the bounds are
+  // monotone, end at cell_rows.size(), and no slot is kNoCell.
   const LeafCellIndex& fi = full.leaf_index;
   const LeafCellIndex& pi = pruned.leaf_index;
   EXPECT_EQ(pi.masks, fi.masks);
   EXPECT_EQ(pi.leaf_keys, fi.leaf_keys);
   EXPECT_EQ(pi.leaf_stats, fi.leaf_stats);
-  EXPECT_EQ(pi.cell_rows.size(), fi.cell_rows.size());
-  std::size_t mismatched_slots = 0;
+  EXPECT_EQ(pi.row_offsets.size(), pi.num_leaves() + 1);
+  EXPECT_EQ(pi.row_offsets.front(), 0u);
+  EXPECT_EQ(pi.row_offsets.back(), pi.cell_rows.size());
+  EXPECT_TRUE(std::is_sorted(pi.row_offsets.begin(), pi.row_offsets.end()));
+  EXPECT_EQ(std::count(pi.cell_rows.begin(), pi.cell_rows.end(),
+                       CellStore::kNoCell),
+            0);
+  std::size_t mismatched_rows = 0;
   for (std::size_t leaf = 0; leaf < fi.num_leaves(); ++leaf) {
-    const auto full_row = fi.row(leaf);
-    const auto pruned_row = pi.row(leaf);
-    for (std::size_t j = 0; j < fi.masks.size(); ++j) {
-      const std::uint32_t id = full_row[j];
-      const std::uint32_t want =
-          full.clusters.cell(id).sessions >= floor
-              ? pruned.clusters.id_of(full.clusters.key(id))
-              : CellStore::kNoCell;
-      if (pruned_row[j] != want) ++mismatched_slots;
+    std::vector<std::uint32_t> want;
+    for (const std::uint32_t id : fi.row(leaf)) {
+      if (full.clusters.cell(id).sessions >= floor) {
+        want.push_back(pruned.clusters.id_of(full.clusters.key(id)));
+      }
+    }
+    const auto got = pi.row(leaf);
+    if (!std::equal(want.begin(), want.end(), got.begin(), got.end())) {
+      ++mismatched_rows;
     }
   }
-  EXPECT_EQ(mismatched_slots, 0u);
+  EXPECT_EQ(mismatched_rows, 0u);
 
   const ProblemClusterParams params{.ratio_multiplier = 1.5,
                                     .min_sessions = floor};
@@ -260,22 +267,23 @@ TEST(PrunedLattice, EmptyEpoch) {
   const EpochClusterTable pruned = expand_fold(fold, {}, nullptr, 1, 50);
   EXPECT_TRUE(pruned.clusters.empty());
   EXPECT_TRUE(pruned.leaf_index.empty());
+  EXPECT_TRUE(pruned.leaf_index.cell_rows.empty());
   expect_pruned_matches_full(fold, full, pruned, 50, nullptr, 1);
 }
 
 TEST(PrunedLattice, NoCellReachesTheFloor) {
   // Every cell of a 40-leaf epoch holds fewer sessions than the floor: the
-  // store is empty, every row slot is kNoCell, and the analyses still
-  // carry the epoch's header counts.
+  // store is empty, every row is empty, and the analyses still carry the
+  // epoch's header counts.
   const LeafFold fold = planted_fold(3, 40, 0);
   ASSERT_LT(fold.root.sessions, 1000u);
   const EpochClusterTable full = expand_fold(fold, {});
   const EpochClusterTable pruned = expand_fold(fold, {}, nullptr, 1, 1000);
   EXPECT_TRUE(pruned.clusters.empty());
   EXPECT_EQ(pruned.leaf_index.num_leaves(), fold.leaves.size());
-  EXPECT_TRUE(std::all_of(
-      pruned.leaf_index.cell_rows.begin(), pruned.leaf_index.cell_rows.end(),
-      [](std::uint32_t id) { return id == CellStore::kNoCell; }));
+  EXPECT_TRUE(pruned.leaf_index.cell_rows.empty());
+  EXPECT_EQ(pruned.leaf_index.row_offsets,
+            std::vector<std::size_t>(fold.leaves.size() + 1, 0));
   expect_pruned_matches_full(fold, full, pruned, 1000, nullptr, 1);
 }
 
@@ -331,7 +339,9 @@ TEST(PrunedLattice, FindCriticalClustersThrowsBelowFloor) {
 
 TEST(PrunedLattice, ComputeCellFlagsThrowsBelowFloor) {
   const BelowFloor b;
-  EXPECT_THROW((void)compute_cell_flags(b.table, b.params, Metric::kBitrate),
+  std::vector<std::uint16_t> words;
+  EXPECT_THROW(compute_cell_flags(b.table, b.params,
+                                  metric_set(Metric::kBitrate), words),
                std::invalid_argument);
 }
 
