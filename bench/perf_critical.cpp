@@ -1,8 +1,8 @@
-// Standalone critical-extraction benchmark: times the hashed baseline
-// (four per-metric calls) against the fused sweep (one four-metric call,
-// serial and sharded) on one realistic full-lattice epoch and writes the
-// numbers to BENCH_critical.json.  The JSON keys predate the fused sweep:
-// "indexed" names the strategy that reads the table's LeafCellIndex.
+// Standalone critical-extraction benchmark: times the fused sweep (one
+// four-metric call per rep, serial and sharded) on one realistic
+// full-lattice epoch and writes the numbers to BENCH_critical.json.  The
+// JSON keys predate the fused sweep: "indexed" names the sweep that reads
+// the table's LeafCellIndex.
 //
 // Unlike the google-benchmark microbenches (perf_engine), this harness is a
 // plain main() so CI can run it in smoke mode and the JSON can be checked
@@ -15,7 +15,8 @@
 //   VIDQUAL_CRIT_SHARDS    shard count for the sharded run   (default 4)
 //
 // Smoke mode shrinks both knobs so the whole binary finishes in seconds; it
-// still exercises every strategy and the equality check.
+// still runs every variant and the equality check, which refuses to report
+// numbers when the serial, sharded and single-metric runs disagree.
 
 #include <chrono>
 #include <cstdio>
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
 
   // One epoch over a compact attribute universe: leaves repeat heavily,
   // clusters clear the significance floor — the regime the paper's traces
-  // live in and the one both strategies are built for.
+  // live in and the one the sweep is built for.
   WorldConfig world_config;
   world_config.num_sites = 20;
   world_config.num_cdns = 3;
@@ -97,12 +98,6 @@ int main(int argc, char** argv) {
 
   // A "rep" covers all four metrics, matching what the pipeline does per
   // epoch — so reps/sec is directly epochs/sec of critical extraction.
-  const double hash_s = time_reps(reps, [&] {
-    for (const Metric m : kAllMetrics) {
-      const auto a = find_critical_clusters_hashed(fold, table, params, m);
-      if (a.criticals.empty() && a.num_problem_clusters > 0) std::abort();
-    }
-  });
   const auto fused_rep = [&](ThreadPool* p, std::size_t s) {
     return [&, p, s] {
       const auto all = find_critical_clusters(fold, table, params, p, s);
@@ -114,34 +109,33 @@ int main(int argc, char** argv) {
   const double indexed_s = time_reps(reps, fused_rep(nullptr, 1));
   const double sharded_s = time_reps(reps, fused_rep(&pool, shards));
 
-  // Differential sanity: strategies must agree exactly before the numbers
-  // mean anything (the full check lives in test_critical_differential.cpp).
+  // The variants must agree exactly before the numbers mean anything: the
+  // sharded four-metric call and four single-metric calls against the
+  // serial four-metric call, every field equal, doubles included — they
+  // share one floating-point accumulation order (the check against the
+  // paper's definitions lives in tests/test_oracle.cpp).
   std::size_t criticals = 0;
-  const auto fused = find_critical_clusters(fold, table, params, &pool, shards);
+  const auto serial = find_critical_clusters(fold, table, params);
+  const auto sharded = find_critical_clusters(fold, table, params, &pool,
+                                              shards);
   for (const Metric m : kAllMetrics) {
-    const auto h = find_critical_clusters_hashed(fold, table, params, m);
-    const auto& x = fused[static_cast<std::uint8_t>(m)];
-    if (h.criticals.size() != x.criticals.size() ||
-        h.attributed_mass != x.attributed_mass ||
-        h.problem_cluster_keys != x.problem_cluster_keys) {
-      std::fprintf(stderr, "FATAL: strategies disagree on metric %d\n",
+    const auto& want = serial[static_cast<std::uint8_t>(m)];
+    if (want != sharded[static_cast<std::uint8_t>(m)] ||
+        want != find_critical_clusters(fold, table, params, m)) {
+      std::fprintf(stderr, "FATAL: sweep variants disagree on metric %d\n",
                    static_cast<int>(m));
       return 1;
     }
-    criticals += h.criticals.size();
+    criticals += want.criticals.size();
   }
 
   const double n = static_cast<double>(reps);
-  const double hash_eps = n / hash_s;
   const double indexed_eps = n / indexed_s;
   const double sharded_eps = n / sharded_s;
-  const double speedup = indexed_eps / hash_eps;
 
-  std::printf("  hashed          : %8.2f epochs/sec\n", hash_eps);
-  std::printf("  fused           : %8.2f epochs/sec  (%.2fx)\n", indexed_eps,
-              speedup);
+  std::printf("  fused           : %8.2f epochs/sec\n", indexed_eps);
   std::printf("  fused x%zu       : %8.2f epochs/sec  (%.2fx)\n", shards,
-              sharded_eps, sharded_eps / hash_eps);
+              sharded_eps, sharded_eps / indexed_eps);
 
   std::ofstream out{out_path};
   if (!out) {
@@ -157,10 +151,8 @@ int main(int argc, char** argv) {
       << "  \"critical_clusters\": " << criticals << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"shards\": " << shards << ",\n"
-      << "  \"hash_epochs_per_sec\": " << hash_eps << ",\n"
       << "  \"indexed_epochs_per_sec\": " << indexed_eps << ",\n"
-      << "  \"indexed_sharded_epochs_per_sec\": " << sharded_eps << ",\n"
-      << "  \"speedup_indexed_vs_hash\": " << speedup << "\n"
+      << "  \"indexed_sharded_epochs_per_sec\": " << sharded_eps << "\n"
       << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

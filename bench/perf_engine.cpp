@@ -120,21 +120,6 @@ std::vector<Session> leaf_ratio_epoch(std::size_t num_sessions,
 
 constexpr std::size_t kLeafRatioSessions = 50'000;
 
-void BM_AggregateEpochUnfoldedByLeafRatio(benchmark::State& state) {
-  const auto ratio = static_cast<std::size_t>(state.range(0));
-  const std::vector<Session> sessions =
-      leaf_ratio_epoch(kLeafRatioSessions, kLeafRatioSessions / ratio);
-  const ProblemThresholds thresholds;
-  for (auto _ : state) {
-    const auto table = aggregate_epoch_unfolded(sessions, thresholds, {}, 0);
-    benchmark::DoNotOptimize(table.clusters.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(sessions.size()));
-}
-BENCHMARK(BM_AggregateEpochUnfoldedByLeafRatio)
-    ->Arg(1)->Arg(4)->Arg(16)->Arg(64);
-
 void BM_AggregateEpochFoldedByLeafRatio(benchmark::State& state) {
   const auto ratio = static_cast<std::size_t>(state.range(0));
   const std::vector<Session> sessions =
@@ -168,10 +153,9 @@ void BM_ExpandFoldSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpandFoldSharded)->Arg(1)->Arg(2)->Arg(4);
 
-// --- critical extraction: hashed baseline vs fused sweep --------------------
+// --- critical extraction: the fused sweep -----------------------------------
 // Shared fixture: one fold + one indexed table per process, so the loops
-// time extraction alone (not aggregation).  The hashed loops analyse one
-// metric per iteration, the fused ones all four in one call.
+// time extraction alone (not aggregation), all four metrics per call.
 
 struct CriticalFixture {
   LeafFold fold;
@@ -188,18 +172,6 @@ const CriticalFixture& critical_fixture() {
   }();
   return fixture;
 }
-
-void BM_CriticalHash(benchmark::State& state) {
-  const CriticalFixture& f = critical_fixture();
-  for (auto _ : state) {
-    const auto analysis = find_critical_clusters_hashed(
-        f.fold, f.table, f.params, Metric::kBufRatio);
-    benchmark::DoNotOptimize(analysis.criticals.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(f.fold.leaves.size()));
-}
-BENCHMARK(BM_CriticalHash);
 
 void BM_CriticalFused(benchmark::State& state) {
   const CriticalFixture& f = critical_fixture();
@@ -225,24 +197,6 @@ void BM_CriticalFusedSharded(benchmark::State& state) {
                           static_cast<long>(f.fold.leaves.size()));
 }
 BENCHMARK(BM_CriticalFusedSharded)->Arg(2)->Arg(4);
-
-void BM_CriticalHashByLeafRatio(benchmark::State& state) {
-  const auto ratio = static_cast<std::size_t>(state.range(0));
-  const std::vector<Session> sessions =
-      leaf_ratio_epoch(kLeafRatioSessions, kLeafRatioSessions / ratio);
-  const ProblemClusterParams params{.ratio_multiplier = 1.5,
-                                    .min_sessions = 100};
-  const LeafFold fold = fold_sessions(sessions, {}, 0);
-  const EpochClusterTable table = expand_fold(fold, {});
-  for (auto _ : state) {
-    const auto analysis =
-        find_critical_clusters_hashed(fold, table, params, Metric::kBufRatio);
-    benchmark::DoNotOptimize(analysis.criticals.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(fold.leaves.size()));
-}
-BENCHMARK(BM_CriticalHashByLeafRatio)->Arg(4)->Arg(16);
 
 void BM_CriticalFusedByLeafRatio(benchmark::State& state) {
   const auto ratio = static_cast<std::size_t>(state.range(0));

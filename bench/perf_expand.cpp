@@ -1,8 +1,7 @@
-// Standalone lattice-expansion benchmark: times pass 2 (expand_fold) under
-// the retained hashed engine against the mask-major hash-free engine
-// (scalar fallback, the widest SIMD path the build supports, and the
-// head-sharded parallel variant) on one realistic epoch fold and writes the
-// numbers to BENCH_expand.json.
+// Standalone lattice-expansion benchmark: times pass 2 (expand_fold) of
+// the full lattice under the mask-major engine (scalar fallback, the widest
+// SIMD path the build supports, and the mask-sharded parallel variant) on
+// one realistic epoch fold and writes the numbers to BENCH_expand.json.
 //
 // Like perf_fold, this is a plain main() so CI can run it in smoke mode
 // (the bench-smoke gate diffs it against bench/baselines/expand_smoke.json
@@ -16,7 +15,8 @@
 //   VIDQUAL_EXPAND_SHARDS    shards for the sharded variant  (default 4)
 //
 // Smoke mode shrinks the knobs so the whole binary finishes in seconds; it
-// still exercises every variant and the bit-identity check.
+// still runs every variant and the bit-identity check, which refuses to
+// report numbers when the variants' tables differ.
 
 #include <chrono>
 #include <cstdio>
@@ -47,18 +47,22 @@ double time_reps(std::size_t reps, F&& body) {
   return std::chrono::duration<double>(stop - start).count();
 }
 
-/// Exact cell-content equality (root + every cluster cell, both ways).
+/// Element-by-element equality: root, every cell id for id, and the leaf
+/// index rows (the variants share one canonical id order).
 bool tables_identical(const vq::EpochClusterTable& a,
                       const vq::EpochClusterTable& b) {
   if (!(a.root == b.root) || a.clusters.size() != b.clusters.size()) {
     return false;
   }
-  bool same = true;
-  a.clusters.for_each([&](std::uint64_t raw, const vq::ClusterStats& stats) {
-    const vq::ClusterStats* other = b.clusters.find(raw);
-    if (other == nullptr || !(stats == *other)) same = false;
-  });
-  return same;
+  for (std::uint32_t id = 0; id < a.clusters.size(); ++id) {
+    if (a.clusters.key(id) != b.clusters.key(id) ||
+        !(a.clusters.cell(id) == b.clusters.cell(id))) {
+      return false;
+    }
+  }
+  return a.leaf_index.leaf_keys == b.leaf_index.leaf_keys &&
+         a.leaf_index.row_offsets == b.leaf_index.row_offsets &&
+         a.leaf_index.cell_rows == b.leaf_index.cell_rows;
 }
 
 }  // namespace
@@ -104,11 +108,9 @@ int main(int argc, char** argv) {
   const ProblemThresholds thresholds;
   const LeafFold fold = fold_sessions(trace.epoch(0), thresholds, 0);
 
-  ClusterEngineConfig hashed_config;
-  hashed_config.expand = ExpandStrategy::kHashed;
   ClusterEngineConfig scalar_config;
   scalar_config.expand_kernel = BatchKernel::kScalar;
-  const ClusterEngineConfig mm_config;  // defaults: mask-major, kAuto
+  const ClusterEngineConfig mm_config;  // defaults: kAuto
 
   std::printf("perf_expand: %zu sessions, %zu leaves, %zu reps, kernel %s\n",
               trace.size(), fold.leaves.size(), reps,
@@ -120,8 +122,6 @@ int main(int argc, char** argv) {
   const auto check = [&](const EpochClusterTable& table) {
     if (table.root.sessions != trace.size()) std::abort();
   };
-  const double hashed_s =
-      time_reps(reps, [&] { check(expand_fold(fold, hashed_config)); });
   const double scalar_s =
       time_reps(reps, [&] { check(expand_fold(fold, scalar_config)); });
   const double simd_s =
@@ -130,33 +130,30 @@ int main(int argc, char** argv) {
   const double sharded_s = time_reps(
       reps, [&] { check(expand_fold(fold, mm_config, &pool, shards)); });
 
-  // Bit-identity before the numbers mean anything (the full differential
-  // lives in tests/test_expand_differential.cpp).
-  const EpochClusterTable hashed_table = expand_fold(fold, hashed_config);
-  if (!tables_identical(hashed_table, expand_fold(fold, scalar_config)) ||
-      !tables_identical(hashed_table, expand_fold(fold, mm_config)) ||
-      !tables_identical(hashed_table,
+  // Bit-identity before the numbers mean anything: the scalar kernel and
+  // the sharded run against the serial SIMD run (the check against a
+  // brute-force aggregation lives in tests/test_expand_differential.cpp).
+  const EpochClusterTable table = expand_fold(fold, mm_config);
+  if (!tables_identical(table, expand_fold(fold, scalar_config)) ||
+      !tables_identical(table,
                         expand_fold(fold, mm_config, &pool, shards))) {
-    std::fprintf(stderr, "FATAL: expansion engines disagree\n");
+    std::fprintf(stderr, "FATAL: expansion variants disagree\n");
     return 1;
   }
 
   const double n = static_cast<double>(reps);
-  const double hashed_eps = n / hashed_s;
   const double scalar_eps = n / scalar_s;
   const double simd_eps = n / simd_s;
   const double sharded_eps = n / sharded_s;
   const double leaves_per_sec =
       simd_eps * static_cast<double>(fold.leaves.size());
 
-  std::printf("  hashed            : %8.2f expands/sec\n", hashed_eps);
-  std::printf("  mask-major scalar : %8.2f expands/sec  (%.2fx)\n",
-              scalar_eps, scalar_eps / hashed_eps);
+  std::printf("  mask-major scalar : %8.2f expands/sec\n", scalar_eps);
   std::printf("  mask-major %-6s : %8.2f expands/sec  (%.2fx, %.1fM leaves/s)\n",
               std::string{batch_kernel_name()}.c_str(), simd_eps,
-              simd_eps / hashed_eps, leaves_per_sec / 1e6);
+              simd_eps / scalar_eps, leaves_per_sec / 1e6);
   std::printf("  mask-major x%-5zu : %8.2f expands/sec  (%.2fx)\n", shards,
-              sharded_eps, sharded_eps / hashed_eps);
+              sharded_eps, sharded_eps / simd_eps);
 
   std::ofstream out{out_path};
   if (!out) {
@@ -169,16 +166,13 @@ int main(int argc, char** argv) {
       << "  \"kernel\": \"" << batch_kernel_name() << "\",\n"
       << "  \"sessions\": " << trace.size() << ",\n"
       << "  \"leaves\": " << fold.leaves.size() << ",\n"
-      << "  \"cells\": " << hashed_table.clusters.size() << ",\n"
+      << "  \"cells\": " << table.clusters.size() << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"shards\": " << shards << ",\n"
-      << "  \"hashed_expands_per_sec\": " << hashed_eps << ",\n"
       << "  \"maskmajor_scalar_expands_per_sec\": " << scalar_eps << ",\n"
       << "  \"maskmajor_expands_per_sec\": " << simd_eps << ",\n"
       << "  \"maskmajor_sharded_expands_per_sec\": " << sharded_eps << ",\n"
-      << "  \"maskmajor_leaves_per_sec\": " << leaves_per_sec << ",\n"
-      << "  \"speedup_maskmajor_vs_hashed\": " << simd_eps / hashed_eps
-      << "\n"
+      << "  \"maskmajor_leaves_per_sec\": " << leaves_per_sec << "\n"
       << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

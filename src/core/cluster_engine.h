@@ -10,60 +10,46 @@
 // every §3.2 test reads significant cells alone, and a cell below the
 // floor has no descendant at or above it (see "pruned" below).
 //
-// Two aggregation strategies produce bit-identical tables:
+// Aggregation runs in two passes.  Pass 1 (fold_sessions) folds sessions
+// onto their distinct full-arity leaves, one hash bump per session.  Pass 2
+// (expand_fold) expands each *distinct* leaf across its projections, adding
+// the leaf's whole counter block per cell, so the expensive part shrinks by
+// the sessions-per-leaf ratio.
 //
-//  * unfolded (the original): one pass over sessions, one hash bump per
-//    (session, cell).
-//  * leaf-folded (default): pass 1 folds sessions onto their distinct
-//    full-arity leaves (one hash bump per session); pass 2 expands each
-//    *distinct* leaf once across its projections, adding the leaf's whole
-//    counter block per cell.  Real workloads have far fewer distinct
-//    7-attribute leaves than sessions, so pass 2 — the expensive part —
-//    shrinks by the sessions-per-leaf ratio.  Pass 2 can additionally be
-//    sharded across a ThreadPool: the (sorted) distinct-leaf array is cut
-//    into contiguous ranges expanded into disjoint per-shard stores that
-//    are merged in shard order.  Since every leaf lands in exactly one
-//    shard and counter addition is commutative and associative over
-//    uint32, the merged store's content is identical to the serial
-//    expansion regardless of shard count or merge order.
+// Pass 2 builds one of two lattices, with the same cell content wherever
+// both hold a cell:
 //
-// Pass 2 itself has two engines (ClusterEngineConfig::expand), again
-// bit-identical in cell content:
-//
-//  * mask-major (default): a smallest-parent aggregation DAG.  Masks are
+//  * full (floor <= 1): a smallest-parent aggregation DAG.  Masks are
 //    folded tier by tier in decreasing arity; each mask batch-projects the
 //    cells of its cheapest already-aggregated superset (or the sorted
 //    leaves) with the expand_kernels.h SIMD kernels and folds equal
 //    projected keys by linear run-length scan, radix-sorting the
 //    (projected key, source row) pairs first where the source order
-//    doesn't already group them.  Hash-free; dense ids are assigned in the
-//    canonical (mask-major, key-ascending) order, identical at any
-//    worker/shard count.
-//  * hashed: the original per-(leaf, mask) hash bump, retained as the
-//    differential baseline; dense ids in first-touch order.
+//    doesn't already group them.  Hash-free; whole masks shard across a
+//    ThreadPool within a tier, and dense ids are assigned in the canonical
+//    (mask-major, key-ascending) order at any worker/shard count.
+//  * pruned (floor > 1): the iceberg cube, built bottom-up from the root as
+//    BUC does (Beyer & Ramakrishnan, SIGMOD 1999), splitting a group's
+//    leaves by one more dimension and refining only the sub-groups whose
+//    session sum reaches the floor, because a refinement never holds more
+//    sessions than its parent.  The store then holds exactly the full
+//    lattice's cells with sessions >= floor, in the same canonical order,
+//    and EpochClusterTable::floor records the floor so that an analysis at
+//    a lower min_sessions throws instead of silently missing cells.
 //
-// Both build the full lattice.  With a floor above 1 (and the leaf index
-// on) the default engine is instead *pruned*: it builds the iceberg cube
-// bottom-up from the root as BUC does (Beyer & Ramakrishnan, SIGMOD 1999),
-// splitting a group's leaves by one more dimension and refining only the
-// sub-groups whose session sum reaches the floor, because a refinement
-// never holds more sessions than its parent.  The store then holds exactly
-// the full lattice's cells with sessions >= floor, in the same canonical
-// order, and EpochClusterTable::floor records the floor so that an
-// analysis at a lower min_sessions throws instead of silently missing
-// cells.
+// tests/test_oracle.cpp checks both against a brute-force aggregation of
+// the raw sessions (tests/oracle.h).
 //
 // Cells are stored *indexed*: dense uint32 id -> ClusterStats in one
-// contiguous vector.  A hashed-path store maps key -> id through a
-// FlatMap64; a mask-major store is built sorted and resolves keys by
-// binary search within the key's mask group (no hash table at all).  As a
-// byproduct of pass 2, expand_fold can record a LeafCellIndex — for every
-// distinct leaf, the dense ids of its materialised projections — which lets
-// the critical-cluster analysis (critical_cluster.h) replace its per-leaf
-// hash lookups (one per lattice mask) with plain array gathers of
-// precomputed per-cell flag words.  Rows are compact: a pruned table's row
-// lists only the leaf's projections at or above the floor (19.7 of 127 on
-// the paper world), so no row slot ever names an absent cell.
+// contiguous vector, built sorted, so a key resolves by binary search
+// within its mask group (no hash table at all).  As a byproduct of pass 2,
+// expand_fold records a LeafCellIndex — for every distinct leaf, the dense
+// ids of its materialised projections — which lets the critical-cluster
+// analysis (critical_cluster.h) read plain array gathers of precomputed
+// per-cell flag words instead of looking cells up per leaf.  Rows are
+// compact: a pruned table's row lists only the leaf's projections at or
+// above the floor (19.7 of 127 on the paper world), so no row slot ever
+// names an absent cell.
 //
 // The canonical leaf order (ascending raw key) comes from an LSD radix
 // sort of (key, slot) pairs (expand_kernels.h).  expand_fold_into rebuilds
@@ -115,17 +101,15 @@ struct ClusterStats {
 };
 
 /// Dense-id cell store: raw ClusterKey -> uint32 id with the ClusterStats
-/// in one contiguous vector keyed by id.  Keeps the lookup surface of the
-/// FlatMap64 it replaced (find/size/for_each/operator[]) and adds id-based
-/// accessors for the indexed critical path.  Iteration order is id order.
+/// in one contiguous vector keyed by id.  Iteration order is id order.
 ///
 /// Two modes share this type:
+///  * sorted (from_mask_major; what expand_fold builds): keys laid out in
+///    canonical (mask-major, key-ascending) id order; lookups binary-search
+///    the key's mask group, so reads are hash-free, allocation-free, and
+///    safe from concurrent threads; every mutator throws std::logic_error.
 ///  * mutable (default): ids assigned in first-touch order through a
-///    FlatMap64 — the hashed expansion and the unfolded path build these.
-///  * sorted (from_mask_major): keys laid out in canonical (mask-major,
-///    key-ascending) id order; lookups binary-search the key's mask group,
-///    so reads are hash-free, allocation-free, and safe from concurrent
-///    threads; every mutator throws std::logic_error.
+///    FlatMap64 — the incremental lattice (incremental.h) builds these.
 class CellStore {
  public:
   /// Sentinel for "no cell" in id-typed contexts.
@@ -145,12 +129,6 @@ class CellStore {
 
   [[nodiscard]] std::size_t size() const noexcept { return stats_.size(); }
   [[nodiscard]] bool empty() const noexcept { return stats_.empty(); }
-
-  void reserve(std::size_t n) {
-    ids_.reserve(n);
-    keys_.reserve(n);
-    stats_.reserve(n);
-  }
 
   /// Dense id for `raw`, inserting a zero-stats cell on first touch.
   /// Throws std::logic_error on a sorted-mode store.
@@ -175,13 +153,6 @@ class CellStore {
     return slot == nullptr ? kNoCell : *slot - 1;
   }
 
-  /// Inserts (or finds) the cell and adds `s` to it; returns its dense id.
-  std::uint32_t bump(std::uint64_t raw, const ClusterStats& s) {
-    const std::uint32_t id = id_or_insert(raw);
-    stats_[id] += s;
-    return id;
-  }
-
   /// Adds `s` to an existing cell by dense id — the incremental delta
   /// engine's hash-free hot path (the id was resolved once when the leaf's
   /// projection row was built).  Counter addition is over uint32, so
@@ -190,10 +161,6 @@ class CellStore {
   void add_to(std::uint32_t id, const ClusterStats& s) {
     if (sorted_) throw_sorted_mutation();
     stats_[id] += s;
-  }
-
-  ClusterStats& operator[](std::uint64_t raw) {
-    return stats_[id_or_insert(raw)];
   }
 
   [[nodiscard]] const ClusterStats* find(std::uint64_t raw) const noexcept {
@@ -226,16 +193,6 @@ class CellStore {
     }
   }
 
-  /// Adds every cell of `other` into this store in `other`'s id order
-  /// (counter addition is commutative and associative, so merged content is
-  /// independent of merge order — the shard-merge invariant).
-  void merge_add(const CellStore& other) {
-    reserve(size() + other.size());
-    for (std::size_t id = 0; id < other.stats_.size(); ++id) {
-      bump(other.keys_[id], other.stats_[id]);
-    }
-  }
-
  private:
   [[noreturn]] static void throw_sorted_mutation();
   [[nodiscard]] std::uint32_t sorted_id_of(std::uint64_t raw) const noexcept;
@@ -249,11 +206,11 @@ class CellStore {
   std::array<std::uint32_t, kFullMask + 2> mask_offsets_{};
 };
 
-/// Byproduct of the indexed pass-2 expansion: for every distinct leaf, the
-/// dense cell ids of its materialised projections.  Leaves are sorted by
-/// ascending raw key — the canonical order every critical-extraction
-/// strategy iterates in, which is what makes sharded and serial runs
-/// bit-identical (see critical_cluster.h).  Row i is
+/// Byproduct of the pass-2 expansion: for every distinct leaf, the dense
+/// cell ids of its materialised projections.  Leaves are sorted by
+/// ascending raw key — the canonical order the critical sweep iterates in,
+/// which is what makes sharded and serial runs bit-identical (see
+/// critical_cluster.h).  Row i is
 /// cell_rows[row_offsets[i], row_offsets[i + 1]): the ids of leaf i's
 /// projections in ascending mask order.  A full-lattice table's rows hold
 /// one id per lattice mask (masks.size() each); a pruned table's row holds
@@ -277,39 +234,13 @@ struct LeafCellIndex {
   }
 };
 
-/// Pass-2 expansion engine selector (see the file comment).
-enum class ExpandStrategy : std::uint8_t {
-  /// Mask-major hash-free engine (default): batch projection kernels +
-  /// radix/run-length grouping; dense ids in canonical (mask-major,
-  /// key-ascending) order at any worker/shard count.
-  kMaskMajor = 0,
-  /// The original per-(leaf, mask) hash-bump expansion, retained as the
-  /// differential baseline; dense ids in first-touch order.
-  kHashed = 1,
-};
-
 struct ClusterEngineConfig {
   /// Largest attribute-subset size to materialise. kNumDims materialises
   /// all 127 lattice masks (default, what the paper's method implies); lower
   /// caps trade fidelity for speed (explored in the perf benches).
   int max_arity = kNumDims;
-  /// Leaf-folded two-pass aggregation (see file comment). Off reverts to
-  /// the original session-by-session path; results are identical either
-  /// way, which tests/test_fold_differential.cpp enforces.
-  bool fold_leaves = true;
-  /// Record the LeafCellIndex during expand_fold, enabling the indexed
-  /// (gather + flag-bitset) critical-cluster path. Off leaves the index
-  /// empty so the analyses fall back to the per-leaf hash-lookup path;
-  /// results are identical either way, which
-  /// tests/test_critical_differential.cpp enforces.
-  bool index_cells = true;
-  /// Pass-2 expansion engine.  Cell content (keys, stats, root) is
-  /// identical either way — tests/test_expand_differential.cpp enforces it
-  /// bit for bit — only the dense-id numbering differs (canonical vs
-  /// first-touch), which no analysis output depends on.
-  ExpandStrategy expand = ExpandStrategy::kMaskMajor;
-  /// Kernel selection for the mask-major batch projections; kScalar forces
-  /// the portable fallback (differential-tested against kAuto).
+  /// Kernel selection for the full lattice's batch projections; kScalar
+  /// forces the portable fallback (differential-tested against kAuto).
   BatchKernel expand_kernel = BatchKernel::kAuto;
 };
 
@@ -318,8 +249,7 @@ struct EpochClusterTable {
   std::uint32_t epoch = 0;
   ClusterStats root;  // the epoch's global counters
   CellStore clusters;
-  /// Per-leaf projection rows; empty unless built by expand_fold with
-  /// ClusterEngineConfig::index_cells (the unfolded path never builds it).
+  /// Per-leaf projection rows, built by expand_fold.
   LeafCellIndex leaf_index;
   /// Session floor the lattice was pruned at: `clusters` holds exactly the
   /// cells with sessions >= floor.  0 for a full lattice.  Analyses throw
@@ -370,7 +300,6 @@ void fold_sessions_into(std::span<const Session> sessions,
 /// buffers' pages mapped: freed and re-requested every epoch, a buffer
 /// above glibc's dynamic mmap threshold, or one freed at the heap top past
 /// its trim threshold, comes back as fresh zero pages that fault in again.
-/// The hashed engine does not use it.
 class ExpandWorkspace {
  public:
   ExpandWorkspace();
@@ -383,20 +312,16 @@ class ExpandWorkspace {
   std::unique_ptr<Buffers> buffers_;
 };
 
-/// Expands a leaf fold into the cluster table (pass 2), dispatching on
-/// `config.expand`.  With `pool` non-null and `shards > 1` the expansion is
-/// parallelised — the mask-major engine shards whole masks within each
-/// arity tier, the hashed engine contiguous leaf ranges merged in range
-/// order; content is identical to the serial expansion either way. With
-/// `config.index_cells` the table additionally carries the LeafCellIndex
-/// (same dense ids for any shard count).
+/// Expands a leaf fold into the cluster table and its LeafCellIndex
+/// (pass 2).  With `pool` non-null and `shards > 1` the full lattice's
+/// expansion is parallelised by sharding whole masks within each arity
+/// tier; table and rows are identical to the serial expansion either way.
 ///
 /// `floor` is the analysis floor (ProblemClusterParams::min_sessions) the
-/// table will be read at.  Above 1, with `config.index_cells` and the
-/// mask-major engine, the serial pruned engine builds only the cells with
-/// sessions >= floor and records the floor on the table; otherwise the
-/// full lattice is built.  Every analysis at min_sessions >= floor reads
-/// the same result from either table.
+/// table will be read at.  Above 1 the serial pruned engine builds only the
+/// cells with sessions >= floor and records the floor on the table;
+/// otherwise the full lattice is built.  Every analysis at min_sessions >=
+/// floor reads the same result from either table.
 [[nodiscard]] EpochClusterTable expand_fold(const LeafFold& fold,
                                             const ClusterEngineConfig& config,
                                             ThreadPool* pool = nullptr,
@@ -411,16 +336,10 @@ void expand_fold_into(const LeafFold& fold, const ClusterEngineConfig& config,
                       std::uint32_t floor, ExpandWorkspace& workspace,
                       EpochClusterTable& table);
 
-/// Aggregates one epoch's sessions into a cluster table, dispatching on
-/// `config.fold_leaves`. All sessions must carry the same epoch id as
-/// `epoch`.
+/// Aggregates one epoch's sessions into the full cluster table
+/// (fold_sessions, then expand_fold). All sessions must carry the same
+/// epoch id as `epoch`.
 [[nodiscard]] EpochClusterTable aggregate_epoch(
-    std::span<const Session> sessions, const ProblemThresholds& thresholds,
-    const ClusterEngineConfig& config, std::uint32_t epoch);
-
-/// The original one-pass path (one hash bump per session and lattice
-/// mask); kept as the differential-testing and benchmarking baseline.
-[[nodiscard]] EpochClusterTable aggregate_epoch_unfolded(
     std::span<const Session> sessions, const ProblemThresholds& thresholds,
     const ClusterEngineConfig& config, std::uint32_t epoch);
 

@@ -48,25 +48,6 @@ void fill_header(CriticalAnalysis& out, const EpochClusterTable& table,
   out.global_ratio = table.global_ratio(metric);
 }
 
-/// Both strategies publish the epoch's problem-cluster keys (ascending) so
-/// downstream analytics never re-run the per-cell predicate sweep. The
-/// hashed strategy sweeps the table; the fused one reads the cell words.
-void problem_keys_from_table(CriticalAnalysis& out,
-                             const EpochClusterTable& table,
-                             const ProblemClusterParams& params,
-                             Metric metric) {
-  out.problem_cluster_keys.clear();
-  const double global = out.global_ratio;
-  table.clusters.for_each([&](std::uint64_t raw, const ClusterStats& stats) {
-    if (is_problem_cluster(stats, global, params, metric)) {
-      out.problem_cluster_keys.push_back(raw);
-    }
-  });
-  std::sort(out.problem_cluster_keys.begin(), out.problem_cluster_keys.end());
-  out.num_problem_clusters =
-      static_cast<std::uint32_t>(out.problem_cluster_keys.size());
-}
-
 /// Condition (c) of a flagged cell, for each metric flagged in `word`.
 std::uint16_t removal_flags(const EpochClusterTable& table, std::uint64_t raw,
                             const ClusterStats& stats, std::uint16_t word,
@@ -188,20 +169,14 @@ void CriticalSweep::sweep_leaves(const LeafCellIndex& index,
 }
 
 std::array<CriticalAnalysis, kNumMetrics> CriticalSweep::run(
-    const LeafFold& fold, const EpochClusterTable& table,
-    const ProblemClusterParams& params, MetricSet metrics, ThreadPool* pool,
-    std::size_t shards) {
+    const EpochClusterTable& table, const ProblemClusterParams& params,
+    MetricSet metrics, ThreadPool* pool, std::size_t shards) {
   VQ_SPAN_EPOCH("core.find_critical_clusters", table.epoch);
-  std::array<CriticalAnalysis, kNumMetrics> out;
   if (table.leaf_index.empty() && !table.clusters.empty()) {
-    for (const Metric m : kAllMetrics) {
-      if ((metrics >> static_cast<unsigned>(m)) & 1u) {
-        out[static_cast<std::uint8_t>(m)] =
-            find_critical_clusters_hashed(fold, table, params, m);
-      }
-    }
-    return out;
+    throw std::invalid_argument{
+        "find_critical_clusters: the table has cells but no leaf index"};
   }
+  std::array<CriticalAnalysis, kNumMetrics> out;
 
   compute_cell_flags(table, params, metrics, words_);
   const LeafCellIndex& index = table.leaf_index;
@@ -268,14 +243,12 @@ std::array<CriticalAnalysis, kNumMetrics> CriticalSweep::run(
   return out;
 }
 
-LeafCandidates critical_leaf_candidates(const ClusterKey& leaf,
-                                        const EpochClusterTable& table,
-                                        const ProblemClusterParams& params,
-                                        Metric metric) {
-  require_floor(table, params, "critical_leaf_candidates");
+std::vector<std::uint8_t> critical_candidate_masks(
+    const ClusterKey& leaf, const EpochClusterTable& table,
+    const ProblemClusterParams& params, Metric metric) {
+  require_floor(table, params, "critical_candidate_masks");
   const double global = table.global_ratio(metric);
 
-  LeafCandidates out;
   std::array<ClusterStats, kNumMasks> stats;
   std::array<bool, kNumMasks> flagged{};
   stats[0] = table.root;
@@ -283,7 +256,6 @@ LeafCandidates critical_leaf_candidates(const ClusterKey& leaf,
     stats[mask] = table.stats(leaf.project(static_cast<std::uint8_t>(mask)));
     flagged[mask] =
         is_problem_cluster(stats[mask], global, params, metric);
-    out.in_problem_cluster |= flagged[mask];
   }
 
   std::vector<std::uint8_t> candidates;
@@ -317,92 +289,35 @@ LeafCandidates critical_leaf_candidates(const ClusterKey& leaf,
     if (down_ok) candidates.push_back(static_cast<std::uint8_t>(m));
   }
 
-  filter_minimal(candidates, out.masks);
-  return out;
-}
-
-std::vector<std::uint8_t> critical_candidate_masks(
-    const ClusterKey& leaf, const EpochClusterTable& table,
-    const ProblemClusterParams& params, Metric metric) {
-  return critical_leaf_candidates(leaf, table, params, metric).masks;
-}
-
-CriticalAnalysis find_critical_clusters_hashed(
-    const LeafFold& fold, const EpochClusterTable& table,
-    const ProblemClusterParams& params, Metric metric) {
-  require_floor(table, params, "find_critical_clusters");
-  CriticalAnalysis out;
-  fill_header(out, table, metric);
-  problem_keys_from_table(out, table, params, metric);
-
-  // Candidates and membership depend only on the leaf, so evaluate each
-  // distinct leaf once and weight by its problem-session count. Leaves are
-  // walked in ascending raw-key order — the canonical accumulation order
-  // every strategy shares, making the attribution doubles bit-comparable.
-  std::vector<std::pair<std::uint64_t, const ClusterStats*>> sorted_leaves;
-  sorted_leaves.reserve(fold.leaves.size());
-  fold.leaves.for_each([&](std::uint64_t raw, const ClusterStats& stats) {
-    sorted_leaves.emplace_back(raw, &stats);
-  });
-  std::sort(sorted_leaves.begin(), sorted_leaves.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  FlatMap64<double> attribution;
-  for (const auto& [raw, stats] : sorted_leaves) {
-    const std::uint32_t problems =
-        stats->problems[static_cast<std::uint8_t>(metric)];
-    if (problems == 0) continue;
-    const ClusterKey leaf = ClusterKey::from_raw(raw);
-    const LeafCandidates info =
-        critical_leaf_candidates(leaf, table, params, metric);
-    if (info.in_problem_cluster) out.problem_sessions_in_pc += problems;
-    if (info.masks.empty()) continue;
-    const double share = static_cast<double>(problems) /
-                         static_cast<double>(info.masks.size());
-    for (const std::uint8_t mask : info.masks) {
-      attribution[leaf.project(mask).raw()] += share;
-    }
-  }
-
-  out.criticals.reserve(attribution.size());
-  // Accumulation only: finalize_critical_analysis below sorts criticals by
-  // (mass, key) before anything is emitted.
-  // vq-lint: allow(unordered-iter)
-  attribution.for_each([&](std::uint64_t raw, double mass) {
-    const ClusterKey key = ClusterKey::from_raw(raw);
-    out.criticals.push_back({key, mass, table.stats(key)});
-  });
-  detail::finalize_critical_analysis(out);
-  return out;
+  std::vector<std::uint8_t> minimal;
+  filter_minimal(candidates, minimal);
+  return minimal;
 }
 
 std::array<CriticalAnalysis, kNumMetrics> find_critical_clusters(
-    const LeafFold& fold, const EpochClusterTable& table,
+    const LeafFold& /*fold*/, const EpochClusterTable& table,
     const ProblemClusterParams& params, ThreadPool* pool,
     std::size_t shards) {
-  return CriticalSweep{}.run(fold, table, params, kAllMetricSet, pool,
-                             shards);
+  return CriticalSweep{}.run(table, params, kAllMetricSet, pool, shards);
 }
 
-CriticalAnalysis find_critical_clusters(const LeafFold& fold,
+CriticalAnalysis find_critical_clusters(const LeafFold& /*fold*/,
                                         const EpochClusterTable& table,
                                         const ProblemClusterParams& params,
                                         Metric metric, ThreadPool* pool,
                                         std::size_t shards) {
-  return std::move(CriticalSweep{}.run(fold, table, params,
-                                       metric_set(metric), pool,
-                                       shards)[static_cast<std::uint8_t>(
+  return std::move(CriticalSweep{}.run(table, params, metric_set(metric),
+                                       pool, shards)[static_cast<std::uint8_t>(
       metric)]);
 }
 
-CriticalAnalysis find_critical_clusters(std::span<const Session> sessions,
+CriticalAnalysis find_critical_clusters(std::span<const Session> /*sessions*/,
                                         const EpochClusterTable& table,
-                                        const ProblemThresholds& thresholds,
+                                        const ProblemThresholds& /*thresholds*/,
                                         const ProblemClusterParams& params,
                                         Metric metric) {
-  return find_critical_clusters(
-      fold_sessions(sessions, thresholds, table.epoch), table, params,
-      metric);
+  return std::move(CriticalSweep{}.run(table, params, metric_set(metric))
+                       [static_cast<std::uint8_t>(metric)]);
 }
 
 }  // namespace vq

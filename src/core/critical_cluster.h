@@ -25,33 +25,28 @@
 // *distinct* leaves, each weighted by its problem-session count — not over
 // raw sessions.
 //
-// Two extraction strategies produce bit-identical analyses (enforced by
-// tests/test_critical_differential.cpp):
-//
-//  * hashed (the original): per leaf, one table.stats() hash lookup and
-//    one is_problem_cluster evaluation per lattice mask (127 at full
-//    arity), per metric.
-//  * fused (default when the table carries a LeafCellIndex): one sweep
-//    serves every requested metric.  It first computes one 16-bit word per
-//    cell (compute_cell_flags): the cell's mask, its significance, its
-//    problem flag per metric, and per metric whether condition (c) holds.
-//    (c) is a property of the cell, not of the leaf it is reached from:
-//    its ancestors are projections of the cell's own key.  Then each leaf
-//    is read once: its compact row of cell ids (cluster_engine.h) gathers
-//    the words into 128-bit mask sets, and per metric (a) and (c) are set
-//    membership, (b) one superset-OR of the significant-but-unflagged set,
-//    and minimality one subset-OR of the candidates — zero hash lookups and
-//    zero threshold evaluations per leaf.  A pruned table's row omits the
-//    cells below its floor; those are insignificant, so they could be
-//    neither flagged nor a veto.  The per-leaf loop can shard across a
-//    ThreadPool: shards take contiguous ranges of the canonical
-//    (ascending-key) leaf array and their share lists are replayed in
-//    shard order, reproducing the serial floating-point accumulation
-//    sequence exactly — output is bit-identical for any shard count.
+// One sweep serves every requested metric.  It first computes one 16-bit
+// word per cell (compute_cell_flags): the cell's mask, its significance,
+// its problem flag per metric, and per metric whether condition (c) holds.
+// (c) is a property of the cell, not of the leaf it is reached from: its
+// ancestors are projections of the cell's own key.  Then each leaf is read
+// once: its compact row of cell ids (cluster_engine.h) gathers the words
+// into 128-bit mask sets, and per metric (a) and (c) are set membership,
+// (b) one superset-OR of the significant-but-unflagged set, and minimality
+// one subset-OR of the candidates — zero hash lookups and zero threshold
+// evaluations per leaf.  A pruned table's row omits the cells below its
+// floor; those are insignificant, so they could be neither flagged nor a
+// veto.  The per-leaf loop can shard across a ThreadPool: shards take
+// contiguous ranges of the canonical (ascending-key) leaf array and their
+// share lists are replayed in shard order, reproducing the serial
+// floating-point accumulation sequence exactly — output is bit-identical
+// for any shard count.
 //
 // The single-metric find_critical_clusters is the same sweep restricted to
 // one metric.  CriticalSweep keeps the sweep's buffers (cell words, share
 // lists, attribution) across epochs for EpochAnalyzer (epoch_analyzer.h).
+// tests/test_oracle.cpp checks every analysis against a brute-force
+// restatement of §3.1-3.2 over the raw sessions (tests/oracle.h).
 
 #pragma once
 
@@ -64,7 +59,6 @@
 #include "src/core/cluster_engine.h"
 #include "src/core/problem_cluster.h"
 #include "src/core/session.h"
-#include "src/util/flat_hash_map.h"
 
 namespace vq {
 
@@ -75,6 +69,9 @@ struct CriticalRecord {
   ClusterKey key;
   double attributed = 0.0;  // fractional problem-session mass
   ClusterStats stats;       // the cluster's own counters in this epoch
+
+  friend bool operator==(const CriticalRecord&,
+                         const CriticalRecord&) = default;
 };
 
 /// Full per-epoch, per-metric critical analysis output.
@@ -111,6 +108,10 @@ struct CriticalAnalysis {
                ? 0.0
                : attributed_mass / static_cast<double>(problem_sessions);
   }
+
+  /// Every field equal, doubles included.
+  friend bool operator==(const CriticalAnalysis&,
+                         const CriticalAnalysis&) = default;
 };
 
 /// Bit set of metrics: bit m selects Metric m.
@@ -153,16 +154,13 @@ void compute_cell_flags(const EpochClusterTable& table,
 class CriticalSweep {
  public:
   /// The analyses of every metric in `metrics` (the others are left
-  /// default): the fused sweep when the table carries a LeafCellIndex or
-  /// is empty, the hashed strategy otherwise.  `fold` must be the pass-1
-  /// fold the table was expanded from; only the hashed strategy reads it.
-  /// With `pool` non-null and `shards > 1` the per-leaf loop runs sharded.
-  /// Throws std::invalid_argument when params.min_sessions is below
-  /// table.floor.
+  /// default).  With `pool` non-null and `shards > 1` the per-leaf loop
+  /// runs sharded.  Throws std::invalid_argument when params.min_sessions
+  /// is below table.floor, or when a non-empty table carries no
+  /// LeafCellIndex (expand_fold always builds one).
   [[nodiscard]] std::array<CriticalAnalysis, kNumMetrics> run(
-      const LeafFold& fold, const EpochClusterTable& table,
-      const ProblemClusterParams& params, MetricSet metrics,
-      ThreadPool* pool = nullptr, std::size_t shards = 1);
+      const EpochClusterTable& table, const ProblemClusterParams& params,
+      MetricSet metrics, ThreadPool* pool = nullptr, std::size_t shards = 1);
 
  private:
   /// One shard's output: per metric, the (cell id, share) list in leaf
@@ -183,7 +181,9 @@ class CriticalSweep {
 };
 
 /// All four analyses of one epoch in one sweep (CriticalSweep::run with
-/// every metric and fresh buffers).
+/// every metric and fresh buffers).  `fold` is the pass-1 fold the table was
+/// expanded from; the sweep reads its leaves from the table's
+/// LeafCellIndex instead, so the fold is not read.
 [[nodiscard]] std::array<CriticalAnalysis, kNumMetrics> find_critical_clusters(
     const LeafFold& fold, const EpochClusterTable& table,
     const ProblemClusterParams& params, ThreadPool* pool = nullptr,
@@ -195,48 +195,30 @@ class CriticalSweep {
     const ProblemClusterParams& params, Metric metric,
     ThreadPool* pool = nullptr, std::size_t shards = 1);
 
-/// Session-span convenience wrapper: folds `sessions` (which must be the
-/// span the `table` was aggregated from) and delegates to the overload
-/// above.
+/// Session-span convenience form for callers holding the sessions the
+/// `table` was aggregated from: the same sweep, which reads the table
+/// alone.
 [[nodiscard]] CriticalAnalysis find_critical_clusters(
     std::span<const Session> sessions, const EpochClusterTable& table,
     const ProblemThresholds& thresholds, const ProblemClusterParams& params,
     Metric metric);
 
-/// The retained hash-lookup strategy (one table.stats() probe per leaf and
-/// lattice mask); the differential-testing and benchmarking baseline.
-[[nodiscard]] CriticalAnalysis find_critical_clusters_hashed(
-    const LeafFold& fold, const EpochClusterTable& table,
-    const ProblemClusterParams& params, Metric metric);
-
-/// Per-leaf candidate evaluation output: the minimal candidate masks plus
-/// whether any of the leaf's projections is a problem cluster (both fall
-/// out of the same flagged-mask sweep, so they are computed together).
-struct LeafCandidates {
-  std::vector<std::uint8_t> masks;  // minimal candidate masks, ascending
-  bool in_problem_cluster = false;
-};
-
-/// Critical candidate masks + problem-cluster membership for a single leaf
-/// (hash-lookup evaluation; the fused sweep computes the same result from
-/// the LeafCellIndex).
-[[nodiscard]] LeafCandidates critical_leaf_candidates(
-    const ClusterKey& leaf, const EpochClusterTable& table,
-    const ProblemClusterParams& params, Metric metric);
-
-/// Critical candidate masks for a single leaf (exposed for tests and the
-/// HHH comparison bench). Returns minimal candidate masks, ascending.
+/// Critical candidate masks for a single leaf, by one table.stats() lookup
+/// per lattice mask (for per-leaf consumers such as EngagementWhatIf; the
+/// sweep reads the same conditions from the LeafCellIndex).  Returns the
+/// minimal candidate masks, ascending.  Throws std::invalid_argument when
+/// params.min_sessions is below table.floor.
 [[nodiscard]] std::vector<std::uint8_t> critical_candidate_masks(
     const ClusterKey& leaf, const EpochClusterTable& table,
     const ProblemClusterParams& params, Metric metric);
 
 namespace detail {
 
-/// Shared tail of every extraction strategy: deterministic record order
-/// (attributed mass descending, raw key ascending) and the attributed-mass
-/// total summed in that order. Exported so the incremental delta engine
-/// (src/core/incremental.cpp) finalizes with the exact same sort and
-/// floating-point summation sequence as the from-scratch strategies.
+/// Shared tail of the sweep and the incremental delta engine: deterministic
+/// record order (attributed mass descending, raw key ascending) and the
+/// attributed-mass total summed in that order. Exported so the incremental
+/// delta engine (src/core/incremental.cpp) finalizes with the exact same
+/// sort and floating-point summation sequence as the sweep.
 void finalize_critical_analysis(CriticalAnalysis& out);
 
 }  // namespace detail

@@ -11,7 +11,7 @@ std::array<CriticalAnalysis, kNumMetrics> EpochAnalyzer::analyze(
     expand_fold_into(fold, engine_, pool, shards, params_.min_sessions,
                      workspace_, table_);
   }
-  return sweep_.run(fold, table_, params_, kAllMetricSet, pool, shards);
+  return sweep_.run(table_, params_, kAllMetricSet, pool, shards);
 }
 
 }  // namespace vq

@@ -12,8 +12,10 @@
 // they stay mapped.  Output never depends on what an earlier epoch left
 // in the buffers.
 //
-// The incremental lattice (incremental.h) and the unfolded aggregation
-// stay outside: callers choose them before reaching the analyzer.
+// It is the only rebuild path: run_pipeline, run_pipeline_streaming and
+// StreamingDetector all analyse epochs through it.  The incremental lattice
+// (incremental.h) stays outside: callers that opt into it choose it before
+// reaching the analyzer.
 
 #pragma once
 

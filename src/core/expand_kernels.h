@@ -1,7 +1,7 @@
 // Batch kernels for the mask-major, hash-free lattice expansion
 // (cluster_engine.cpp, DESIGN.md §4.10).
 //
-// The hashed expansion pays one random-access hash bump per (leaf, mask)
+// A leaf-major expansion pays one random-access hash bump per (leaf, mask)
 // projection — |leaves| x up to 127 probes into a table the size of the
 // whole cell store.  The mask-major engine inverts the loop: for each
 // lattice mask it projects *all* sorted leaf keys into a contiguous u64

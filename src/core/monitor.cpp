@@ -95,18 +95,9 @@ std::vector<IncidentEvent> StreamingDetector::ingest(
   // retained lattice; otherwise re-expand from scratch.  Both paths yield
   // bit-identical analyses (tests/test_incremental.cpp), so the incident
   // stream cannot depend on the mode.
-  std::array<CriticalAnalysis, kNumMetrics> analyses;
-  if (lattice_) {
-    analyses = lattice_->advance(fold_, pool_ptr, shards);
-  } else if (config_.engine.fold_leaves) {
-    analyses = analyzer_.analyze(fold_, pool_ptr, shards);
-  } else {
-    analyses = find_critical_clusters(
-        fold_,
-        aggregate_epoch_unfolded(sessions, config_.thresholds, config_.engine,
-                                 epoch),
-        config_.cluster_params, pool_ptr, shards);
-  }
+  const std::array<CriticalAnalysis, kNumMetrics> analyses =
+      lattice_ ? lattice_->advance(fold_, pool_ptr, shards)
+               : analyzer_.analyze(fold_, pool_ptr, shards);
 
   std::vector<IncidentEvent> events;
   for (const Metric metric : kAllMetrics) {

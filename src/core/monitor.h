@@ -40,7 +40,6 @@
 #include <iosfwd>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -87,7 +86,7 @@ struct MonitorConfig {
   /// incident event stream is bit-identical either way (the engine's
   /// differential contract), so — like the engine/worker knobs — this is
   /// excluded from the checkpoint fingerprint and may change across a
-  /// save/restore.  Requires engine.fold_leaves.
+  /// save/restore.
   bool incremental = false;
 };
 
@@ -146,11 +145,6 @@ class StreamingDetector {
  public:
   explicit StreamingDetector(const MonitorConfig& config)
       : config_(config), analyzer_(config.engine, config.cluster_params) {
-    if (config_.incremental && !config_.engine.fold_leaves) {
-      throw std::invalid_argument{
-          "StreamingDetector: incremental mode requires engine.fold_leaves "
-          "(deltas are per-leaf)"};
-    }
     if (config_.workers > 1) pool_.emplace(config_.workers);
     if (config_.incremental) {
       lattice_.emplace(config_.cluster_params, config_.engine.max_arity);
@@ -243,10 +237,12 @@ class StreamingDetector {
       VQ_EXCLUDES(mutex_);
 
   /// Fingerprint of the result-affecting config fields (thresholds, cluster
-  /// params, escalate_after, order policy). Engine knobs are excluded: the
-  /// folded/unfolded and indexed/hashed strategies are bit-identical by
-  /// construction (differential-tested), so they may differ across a
-  /// save/restore without changing the event stream.
+  /// params, escalate_after, order policy). The engine config, the
+  /// incremental flag and the worker and shard counts are excluded: the
+  /// expansion kernel, the incremental lattice and any sharding give
+  /// bit-identical analyses (differential-tested), so they may differ
+  /// across a save/restore without changing the event stream.  The engine
+  /// config's max_arity is excluded too, although it does change results.
   [[nodiscard]] static std::uint64_t config_fingerprint(
       const MonitorConfig& config) noexcept;
 

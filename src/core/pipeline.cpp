@@ -128,19 +128,9 @@ PipelineResult run_pipeline(const SessionTable& table,
     }();
     // The analyses publish problem_cluster_keys as a byproduct, so no
     // separate find_problem_clusters pass is needed per metric.
-    std::array<CriticalAnalysis, kNumMetrics> analyses;
-    if (config.engine.fold_leaves) {
-      EpochAnalyzer analyzer{config.engine, config.cluster_params};
-      analyses = analyzer.analyze(fold, pool_ptr, shards);
-    } else {
-      const EpochClusterTable lattice = [&] {
-        VQ_SPAN_EPOCH("pipeline.expand_lattice", epoch);
-        return aggregate_epoch_unfolded(sessions, config.thresholds,
-                                        config.engine, epoch);
-      }();
-      analyses = find_critical_clusters(fold, lattice, config.cluster_params,
-                                        pool_ptr, shards);
-    }
+    EpochAnalyzer analyzer{config.engine, config.cluster_params};
+    std::array<CriticalAnalysis, kNumMetrics> analyses =
+        analyzer.analyze(fold, pool_ptr, shards);
     counters.record(result, epoch, analyses, sessions.size());
   };
 
@@ -180,11 +170,6 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
   // Largest batch ever held: the structural O(one epoch) memory witness.
   obs::Gauge& held_max = reg.gauge("pipeline.stream_epoch_sessions_max");
 
-  if (config.incremental && !config.engine.fold_leaves) {
-    throw std::invalid_argument{
-        "run_pipeline_streaming: incremental mode requires "
-        "engine.fold_leaves (deltas are per-leaf)"};
-  }
   std::optional<IncrementalLattice> incremental;
   if (config.incremental) {
     incremental.emplace(config.cluster_params, config.engine.max_arity);
@@ -195,7 +180,6 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
   SessionColumns columns;
   LeafFold fold;
   EpochAnalyzer analyzer{config.engine, config.cluster_params};
-  std::vector<Session> rows;  // only for the unfolded (diagnostic) engine
   for (std::uint32_t epoch = 0; epoch < result.num_epochs; ++epoch) {
     VQ_SPAN_EPOCH("pipeline.epoch", epoch);
     const bool degraded = [&] {
@@ -214,22 +198,9 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
       }
     }
 
-    std::array<CriticalAnalysis, kNumMetrics> analyses;
-    if (incremental) {
-      analyses = incremental->advance(fold, pool_ptr, shards);
-    } else if (config.engine.fold_leaves) {
-      analyses = analyzer.analyze(fold, pool_ptr, shards);
-    } else {
-      const EpochClusterTable lattice = [&] {
-        VQ_SPAN_EPOCH("pipeline.expand_lattice", epoch);
-        rows.clear();
-        columns.append_rows(epoch, rows);
-        return aggregate_epoch_unfolded(rows, config.thresholds,
-                                        config.engine, epoch);
-      }();
-      analyses = find_critical_clusters(fold, lattice, config.cluster_params,
-                                        pool_ptr, shards);
-    }
+    std::array<CriticalAnalysis, kNumMetrics> analyses =
+        incremental ? incremental->advance(fold, pool_ptr, shards)
+                    : analyzer.analyze(fold, pool_ptr, shards);
     counters.record(result, epoch, analyses, columns.size());
   }
   return result;

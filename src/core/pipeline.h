@@ -5,7 +5,10 @@
 // time (optionally in parallel) through an EpochAnalyzer
 // (epoch_analyzer.h), keeps only what the longitudinal analyses need from
 // each epoch's lattice table, and returns a PipelineResult the §4/§5
-// analytics (prevalence, persistence, overlap, what-if) consume.
+// analytics (prevalence, persistence, overlap, what-if) consume.  The
+// analyzer is the only rebuild engine; ClusterEngineConfig selects just the
+// arity cap and the projection kernel, and the streaming pipeline's
+// `incremental` flag swaps in the incremental lattice (incremental.h).
 //
 // Parallelism has two levels sharing one thread pool: epochs are spread
 // across workers, and within an epoch the lattice expansion can be sharded
@@ -45,8 +48,8 @@ struct PipelineConfig {
   /// incremental delta engine (src/core/incremental.h) instead of
   /// re-expanding every epoch from scratch.  Results are bit-identical
   /// (tests/test_incremental.cpp); per-epoch cost becomes proportional to
-  /// leaf churn.  Requires engine.fold_leaves.  Ignored by run_pipeline
-  /// (epoch-parallel batch analysis has no epoch order to exploit).
+  /// leaf churn.  Ignored by run_pipeline (epoch-parallel batch analysis
+  /// has no epoch order to exploit).
   bool incremental = false;
   /// Streaming only: optional replacement for the pass-1 fold, e.g. the
   /// sketch-bounded admission tier (src/baseline/hhh.h) that folds only

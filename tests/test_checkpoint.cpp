@@ -227,12 +227,16 @@ TEST(Checkpoint, ConfigFingerprintTracksResultAffectingFieldsOnly) {
               StreamingDetector::config_fingerprint(changed));
   }
 
-  // Engine strategy knobs are differential-tested bit-identical, so they may
-  // legitimately change across a save/restore.
-  MonitorConfig engine = base;
-  engine.engine.fold_leaves = !engine.engine.fold_leaves;
-  EXPECT_EQ(StreamingDetector::config_fingerprint(base),
-            StreamingDetector::config_fingerprint(engine));
+  // The incremental engine and the shard count are differential-tested
+  // bit-identical, so they may legitimately change across a save/restore.
+  MonitorConfig incremental = base;
+  incremental.incremental = !incremental.incremental;
+  MonitorConfig shards = base;
+  shards.shards = base.shards + 3;
+  for (const MonitorConfig& same : {incremental, shards}) {
+    EXPECT_EQ(StreamingDetector::config_fingerprint(base),
+              StreamingDetector::config_fingerprint(same));
+  }
 }
 
 TEST(Checkpoint, AtomicFileSaveAndLoad) {

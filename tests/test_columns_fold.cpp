@@ -18,6 +18,7 @@
 #include "src/core/columns.h"
 #include "src/core/pipeline.h"
 #include "src/gen/tracegen.h"
+#include "tests/check_analysis.h"
 #include "tests/test_support.h"
 
 namespace vq {
@@ -310,6 +311,9 @@ TEST(StreamingPipeline, MatchesInMemoryPipelineAtEveryWorkersShards) {
                        " shards=" + std::to_string(shards));
           expect_analyses_identical(baseline.at(m, e).analysis,
                                     streamed.at(m, e).analysis);
+          EXPECT_EQ(test::check_analysis(streamed.at(m, e).analysis,
+                                         config.cluster_params.min_sessions),
+                    "");
         }
       }
       // Cross-check the parallel in-memory pipeline at the same settings —
@@ -345,22 +349,12 @@ TEST(StreamingPipeline, PropagatesDegradedEpochsFromSource) {
   EXPECT_EQ(result.degraded_epochs, (std::vector<std::uint32_t>{1}));
   EXPECT_FALSE(result.is_degraded(0));
   EXPECT_TRUE(result.is_degraded(1));
-}
-
-TEST(StreamingPipeline, UnfoldedEngineAgreesToo) {
-  // The streaming path materialises rows per epoch when the diagnostic
-  // unfolded engine is selected; it must agree with the in-memory run.
-  const SessionTable trace = medium_trace(2, 1'500);
-  PipelineConfig config;
-  config.engine.fold_leaves = false;
-  config.cluster_params.min_sessions = 40;
-  const PipelineResult baseline = run_pipeline(trace, config);
-  TableColumnsSource source{trace};
-  const PipelineResult streamed = run_pipeline_streaming(source, config);
   for (const Metric m : kAllMetrics) {
-    for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
-      expect_analyses_identical(baseline.at(m, e).analysis,
-                                streamed.at(m, e).analysis);
+    for (std::uint32_t e = 0; e < result.num_epochs; ++e) {
+      EXPECT_EQ(test::check_analysis(result.at(m, e).analysis,
+                                     PipelineConfig{}.cluster_params
+                                         .min_sessions),
+                "");
     }
   }
 }

@@ -1,17 +1,18 @@
-// Differential tests for the fused critical-cluster sweep: on the same
-// epoch table, the sweep (per-cell flag words + per-leaf compact-row
-// gathers, serial and sharded, one metric or all four in one call) must
-// reproduce the hashed baseline bit for bit — criticals (same order),
-// attribution doubles, problem_cluster_keys, and problem_sessions_in_pc —
-// on full and pruned tables, at multiple arity caps and shard counts.
+// Invariance tests for the fused critical-cluster sweep: the four-metric
+// call, the single-metric call and every shard count must give the same
+// analysis bit for bit — criticals (same order), attribution doubles,
+// problem_cluster_keys and problem_sessions_in_pc — whichever expansion
+// (full or pruned lattice, SIMD or scalar kernel) built the table.  Whether
+// that analysis is right is checked against the brute-force oracle in
+// tests/test_oracle.cpp.  Also covers the sweep's refusal of a table that
+// has cells but no leaf index, and the mask-set transform it uses for
+// minimality.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
-#include <span>
-#include <string>
-#include <tuple>
+#include <stdexcept>
 #include <vector>
 
 #include "src/core/cluster_engine.h"
@@ -25,9 +26,9 @@
 namespace vq {
 namespace {
 
-/// Bit-exact equality of every analysis field, including doubles (the
-/// strategies are required to share one floating-point accumulation order,
-/// so EXPECT_EQ — not NEAR — is the contract).
+/// Bit-exact equality of every analysis field, including doubles (every
+/// entry point and shard count shares one floating-point accumulation
+/// order, so EXPECT_EQ — not NEAR — is the contract).
 void expect_analyses_identical(const CriticalAnalysis& expected,
                                const CriticalAnalysis& actual) {
   EXPECT_EQ(expected.epoch, actual.epoch);
@@ -63,124 +64,6 @@ SessionTable big_trace() {
   trace_config.sessions_per_epoch = 50'000;
   trace_config.diurnal_amplitude = 0.0;  // epoch 0 gets the full 50k
   return generate_trace(world, events, trace_config);
-}
-
-class CriticalDifferential : public ::testing::TestWithParam<int> {};
-
-TEST_P(CriticalDifferential, IndexedMatchesHashedBitForBit) {
-  static const SessionTable trace = big_trace();
-  const std::span<const Session> sessions = trace.epoch(0);
-  const ProblemThresholds thresholds;
-  const ProblemClusterParams params{.ratio_multiplier = 1.5,
-                                    .min_sessions = 150};
-
-  ClusterEngineConfig config;
-  config.max_arity = GetParam();
-
-  const LeafFold fold = fold_sessions(sessions, thresholds, 0);
-  const EpochClusterTable table = expand_fold(fold, config);
-  ASSERT_FALSE(table.leaf_index.empty());
-
-  ThreadPool pool{4};
-  std::size_t total_criticals = 0;
-  for (const Metric m : kAllMetrics) {
-    const CriticalAnalysis hashed =
-        find_critical_clusters_hashed(fold, table, params, m);
-    total_criticals += hashed.criticals.size();
-
-    const CriticalAnalysis fused =
-        find_critical_clusters(fold, table, params, m);
-    expect_analyses_identical(hashed, fused);
-
-    for (const std::size_t shards : {1u, 4u}) {
-      const CriticalAnalysis sharded =
-          find_critical_clusters(fold, table, params, m, &pool, shards);
-      expect_analyses_identical(hashed, sharded);
-    }
-  }
-  // Guard against a vacuous pass: this trace must actually produce
-  // critical clusters for at least one metric.
-  EXPECT_GT(total_criticals, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(ArityCaps, CriticalDifferential,
-                         ::testing::Values(2, 7), [](const auto& info) {
-                           return "arity" + std::to_string(info.param);
-                         });
-
-TEST(CriticalDifferential, IndexedPathAgreesAcrossExpansionEngines) {
-  // The indexed critical path must produce the same analysis whether the
-  // epoch table (and its LeafCellIndex) came from the mask-major or the
-  // hashed expansion engine — the dense-id numberings differ, but every
-  // analysis output is id-order independent.
-  static const SessionTable trace = big_trace();
-  const std::span<const Session> sessions = trace.epoch(0);
-  const ProblemThresholds thresholds;
-  const ProblemClusterParams params{.ratio_multiplier = 1.5,
-                                    .min_sessions = 150};
-
-  const LeafFold fold = fold_sessions(sessions, thresholds, 0);
-  ClusterEngineConfig hashed_config;
-  hashed_config.expand = ExpandStrategy::kHashed;
-  const EpochClusterTable from_hashed = expand_fold(fold, hashed_config);
-  const EpochClusterTable from_mask_major = expand_fold(fold, {});
-  ASSERT_TRUE(from_mask_major.clusters.sorted());
-  ASSERT_FALSE(from_hashed.clusters.sorted());
-
-  ThreadPool pool{4};
-  std::size_t total_criticals = 0;
-  for (const Metric m : kAllMetrics) {
-    const CriticalAnalysis baseline =
-        find_critical_clusters_hashed(fold, from_hashed, params, m);
-    total_criticals += baseline.criticals.size();
-    // Hashed critical extraction over the sorted-mode store (pure
-    // binary-search lookups) and indexed extraction over both tables.
-    expect_analyses_identical(
-        baseline,
-        find_critical_clusters_hashed(fold, from_mask_major, params, m));
-    for (const std::size_t shards : {1u, 4u}) {
-      expect_analyses_identical(
-          baseline, find_critical_clusters(fold, from_mask_major, params, m,
-                                           &pool, shards));
-      expect_analyses_identical(
-          baseline, find_critical_clusters(fold, from_hashed, params, m,
-                                           &pool, shards));
-    }
-  }
-  EXPECT_GT(total_criticals, 0u);
-}
-
-TEST(CriticalDifferential, DispatchSelectsStrategyByIndexPresence) {
-  static const SessionTable trace = big_trace();
-  const std::span<const Session> sessions = trace.epoch(0);
-  const ProblemThresholds thresholds;
-  const ProblemClusterParams params{.ratio_multiplier = 1.5,
-                                    .min_sessions = 150};
-
-  const LeafFold fold = fold_sessions(sessions, thresholds, 0);
-  ClusterEngineConfig no_index;
-  no_index.index_cells = false;
-  const EpochClusterTable plain = expand_fold(fold, no_index);
-  ASSERT_TRUE(plain.leaf_index.empty());
-  const EpochClusterTable indexed = expand_fold(fold, {});
-
-  const std::array<CriticalAnalysis, kNumMetrics> plain_all =
-      find_critical_clusters(fold, plain, params);
-  for (const Metric m : kAllMetrics) {
-    // Without an index the dispatcher must fall back to the hashed
-    // strategy (and produce the same analysis as the explicit call), for
-    // one metric and for all four at once.
-    const CriticalAnalysis hashed =
-        find_critical_clusters_hashed(fold, plain, params, m);
-    expect_analyses_identical(hashed,
-                              find_critical_clusters(fold, plain, params, m));
-    expect_analyses_identical(hashed,
-                              plain_all[static_cast<std::uint8_t>(m)]);
-    // With one it must agree too — strategies are interchangeable.
-    expect_analyses_identical(
-        find_critical_clusters_hashed(fold, indexed, params, m),
-        find_critical_clusters(fold, indexed, params, m));
-  }
 }
 
 /// Bit-pattern equality of every double, on top of the field checks.
@@ -233,61 +116,63 @@ TEST(MaskBits, StrictSubsetOrMatchesBruteForce) {
   }
 }
 
-class FusedSweepDifferential
-    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
-
-TEST_P(FusedSweepDifferential, FourMetricCallMatchesHashedPerMetric) {
-  // One four-metric call against find_critical_clusters_hashed for each
-  // metric, on the full lattice and on the table pruned at the analysis
-  // floor; the second epoch has no join-failure problem sessions at all.
+TEST(CriticalDifferential, IndexedPathAgreesAcrossExpansionEngines) {
+  // One baseline analysis — the serial four-metric call on the full
+  // lattice — must come back bit for bit from the single-metric call, from
+  // every shard count, and from tables built by the scalar kernel and by
+  // the pruned engine at the analysis floor.
   static const SessionTable trace = big_trace();
-  const auto [arity, shards] = GetParam();
   const ProblemClusterParams params{.ratio_multiplier = 1.5,
                                     .min_sessions = 150};
-  ClusterEngineConfig config;
-  config.max_arity = arity;
+  const LeafFold fold = fold_sessions(trace.epoch(0), ProblemThresholds{}, 0);
+  const EpochClusterTable full = expand_fold(fold, {});
+  ClusterEngineConfig scalar;
+  scalar.expand_kernel = BatchKernel::kScalar;
+  const EpochClusterTable full_scalar = expand_fold(fold, scalar);
+  const EpochClusterTable pruned =
+      expand_fold(fold, {}, nullptr, 1, params.min_sessions);
+  ASSERT_EQ(pruned.floor, params.min_sessions);
+  ASSERT_LT(pruned.clusters.size(), full.clusters.size());
+
+  const std::array<CriticalAnalysis, kNumMetrics> baseline =
+      find_critical_clusters(fold, full, params);
   ThreadPool pool{4};
-
-  LeafFold fold = fold_sessions(trace.epoch(0), ProblemThresholds{}, 0);
-  LeafFold no_failures = fold;
-  constexpr auto kFailure = static_cast<std::uint8_t>(Metric::kJoinFailure);
-  no_failures.root.problems[kFailure] = 0;
-  no_failures.leaves.for_each(
-      [](std::uint64_t, ClusterStats& s) { s.problems[kFailure] = 0; });
-
   std::size_t criticals = 0;
-  for (const LeafFold* f : {&fold, &no_failures}) {
-    for (const std::uint32_t floor : {0u, params.min_sessions}) {
-      SCOPED_TRACE("floor " + std::to_string(floor));
-      const EpochClusterTable table =
-          expand_fold(*f, config, &pool, shards, floor);
-      ASSERT_EQ(table.floor, floor);
-      const std::array<CriticalAnalysis, kNumMetrics> fused =
-          find_critical_clusters(*f, table, params, &pool, shards);
+  for (const EpochClusterTable* table : {&full, &full_scalar, &pruned}) {
+    for (const std::size_t shards : {1u, 4u}) {
+      const std::array<CriticalAnalysis, kNumMetrics> all =
+          find_critical_clusters(fold, *table, params, &pool, shards);
       for (const Metric m : kAllMetrics) {
-        const CriticalAnalysis hashed =
-            find_critical_clusters_hashed(*f, table, params, m);
-        criticals += hashed.criticals.size();
-        expect_bit_identical(hashed, fused[static_cast<std::uint8_t>(m)]);
-      }
-      if (f == &no_failures) {
-        const CriticalAnalysis& none = fused[kFailure];
-        EXPECT_EQ(none.problem_sessions, 0u);
-        EXPECT_TRUE(none.criticals.empty());
+        const auto mi = static_cast<std::uint8_t>(m);
+        expect_bit_identical(baseline[mi], all[mi]);
+        expect_bit_identical(
+            baseline[mi],
+            find_critical_clusters(fold, *table, params, m, &pool, shards));
       }
     }
   }
+  for (const CriticalAnalysis& a : baseline) criticals += a.criticals.size();
+  // Guard against a vacuous pass: this trace must actually produce
+  // critical clusters.
   EXPECT_GT(criticals, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ArityShards, FusedSweepDifferential,
-    ::testing::Combine(::testing::Values(2, 7),
-                       ::testing::Values(std::size_t{1}, std::size_t{4})),
-    [](const auto& info) {
-      return "arity" + std::to_string(std::get<0>(info.param)) + "_shards" +
-             std::to_string(std::get<1>(info.param));
-    });
+TEST(CriticalDifferential, IndexLessTableThrows) {
+  // expand_fold always builds the leaf index; a table with cells but
+  // without one cannot be swept, and the sweep says so instead of
+  // returning an empty analysis.
+  static const SessionTable trace = big_trace();
+  const LeafFold fold = fold_sessions(trace.epoch(0), {}, 0);
+  EpochClusterTable table = expand_fold(fold, {});
+  table.leaf_index = LeafCellIndex{};
+  const ProblemClusterParams params{.ratio_multiplier = 1.5,
+                                    .min_sessions = 150};
+  EXPECT_THROW((void)find_critical_clusters(fold, table, params),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)find_critical_clusters(fold, table, params, Metric::kBitrate),
+      std::invalid_argument);
+}
 
 TEST(CriticalDifferential, EmptyTableYieldsEmptyAnalysis) {
   const LeafFold fold;  // no sessions

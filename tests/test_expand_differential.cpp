@@ -1,12 +1,12 @@
 // Differential tests for the mask-major hash-free lattice expansion: on the
-// same leaf fold, the mask-major engine (serial, sharded, SIMD and scalar
-// kernels) must reproduce the retained hashed baseline's cell contents bit
-// for bit, with a dense-id layout that is canonical (mask-major,
+// same sessions, the engine (serial, sharded, SIMD and scalar kernels) must
+// reproduce the oracle's session-by-session aggregation (tests/oracle.h)
+// cell for cell, with a dense-id layout that is canonical (mask-major,
 // key-ascending) and invariant across shard counts and kernel variants —
-// over arity caps {1, 2, 7}, shard counts {1, 4}, and adversarial folds.
-// Also unit-covers the expand_kernels.h batch kernels against their scalar
-// ground truth (ClusterKey::project, std::stable_sort) and the sorted-mode
-// CellStore contract.
+// over arity caps {1, 2, 7}, shard counts {1, 4}, and adversarial leaf
+// sets.  Also unit-covers the expand_kernels.h batch kernels against their
+// scalar ground truth (ClusterKey::project, std::stable_sort) and the
+// sorted-mode CellStore contract.
 
 #include <gtest/gtest.h>
 
@@ -28,28 +28,25 @@
 #include "src/gen/tracegen.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/oracle.h"
+#include "tests/oracle_match.h"
 #include "tests/test_support.h"
 
 namespace vq {
 namespace {
 
-ClusterStats make_stats(std::uint32_t sessions, std::uint32_t p0,
-                        std::uint32_t p1, std::uint32_t p2,
-                        std::uint32_t p3) {
-  ClusterStats s;
-  s.sessions = sessions;
-  s.problems = {p0, p1, p2, p3};
-  return s;
-}
-
-/// Builds a LeafFold from explicit (attrs, stats) pairs.
-LeafFold make_fold(std::span<const std::pair<AttrVec, ClusterStats>> leaves) {
-  LeafFold fold;
-  for (const auto& [attrs, stats] : leaves) {
-    fold.leaves[ClusterKey::pack(kFullMask, attrs).raw()] += stats;
-    fold.root += stats;
+/// `n` sessions of epoch 0 on one leaf, cycling through good quality and
+/// one problem per metric from `phase` on, so every metric's counts vary.
+void add_leaf(std::vector<Session>& out, const AttrVec& attrs, std::size_t n,
+              std::size_t phase = 0) {
+  const QualityMetrics qualities[] = {
+      test::good_quality(), test::bad_buffering(), test::bad_bitrate(),
+      test::bad_join_time(), test::failed_join()};
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(Session{.attrs = attrs,
+                          .epoch = 0,
+                          .quality = qualities[(i + phase) % 5]});
   }
-  return fold;
 }
 
 /// The mask-major dense-id contract: ids ascend by (mask value, raw key).
@@ -64,25 +61,6 @@ void expect_canonical_layout(const CellStore& store) {
         (prev_mask == cur_mask && keys[id - 1] < keys[id]);
     ASSERT_TRUE(ordered) << "ids " << id - 1 << ", " << id;
   }
-}
-
-/// Same cell set with identical counters, plus id_of/key round trips.
-void expect_same_cells(const EpochClusterTable& expected,
-                       const EpochClusterTable& actual) {
-  EXPECT_EQ(expected.epoch, actual.epoch);
-  EXPECT_EQ(expected.root, actual.root);
-  ASSERT_EQ(expected.clusters.size(), actual.clusters.size());
-  std::size_t mismatches = 0;
-  expected.clusters.for_each(
-      [&](std::uint64_t raw, const ClusterStats& stats) {
-        const ClusterStats* other = actual.clusters.find(raw);
-        if (other == nullptr || !(stats == *other)) ++mismatches;
-        const std::uint32_t id = actual.clusters.id_of(raw);
-        if (id == CellStore::kNoCell || actual.clusters.key(id) != raw) {
-          ++mismatches;
-        }
-      });
-  EXPECT_EQ(mismatches, 0u);
 }
 
 /// Identical arrays, id for id — the layout-invariance contract between two
@@ -117,29 +95,22 @@ void expect_index_rows_valid(const EpochClusterTable& table) {
   }
 }
 
-/// Full new-vs-hashed differential for one fold at one arity cap: serial
-/// and sharded runs of both engines, SIMD and scalar kernels.
-void run_differential(const LeafFold& fold, int arity) {
+/// The whole differential for one epoch at one arity cap: the serial
+/// expansion against the oracle, then the scalar kernel and the sharded
+/// runs against the serial one, id for id.
+void run_differential(std::span<const Session> sessions, int arity) {
   SCOPED_TRACE("arity " + std::to_string(arity));
-  ClusterEngineConfig hashed_config;
-  hashed_config.max_arity = arity;
-  hashed_config.expand = ExpandStrategy::kHashed;
-  ClusterEngineConfig mm_config;
-  mm_config.max_arity = arity;
-  ASSERT_EQ(mm_config.expand, ExpandStrategy::kMaskMajor);  // the default
+  const LeafFold fold = fold_sessions(sessions, ProblemThresholds{}, 0);
+  ClusterEngineConfig config;
+  config.max_arity = arity;
 
-  const EpochClusterTable hashed = expand_fold(fold, hashed_config);
-  const EpochClusterTable mask_major = expand_fold(fold, mm_config);
-  EXPECT_FALSE(hashed.clusters.sorted());
+  const EpochClusterTable mask_major = expand_fold(fold, config);
   expect_canonical_layout(mask_major.clusters);
-  expect_same_cells(hashed, mask_major);
-  expect_same_cells(mask_major, hashed);
-  expect_index_rows_valid(hashed);
+  test::expect_cells_match(mask_major,
+                           oracle::aggregate(sessions, {}, arity));
   expect_index_rows_valid(mask_major);
-  EXPECT_EQ(hashed.leaf_index.leaf_keys, mask_major.leaf_index.leaf_keys);
-  EXPECT_EQ(hashed.leaf_index.leaf_stats, mask_major.leaf_index.leaf_stats);
 
-  ClusterEngineConfig scalar_config = mm_config;
+  ClusterEngineConfig scalar_config = config;
   scalar_config.expand_kernel = BatchKernel::kScalar;
   expect_tables_elementwise_equal(mask_major,
                                   expand_fold(fold, scalar_config));
@@ -148,11 +119,7 @@ void run_differential(const LeafFold& fold, int arity) {
   for (const std::size_t shards : {1u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     expect_tables_elementwise_equal(
-        mask_major, expand_fold(fold, mm_config, &pool, shards));
-    const EpochClusterTable hashed_sharded =
-        expand_fold(fold, hashed_config, &pool, shards);
-    expect_same_cells(hashed, hashed_sharded);
-    expect_index_rows_valid(hashed_sharded);
+        mask_major, expand_fold(fold, config, &pool, shards));
   }
 }
 
@@ -178,45 +145,41 @@ class ExpandDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExpandDifferential, GeneratedTrace) {
   static const SessionTable trace = big_trace();
-  const LeafFold fold =
-      fold_sessions(trace.epoch(0), ProblemThresholds{}, 0);
   // Enough distinct leaves to take the sharded paths for real.
-  ASSERT_GT(fold.leaves.size(), 512u);
-  run_differential(fold, GetParam());
+  ASSERT_GT(fold_sessions(trace.epoch(0), {}, 0).leaves.size(), 512u);
+  run_differential(trace.epoch(0), GetParam());
 }
 
 TEST_P(ExpandDifferential, EmptyFold) {
-  const LeafFold fold;
-  run_differential(fold, GetParam());
-  const EpochClusterTable table = expand_fold(fold, {});
+  run_differential({}, GetParam());
+  const EpochClusterTable table = expand_fold(LeafFold{}, {});
   EXPECT_EQ(table.clusters.size(), 0u);
   EXPECT_TRUE(table.leaf_index.leaf_keys.empty());
   EXPECT_FALSE(table.leaf_index.masks.empty());
 }
 
 TEST_P(ExpandDifferential, SingleLeaf) {
-  const std::vector<std::pair<AttrVec, ClusterStats>> leaves = {
-      {AttrVec{{37, 5, 4211, 3, 2, 1, 1}}, make_stats(9, 4, 0, 1, 9)},
-  };
-  run_differential(make_fold(leaves), GetParam());
+  std::vector<Session> sessions;
+  add_leaf(sessions, AttrVec{{37, 5, 4211, 3, 2, 1, 1}}, 9);
+  run_differential(sessions, GetParam());
 }
 
 TEST_P(ExpandDifferential, AllLeavesProjectToOneCellOffSite) {
   // 600 leaves differing only in site: every mask without the site bit has
   // exactly one cell holding the whole population — maximal run sharing and
   // enough leaves to cross the shard threshold.
-  std::vector<std::pair<AttrVec, ClusterStats>> leaves;
+  std::vector<Session> sessions;
   for (std::uint16_t site = 0; site < 600; ++site) {
-    leaves.emplace_back(AttrVec{{site, 2, 999, 1, 3, 2, 0}},
-                        make_stats(2 + site % 5, site % 3, 1, 0, site % 2));
+    add_leaf(sessions, AttrVec{{site, 2, 999, 1, 3, 2, 0}}, 2 + site % 5,
+             site);
   }
-  const LeafFold fold = make_fold(leaves);
-  run_differential(fold, GetParam());
+  run_differential(sessions, GetParam());
 
+  const LeafFold fold = fold_sessions(sessions, {}, 0);
   const EpochClusterTable table = expand_fold(fold, {});
   const std::uint8_t off_site_mask = dim_bit(AttrDim::kCdn);
   const ClusterStats* cell = table.clusters.find(
-      ClusterKey::pack(off_site_mask, leaves.front().first).raw());
+      ClusterKey::pack(off_site_mask, sessions.front().attrs).raw());
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(*cell, fold.root);
 }
@@ -225,13 +188,12 @@ TEST_P(ExpandDifferential, LeavesDifferOnlyInHighestAttribute) {
   // The VoD/Live dimension occupies the most significant key bits; keys
   // differing only there stress the top radix digit and the run boundaries
   // of every mask that drops it.
-  std::vector<std::pair<AttrVec, ClusterStats>> leaves;
+  std::vector<Session> sessions;
   for (std::uint16_t vod = 0; vod <= dim_capacity(AttrDim::kVodLive);
        ++vod) {
-    leaves.emplace_back(AttrVec{{11, 4, 30000, 2, 1, 3, vod}},
-                        make_stats(5, 1, 2, 3, 4));
+    add_leaf(sessions, AttrVec{{11, 4, 30000, 2, 1, 3, vod}}, 5, vod);
   }
-  run_differential(make_fold(leaves), GetParam());
+  run_differential(sessions, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(ArityCaps, ExpandDifferential,
@@ -240,26 +202,27 @@ INSTANTIATE_TEST_SUITE_P(ArityCaps, ExpandDifferential,
                          });
 
 TEST(ExpandDifferential, PipelineOutputsAgreeAcrossEngines) {
-  // End to end: the full pipeline (fold -> expand -> per-metric critical
-  // analysis) must publish identical results whichever expansion engine
-  // built the per-epoch tables.
+  // End to end: the full pipeline (fold -> expand -> critical analysis)
+  // must publish identical results whichever kernel projected the full
+  // lattice's keys and however the expansion was sharded.
   static const SessionTable trace = big_trace();
-  PipelineConfig hashed_config;
-  hashed_config.cluster_params = {.ratio_multiplier = 1.5,
-                                  .min_sessions = 150};
-  hashed_config.workers = 2;
-  hashed_config.shards = 4;
-  hashed_config.engine.expand = ExpandStrategy::kHashed;
-  PipelineConfig mm_config = hashed_config;
-  mm_config.engine.expand = ExpandStrategy::kMaskMajor;
+  PipelineConfig simd_config;
+  simd_config.cluster_params = {.ratio_multiplier = 1.5, .min_sessions = 1};
+  simd_config.workers = 2;
+  simd_config.shards = 4;
+  PipelineConfig scalar_config = simd_config;
+  scalar_config.engine.expand_kernel = BatchKernel::kScalar;
+  scalar_config.workers = 1;
+  scalar_config.shards = 1;
 
-  const PipelineResult hashed = run_pipeline(trace, hashed_config);
-  const PipelineResult mask_major = run_pipeline(trace, mm_config);
-  ASSERT_EQ(hashed.num_epochs, mask_major.num_epochs);
+  const PipelineResult simd = run_pipeline(trace, simd_config);
+  const PipelineResult scalar = run_pipeline(trace, scalar_config);
+  ASSERT_EQ(simd.num_epochs, scalar.num_epochs);
+  std::size_t criticals = 0;
   for (const Metric m : kAllMetrics) {
-    for (std::uint32_t e = 0; e < hashed.num_epochs; ++e) {
-      const CriticalAnalysis& a = hashed.at(m, e).analysis;
-      const CriticalAnalysis& b = mask_major.at(m, e).analysis;
+    for (std::uint32_t e = 0; e < simd.num_epochs; ++e) {
+      const CriticalAnalysis& a = simd.at(m, e).analysis;
+      const CriticalAnalysis& b = scalar.at(m, e).analysis;
       EXPECT_EQ(a.problem_sessions, b.problem_sessions);
       EXPECT_EQ(a.problem_sessions_in_pc, b.problem_sessions_in_pc);
       EXPECT_EQ(a.num_problem_clusters, b.num_problem_clusters);
@@ -271,8 +234,10 @@ TEST(ExpandDifferential, PipelineOutputsAgreeAcrossEngines) {
         EXPECT_EQ(a.criticals[i].attributed, b.criticals[i].attributed);
         EXPECT_EQ(a.criticals[i].stats, b.criticals[i].stats);
       }
+      criticals += a.criticals.size();
     }
   }
+  EXPECT_GT(criticals, 0u);
 }
 
 TEST(ExpandKernels, FieldMaskMatchesDimFieldTable) {
@@ -418,13 +383,12 @@ TEST(CellStoreSorted, MutatorsThrow) {
   CellStore store = table.clusters;  // copy keeps sorted mode
   ASSERT_TRUE(store.sorted());
   EXPECT_THROW((void)store.id_or_insert(0x81), std::logic_error);
-  EXPECT_THROW((void)store.bump(0x81, ClusterStats{}), std::logic_error);
-  EXPECT_THROW((void)store[0x81], std::logic_error);
-  CellStore target;
-  (void)target.bump(0x81, ClusterStats{});
-  EXPECT_THROW(store.merge_add(target), std::logic_error);
-  // Merging *from* a sorted store into a mutable one is fine (reads only).
-  target.merge_add(store);
+  EXPECT_THROW(store.add_to(0, ClusterStats{}), std::logic_error);
+  // A mutable store takes both.
+  CellStore mutable_store;
+  const std::uint32_t id = mutable_store.id_or_insert(0x81);
+  mutable_store.add_to(id, ClusterStats{.sessions = 3, .problems = {}});
+  EXPECT_EQ(mutable_store.find(0x81)->sessions, 3u);
 }
 
 TEST(CellStoreSorted, FromMaskMajorValidatesShapes) {

@@ -1,7 +1,9 @@
 // Differential tests for the leaf-folded aggregation path: on the same
-// trace, the folded two-pass engine (serial and sharded) must reproduce the
-// original session-by-session lattice bit for bit — root and every cluster
-// cell — at multiple arity caps.
+// trace, the folded two-pass engine (serial and sharded) must reproduce a
+// session-by-session lattice bit for bit — root and every cluster cell — at
+// multiple arity caps.  The unfolded reference is the oracle's aggregation
+// (tests/oracle.h): one std::map per attribute subset, filled straight from
+// the sessions.
 
 #include <gtest/gtest.h>
 
@@ -14,25 +16,12 @@
 #include "src/core/critical_cluster.h"
 #include "src/gen/tracegen.h"
 #include "src/util/thread_pool.h"
+#include "tests/oracle.h"
+#include "tests/oracle_match.h"
 #include "tests/test_support.h"
 
 namespace vq {
 namespace {
-
-/// Full-table equality: same cell set, identical counters everywhere.
-void expect_tables_identical(const EpochClusterTable& expected,
-                             const EpochClusterTable& actual) {
-  EXPECT_EQ(expected.epoch, actual.epoch);
-  EXPECT_EQ(expected.root, actual.root);
-  ASSERT_EQ(expected.clusters.size(), actual.clusters.size());
-  std::size_t mismatches = 0;
-  expected.clusters.for_each(
-      [&](std::uint64_t raw, const ClusterStats& stats) {
-        const ClusterStats* other = actual.clusters.find(raw);
-        if (other == nullptr || !(stats == *other)) ++mismatches;
-      });
-  EXPECT_EQ(mismatches, 0u);
-}
 
 SessionTable big_trace() {
   // A small attribute universe so leaves repeat heavily (the regime the fold
@@ -63,32 +52,23 @@ TEST_P(FoldDifferential, FoldedMatchesUnfoldedOn50kSessions) {
   ClusterEngineConfig config;
   config.max_arity = GetParam();
 
-  const EpochClusterTable unfolded =
-      aggregate_epoch_unfolded(sessions, thresholds, config, 0);
+  const oracle::Lattice unfolded =
+      oracle::aggregate(sessions, thresholds, config.max_arity);
+
   // The distinct-leaf count must be well below the session count for the
   // fold to be a meaningful compression (and for this test to exercise it).
   const LeafFold fold = fold_sessions(sessions, thresholds, 0);
   EXPECT_LT(fold.leaves.size(), sessions.size() / 2);
-  EXPECT_EQ(fold.root, unfolded.root);
 
-  const EpochClusterTable folded = expand_fold(fold, config);
-  expect_tables_identical(unfolded, folded);
-
+  test::expect_cells_match(expand_fold(fold, config), unfolded);
   ThreadPool pool{4};
   for (const std::size_t shards : {2u, 7u}) {
-    const EpochClusterTable sharded =
-        expand_fold(fold, config, &pool, shards);
-    expect_tables_identical(unfolded, sharded);
+    test::expect_cells_match(expand_fold(fold, config, &pool, shards),
+                             unfolded);
   }
-
-  // The public entry point dispatches to the folded path by default and to
-  // the unfolded one when disabled; both must agree with the baseline.
-  config.fold_leaves = true;
-  expect_tables_identical(unfolded,
-                          aggregate_epoch(sessions, thresholds, config, 0));
-  config.fold_leaves = false;
-  expect_tables_identical(unfolded,
-                          aggregate_epoch(sessions, thresholds, config, 0));
+  // The public one-call entry point folds and expands the same way.
+  test::expect_cells_match(aggregate_epoch(sessions, thresholds, config, 0),
+                           unfolded);
 }
 
 INSTANTIATE_TEST_SUITE_P(ArityCaps, FoldDifferential, ::testing::Values(2, 7),
@@ -98,8 +78,7 @@ INSTANTIATE_TEST_SUITE_P(ArityCaps, FoldDifferential, ::testing::Values(2, 7),
 
 TEST(FoldDifferential, CriticalAnalysisAgreesAcrossOverloads) {
   // The fold-based and session-span find_critical_clusters overloads must
-  // produce the same analysis (they share one implementation; this pins the
-  // wrapper's folding step).
+  // produce the same analysis (both run the one sweep over the table).
   static const SessionTable trace = big_trace();
   const std::span<const Session> sessions = trace.epoch(0);
   const ProblemThresholds thresholds;

@@ -7,6 +7,7 @@
 
 #include "src/core/prevalence.h"
 #include "src/gen/tracegen.h"
+#include "tests/check_analysis.h"
 #include "tests/test_support.h"
 
 namespace vq {
@@ -81,6 +82,9 @@ TEST_F(GeneratedFixture, EveryCriticalClusterIsAProblemCluster) {
   for (const Metric m : kAllMetrics) {
     for (std::uint32_t e = 0; e < result.num_epochs; ++e) {
       const auto& analysis = result.at(m, e).analysis;
+      EXPECT_EQ(test::check_analysis(analysis,
+                                     config.cluster_params.min_sessions),
+                "");
       const auto& pc_keys = analysis.problem_cluster_keys;
       EXPECT_TRUE(std::is_sorted(pc_keys.begin(), pc_keys.end()));
       EXPECT_EQ(pc_keys.size(), analysis.num_problem_clusters);
@@ -149,21 +153,17 @@ TEST_F(GeneratedFixture, ShardedExpansionMatchesSerial) {
   sharded_config.workers = 4;
   sharded_config.shards = 4;
   const PipelineResult sharded = run_pipeline(trace, sharded_config);
-  PipelineConfig unfolded_config = config;
-  unfolded_config.engine.fold_leaves = false;
-  const PipelineResult unfolded = run_pipeline(trace, unfolded_config);
   for (const Metric m : kAllMetrics) {
     for (std::uint32_t e = 0; e < result.num_epochs; ++e) {
-      const auto& a = result.at(m, e);
-      for (const auto* other : {&sharded.at(m, e), &unfolded.at(m, e)}) {
-        EXPECT_EQ(a.analysis.problem_sessions, other->analysis.problem_sessions);
-        EXPECT_EQ(a.analysis.problem_cluster_keys,
-                  other->analysis.problem_cluster_keys);
-        ASSERT_EQ(a.analysis.criticals.size(), other->analysis.criticals.size());
-        for (std::size_t i = 0; i < a.analysis.criticals.size(); ++i) {
-          EXPECT_EQ(a.analysis.criticals[i].key,
-                    other->analysis.criticals[i].key);
-        }
+      const CriticalAnalysis& a = result.at(m, e).analysis;
+      const CriticalAnalysis& b = sharded.at(m, e).analysis;
+      EXPECT_EQ(test::check_analysis(b, config.cluster_params.min_sessions),
+                "");
+      EXPECT_EQ(a.problem_sessions, b.problem_sessions);
+      EXPECT_EQ(a.problem_cluster_keys, b.problem_cluster_keys);
+      ASSERT_EQ(a.criticals.size(), b.criticals.size());
+      for (std::size_t i = 0; i < a.criticals.size(); ++i) {
+        EXPECT_EQ(a.criticals[i].key, b.criticals[i].key);
       }
     }
   }

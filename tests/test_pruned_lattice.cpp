@@ -7,13 +7,15 @@
 // folds with planted events, floors {2, 3, median cell size, root sessions,
 // root sessions + 1}, arity caps {2, 7} and shard counts {1, 4}.  Also
 // covers the floor guard on every analysis entry point and that the
-// pipelines and the detector pass their floor.
+// pipelines and the detector pass their floor and agree with the
+// brute-force oracle (tests/oracle.h).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -28,6 +30,8 @@
 #include "src/obs/metrics.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/oracle.h"
+#include "tests/oracle_match.h"
 #include "tests/test_support.h"
 
 namespace vq {
@@ -171,10 +175,6 @@ std::size_t expect_pruned_matches_full(const LeafFold& fold,
     criticals += want.criticals.size();
     expect_analyses_identical(
         want, find_critical_clusters(fold, pruned, params, m, pool, shards));
-    // The hash-lookup strategy reads absent cells as zero stats, which are
-    // insignificant at this floor too.
-    expect_analyses_identical(
-        want, find_critical_clusters_hashed(fold, pruned, params, m));
   }
   return criticals;
 }
@@ -288,8 +288,7 @@ TEST(PrunedLattice, NoCellReachesTheFloor) {
 }
 
 TEST(PrunedLattice, FullLatticeWhereNotPruned) {
-  // Floors <= 1, index-less tables and the hashed engine build the full
-  // lattice and record no floor.
+  // Floors <= 1 build the full lattice and record no floor.
   const LeafFold fold = planted_fold(5, 500, 0);
   const EpochClusterTable full = expand_fold(fold, {});
   for (const std::uint32_t floor : {0u, 1u}) {
@@ -297,15 +296,6 @@ TEST(PrunedLattice, FullLatticeWhereNotPruned) {
     EXPECT_EQ(t.floor, 0u);
     EXPECT_EQ(t.clusters.size(), full.clusters.size());
     EXPECT_EQ(t.leaf_index.cell_rows, full.leaf_index.cell_rows);
-  }
-  ClusterEngineConfig no_index;
-  no_index.index_cells = false;
-  ClusterEngineConfig hashed;
-  hashed.expand = ExpandStrategy::kHashed;
-  for (const ClusterEngineConfig& config : {no_index, hashed}) {
-    const EpochClusterTable t = expand_fold(fold, config, nullptr, 1, 20);
-    EXPECT_EQ(t.floor, 0u);
-    EXPECT_EQ(t.clusters.size(), full.clusters.size());
   }
 }
 
@@ -321,8 +311,7 @@ TEST(PrunedLattice, FindCriticalClustersThrowsBelowFloor) {
   EXPECT_THROW((void)find_critical_clusters(b.fold, b.table, b.params,
                                             Metric::kBufRatio),
                std::invalid_argument);
-  EXPECT_THROW((void)find_critical_clusters_hashed(b.fold, b.table, b.params,
-                                                   Metric::kBufRatio),
+  EXPECT_THROW((void)find_critical_clusters(b.fold, b.table, b.params),
                std::invalid_argument);
   EXPECT_THROW((void)critical_candidate_masks(
                    ClusterKey::from_raw(b.table.leaf_index.leaf_keys[0]),
@@ -397,7 +386,7 @@ std::vector<Session> planted_sessions(std::uint32_t epoch) {
 TEST(PrunedLattice, PipelinesPassTheAnalysisFloor) {
   // run_pipeline, run_pipeline_streaming and StreamingDetector::ingest
   // build only the cells at or above min_sessions, and report what the
-  // full-lattice hashed engine reports.
+  // brute-force oracle derives from the raw sessions.
   SessionTable trace;
   for (std::uint32_t e = 0; e < 3; ++e) {
     for (const Session& s : planted_sessions(e)) trace.append(s);
@@ -406,22 +395,22 @@ TEST(PrunedLattice, PipelinesPassTheAnalysisFloor) {
   const ProblemThresholds thresholds;
   const ProblemClusterParams params{.ratio_multiplier = 1.5,
                                     .min_sessions = 120};
+  oracle::Params oracle_params;
+  oracle_params.min_sessions = params.min_sessions;
+  std::vector<oracle::EpochAnalysis> want;
   std::uint64_t want_cells = 0;
   for (std::uint32_t e = 0; e < 3; ++e) {
-    const EpochClusterTable full =
-        expand_fold(fold_sessions(trace.epoch(e), thresholds, e), {});
-    for (const ClusterStats& s : full.clusters.cells()) {
-      want_cells += s.sessions >= params.min_sessions ? 1 : 0;
+    want.push_back(oracle::analyze_epoch(trace.epoch(e), oracle_params));
+    for (const auto& per_subset : want.back().lattice.clusters) {
+      for (const auto& [values, c] : per_subset) {
+        want_cells += c.sessions >= params.min_sessions ? 1 : 0;
+      }
     }
   }
   obs::Counter& cells = obs::Registry::global().counter("expand.cells");
 
   PipelineConfig config;
   config.cluster_params = params;
-  PipelineConfig full_config = config;
-  full_config.engine.expand = ExpandStrategy::kHashed;
-  const PipelineResult reference = run_pipeline(trace, full_config);
-
   std::uint64_t before = cells.value();
   const PipelineResult batch = run_pipeline(trace, config);
   EXPECT_EQ(cells.value() - before, want_cells);
@@ -433,42 +422,34 @@ TEST(PrunedLattice, PipelinesPassTheAnalysisFloor) {
 
   MonitorConfig mc;
   mc.cluster_params = params;
-  MonitorConfig full_mc = mc;
-  full_mc.engine.expand = ExpandStrategy::kHashed;
   StreamingDetector detector{mc};
-  StreamingDetector full_detector{full_mc};
-  std::vector<IncidentEvent> got;
+  std::size_t events = 0;
   before = cells.value();
   for (std::uint32_t e = 0; e < 3; ++e) {
-    for (const IncidentEvent& ev : detector.ingest(trace.epoch(e), e)) {
-      got.push_back(ev);
+    events += detector.ingest(trace.epoch(e), e).size();
+    // The open incidents are this epoch's critical clusters.
+    for (const Metric m : kAllMetrics) {
+      std::set<oracle::Cluster> open;
+      for (const Incident& i : detector.active(m)) {
+        open.insert(test::decode(i.key.raw()));
+      }
+      std::set<oracle::Cluster> critical;
+      for (const auto& [c, mass] :
+           want[e].metrics[static_cast<std::uint8_t>(m)].criticals) {
+        critical.insert(c);
+      }
+      EXPECT_EQ(open, critical) << "epoch " << e;
     }
   }
   EXPECT_EQ(cells.value() - before, want_cells);
-  std::vector<IncidentEvent> want;
-  for (std::uint32_t e = 0; e < 3; ++e) {
-    for (const IncidentEvent& ev : full_detector.ingest(trace.epoch(e), e)) {
-      want.push_back(ev);
-    }
-  }
-  EXPECT_GT(got.size(), 0u);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].epoch, want[i].epoch);
-    EXPECT_EQ(got[i].update, want[i].update);
-    EXPECT_EQ(got[i].incident.key, want[i].incident.key);
-    EXPECT_EQ(got[i].incident.metric, want[i].incident.metric);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].incident.attributed),
-              std::bit_cast<std::uint64_t>(want[i].incident.attributed));
-    EXPECT_EQ(got[i].incident.stats, want[i].incident.stats);
-  }
+  EXPECT_GT(events, 0u);
 
   for (const Metric m : kAllMetrics) {
     for (std::uint32_t e = 0; e < 3; ++e) {
-      expect_analyses_identical(reference.at(m, e).analysis,
-                                batch.at(m, e).analysis);
-      expect_analyses_identical(reference.at(m, e).analysis,
-                                streamed.at(m, e).analysis);
+      test::expect_analysis_matches(batch.at(m, e).analysis, want[e], e, m,
+                                    params.min_sessions);
+      test::expect_analysis_matches(streamed.at(m, e).analysis, want[e], e,
+                                    m, params.min_sessions);
     }
   }
 }
