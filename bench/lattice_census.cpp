@@ -4,7 +4,9 @@
 // (expand_fold with the floor) — checks that the pruned store holds exactly
 // the full store's cells with sessions >= floor, and prints the per-arity
 // means: full cells, significant cells, and their share, plus the mean
-// length of the pruned table's leaf rows against the full lattice's.
+// length of the pruned table's leaf rows against the full lattice's, and
+// the per-epoch means of the pruned table's row groups against the leaves
+// and of its stored row ids (cell_rows.size()) against one row per leaf.
 //
 //   usage: lattice_census TRACE.vqtc MIN_SESSIONS
 //
@@ -40,6 +42,8 @@ int main(int argc, char** argv) {
   std::array<double, vq::kNumDims + 1> significant{};
   double leaves = 0.0;
   double row_ids = 0.0;
+  double row_groups = 0.0;
+  double stored_ids = 0.0;
   vq::SessionColumns columns;
   for (std::uint32_t e = 0; e < epochs; ++e) {
     reader.read_epoch(e, columns);
@@ -65,6 +69,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     leaves += static_cast<double>(fold.leaves.size());
+    row_groups += static_cast<double>(pruned.leaf_index.num_groups());
+    stored_ids += static_cast<double>(pruned.leaf_index.cell_rows.size());
     for (std::size_t leaf = 0; leaf < pruned.leaf_index.num_leaves();
          ++leaf) {
       row_ids += static_cast<double>(pruned.leaf_index.row(leaf).size());
@@ -90,5 +96,10 @@ int main(int argc, char** argv) {
   std::printf("leaves %.1f, ids per leaf row %.1f of %.0f (%.1f %%)\n",
               leaves / epochs, row_ids / leaves, masks,
               100.0 * row_ids / (leaves * masks));
+  std::printf("row groups %.1f of %.1f leaves (%.1f %%), stored row ids "
+              "%.1f of %.1f at one row per leaf\n",
+              row_groups / epochs, leaves / epochs,
+              100.0 * row_groups / leaves, stored_ids / epochs,
+              row_ids / epochs);
   return 0;
 }

@@ -1,7 +1,9 @@
 // Standalone lattice-expansion benchmark: times pass 2 (expand_fold) of
 // the full lattice under the mask-major engine (scalar fallback, the widest
 // SIMD path the build supports, and the mask-sharded parallel variant) on
-// one realistic epoch fold and writes the numbers to BENCH_expand.json.
+// one realistic epoch fold, and the significance-pruned expansion the
+// production pipelines run, at the CLI's automatic floor (~2 % of the
+// epoch's sessions), and writes the numbers to BENCH_expand.json.
 //
 // Like perf_fold, this is a plain main() so CI can run it in smoke mode
 // (the bench-smoke gate diffs it against bench/baselines/expand_smoke.json
@@ -15,15 +17,18 @@
 //   VIDQUAL_EXPAND_SHARDS    shards for the sharded variant  (default 4)
 //
 // Smoke mode shrinks the knobs so the whole binary finishes in seconds; it
-// still runs every variant and the bit-identity check, which refuses to
-// report numbers when the variants' tables differ.
+// still runs every variant and the bit-identity checks, which refuse to
+// report numbers when the full variants' tables differ, or when the pruned
+// table is not the full one filtered to the floor, row for row.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/core/cluster_engine.h"
 #include "src/core/columns.h"
@@ -61,8 +66,46 @@ bool tables_identical(const vq::EpochClusterTable& a,
     }
   }
   return a.leaf_index.leaf_keys == b.leaf_index.leaf_keys &&
+         a.leaf_index.leaf_group == b.leaf_index.leaf_group &&
          a.leaf_index.row_offsets == b.leaf_index.row_offsets &&
          a.leaf_index.cell_rows == b.leaf_index.cell_rows;
+}
+
+/// The pruned table against the full one: the full table's cells with
+/// sessions >= floor, in id order, and every leaf's row equal to its full
+/// row filtered the same way (as pruned ids).
+bool pruned_matches_full(const vq::EpochClusterTable& full,
+                         const vq::EpochClusterTable& pruned,
+                         std::uint32_t floor) {
+  if (!(full.root == pruned.root) || pruned.floor != floor ||
+      full.leaf_index.leaf_keys != pruned.leaf_index.leaf_keys) {
+    return false;
+  }
+  std::uint32_t next = 0;
+  for (std::uint32_t id = 0; id < full.clusters.size(); ++id) {
+    if (full.clusters.cell(id).sessions < floor) continue;
+    if (next >= pruned.clusters.size() ||
+        pruned.clusters.key(next) != full.clusters.key(id) ||
+        !(pruned.clusters.cell(next) == full.clusters.cell(id))) {
+      return false;
+    }
+    ++next;
+  }
+  if (next != pruned.clusters.size()) return false;
+  std::vector<std::uint32_t> want;
+  for (std::size_t i = 0; i < full.leaf_index.num_leaves(); ++i) {
+    want.clear();
+    for (const std::uint32_t id : full.leaf_index.row(i)) {
+      if (full.clusters.cell(id).sessions >= floor) {
+        want.push_back(pruned.clusters.id_of(full.clusters.key(id)));
+      }
+    }
+    const auto got = pruned.leaf_index.row(i);
+    if (!std::equal(want.begin(), want.end(), got.begin(), got.end())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -129,6 +172,12 @@ int main(int argc, char** argv) {
   ThreadPool pool{shards};
   const double sharded_s = time_reps(
       reps, [&] { check(expand_fold(fold, mm_config, &pool, shards)); });
+  // The CLI's automatic floor: ~2 % of a mean epoch, at least 30.
+  const auto floor = static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(30, trace.size() / 50));
+  const double pruned_s = time_reps(reps, [&] {
+    check(expand_fold(fold, mm_config, nullptr, 1, floor));
+  });
 
   // Bit-identity before the numbers mean anything: the scalar kernel and
   // the sharded run against the serial SIMD run (the check against a
@@ -140,11 +189,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FATAL: expansion variants disagree\n");
     return 1;
   }
+  const EpochClusterTable pruned = expand_fold(fold, mm_config, nullptr, 1,
+                                               floor);
+  if (!pruned_matches_full(table, pruned, floor)) {
+    std::fprintf(stderr,
+                 "FATAL: pruned table is not the full one at the floor\n");
+    return 1;
+  }
 
   const double n = static_cast<double>(reps);
   const double scalar_eps = n / scalar_s;
   const double simd_eps = n / simd_s;
   const double sharded_eps = n / sharded_s;
+  const double pruned_eps = n / pruned_s;
   const double leaves_per_sec =
       simd_eps * static_cast<double>(fold.leaves.size());
 
@@ -154,6 +211,10 @@ int main(int argc, char** argv) {
               simd_eps / scalar_eps, leaves_per_sec / 1e6);
   std::printf("  mask-major x%-5zu : %8.2f expands/sec  (%.2fx)\n", shards,
               sharded_eps, sharded_eps / simd_eps);
+  std::printf("  pruned at %-7u : %8.2f expands/sec  (%zu row groups, "
+              "%zu cells)\n",
+              floor, pruned_eps, pruned.leaf_index.num_groups(),
+              pruned.clusters.size());
 
   std::ofstream out{out_path};
   if (!out) {
@@ -172,7 +233,11 @@ int main(int argc, char** argv) {
       << "  \"maskmajor_scalar_expands_per_sec\": " << scalar_eps << ",\n"
       << "  \"maskmajor_expands_per_sec\": " << simd_eps << ",\n"
       << "  \"maskmajor_sharded_expands_per_sec\": " << sharded_eps << ",\n"
-      << "  \"maskmajor_leaves_per_sec\": " << leaves_per_sec << "\n"
+      << "  \"maskmajor_leaves_per_sec\": " << leaves_per_sec << ",\n"
+      << "  \"floor\": " << floor << ",\n"
+      << "  \"row_groups\": " << pruned.leaf_index.num_groups() << ",\n"
+      << "  \"pruned_cells\": " << pruned.clusters.size() << ",\n"
+      << "  \"pruned_expands_per_sec\": " << pruned_eps << "\n"
       << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -124,6 +125,7 @@ constexpr std::size_t kRadixMinKeys = 1024;
 
 struct ExpandMetrics {
   obs::Counter& leaves;
+  obs::Counter& row_groups;
   obs::Counter& cells;
   obs::Counter& radix_bytes;
 };
@@ -131,10 +133,13 @@ struct ExpandMetrics {
 /// expand.radix_bytes is kStable: radix traffic is a pure function of the
 /// per-mask source sizes (cell counts) and radix plans, and the source
 /// choice is itself a deterministic function of those counts — independent
-/// of shard count and SIMD kernel.
+/// of shard count and SIMD kernel.  expand.row_groups counts the rows the
+/// leaf index stores: one per leaf on a full lattice, one per row group on
+/// a pruned one.
 ExpandMetrics& expand_metrics() {
   static ExpandMetrics metrics{
       obs::Registry::global().counter("expand.leaves"),
+      obs::Registry::global().counter("expand.row_groups"),
       obs::Registry::global().counter("expand.cells"),
       obs::Registry::global().counter("expand.radix_bytes"),
   };
@@ -476,12 +481,100 @@ void expand_fold_mask_major(std::span<const std::uint64_t> leaf_keys,
   expand_metrics().radix_bytes.add(radix_bytes);
 }
 
-/// A leaf as the pruned engine's splits see it: its key and sessions
-/// travel with it, so the passes over a group read one contiguous array.
+/// The row-group step's buffers.  `value_sessions` holds one session total
+/// per (dimension, value) and is all zero between calls.
+struct RowGroupBuffers {
+  std::vector<std::uint32_t> value_sessions;
+  std::vector<std::uint64_t> reduced;    // per leaf: the reduced key
+  FlatMap64<std::uint32_t> group_of;     // reduced key -> group + 1
+  std::vector<std::uint64_t> keys;       // per group: the reduced key
+  std::vector<ClusterStats> stats;       // per group: its leaves' sum
+};
+
+/// Groups the canonical leaves into row groups for a pruned expansion at
+/// `floor` (see the file comment of cluster_engine.h): sums sessions per
+/// (dimension, value), reduces every leaf key by the values below the
+/// floor, and merges leaves with equal reduced keys, numbering the groups
+/// in first-appearance order.  Writes each leaf's group to `leaf_group`,
+/// and the groups' reduced keys and summed stats to g.keys and g.stats.
+/// A dropped value is recorded by the cleared mask bit alone, so no field
+/// value is reserved for it.
+void group_leaves(std::span<const std::uint64_t> leaf_keys,
+                  std::span<const ClusterStats> leaf_stats,
+                  std::uint32_t floor, RowGroupBuffers& g,
+                  std::vector<std::uint32_t>& leaf_group) {
+  VQ_SPAN("expand.group");
+  std::array<int, kNumDims> offset{};
+  std::array<std::uint64_t, kNumDims> field{};
+  std::array<std::uint64_t, kNumDims> clear{};  // field and mask bit
+  std::array<std::size_t, kNumDims> base{};     // first slot of dim d
+  std::size_t slots = 0;
+  for (int d = 0; d < kNumDims; ++d) {
+    const DimField f = dim_field(static_cast<AttrDim>(d));
+    offset[d] = f.offset;
+    field[d] = (std::uint64_t{1} << f.bits) - 1;
+    clear[d] = (field[d] << f.offset) | (std::uint64_t{1} << d);
+    base[d] = slots;
+    slots += std::size_t{1} << f.bits;
+  }
+  g.value_sessions.resize(slots);
+  std::uint32_t* totals = g.value_sessions.data();
+  const auto slot_of = [&](std::uint64_t key, int d) {
+    return base[d] + ((key >> offset[d]) & field[d]);
+  };
+
+  // Every allocation comes before the totals fill, so nothing can throw
+  // between filling them and zeroing them again.
+  const std::size_t n = leaf_keys.size();
+  g.reduced.resize(n);
+  leaf_group.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = leaf_keys[i];
+    const std::uint32_t sessions = leaf_stats[i].sessions;
+    for (int d = 0; d < kNumDims; ++d) totals[slot_of(key, d)] += sessions;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = leaf_keys[i];
+    std::uint64_t reduced = key;
+    for (int d = 0; d < kNumDims; ++d) {
+      reduced &= totals[slot_of(key, d)] >= floor ? ~std::uint64_t{0}
+                                                  : ~clear[d];
+    }
+    g.reduced[i] = reduced;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int d = 0; d < kNumDims; ++d) totals[slot_of(leaf_keys[i], d)] = 0;
+  }
+
+  g.keys.clear();
+  g.stats.clear();
+  g.group_of.clear();  // keeps its capacity: sized by earlier epochs
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t reduced = g.reduced[i];
+    // A leaf that keeps every value is alone in its group: no other leaf
+    // reduces to its full key, so it skips the map.
+    std::uint32_t* group = reduced == leaf_keys[i]
+                               ? nullptr
+                               : &g.group_of[reduced];  // group + 1
+    if (group == nullptr || *group == 0) {
+      leaf_group[i] = static_cast<std::uint32_t>(g.keys.size());
+      g.keys.push_back(reduced);
+      g.stats.push_back(leaf_stats[i]);
+      if (group != nullptr) *group = leaf_group[i] + 1;
+    } else {
+      leaf_group[i] = *group - 1;
+      g.stats[leaf_group[i]] += leaf_stats[i];
+    }
+  }
+}
+
+/// A row group as the pruned engine's splits see it: its reduced key and
+/// sessions travel with it, so the passes over a cube group read one
+/// contiguous array.
 struct CubeMember {
   std::uint64_t key;
   std::uint32_t sessions;
-  std::uint32_t leaf;
+  std::uint32_t row;  // the row group's number
 };
 
 /// Per-value tallies of one split; reset through the touched list after use.
@@ -497,15 +590,17 @@ struct CubeSplit {
   std::vector<std::uint32_t> ends;
 };
 
-/// The pruned engine's buffers: the recursion's state, its emitted cells,
-/// and the canonical-order and row-writing arrays.
+/// The pruned engine's buffers: the row groups, the recursion's state, its
+/// emitted cells, and the canonical-order and row-writing arrays.
 struct CubeBuffers {
-  std::vector<ValueSlot> slots;  // indexed by attribute value; all zero
+  RowGroupBuffers row_groups;
+  std::vector<ValueSlot> slots;  // indexed by attribute value, then one
+                                 // slot for "dimension absent"; all zero
                                  // between splits
   std::vector<std::uint32_t> touched;
   std::vector<std::vector<CubeMember>> level;  // group buffer per depth
   std::vector<CubeSplit> split;
-  // Emitted cells in emission order: key, stats, and the member leaves
+  // Emitted cells in emission order: key, stats, and the member row groups
   // members[member_end of the previous cell, member_end).
   std::vector<std::uint64_t> keys;
   std::vector<ClusterStats> stats;
@@ -514,43 +609,46 @@ struct CubeBuffers {
   // Canonical order and row writing.
   std::vector<std::uint32_t> order;       // dense id -> emitted cell
   std::vector<std::size_t> member_next;   // per emitted cell
-  std::vector<std::size_t> row_next;      // per leaf
+  std::vector<std::size_t> row_next;      // per row group
 };
 
 /// The significance-pruned engine (expand_fold with a floor above 1): the
-/// iceberg cube of BUC (Beyer & Ramakrishnan, SIGMOD 1999).  Starting from
-/// the root's group of all leaves, a group is split by one more dimension
-/// and only the sub-groups whose session sum reaches the floor become cells
-/// and are split further.  A refinement never holds more sessions than its
-/// parent, so no cell below the floor has a descendant at or above it and
-/// the recursion visits exactly the cells with sessions >= floor.
+/// iceberg cube of BUC (Beyer & Ramakrishnan, SIGMOD 1999), run over the
+/// row groups of group_leaves.  Starting from the root's group of all row
+/// groups, a group is split by one more dimension and only the sub-groups
+/// whose session sum reaches the floor become cells and are split further.
+/// A refinement never holds more sessions than its parent, so no cell below
+/// the floor has a descendant at or above it and the recursion visits
+/// exactly the cells with sessions >= floor.  A row group whose reduced key
+/// lacks the split's dimension joins no sub-group: its leaves' value there
+/// is below the floor, and so is every cell that fixes it.
 ///
 /// Each cell is reached along one path, adding its dimensions in
 /// kSplitOrder.  Following BUC, that order puts high-cardinality dimensions
 /// first: their splits make small groups early, so the wide groups of the
 /// low-cardinality dimensions come last and are split by few further
-/// dimensions.  Splits scatter leaves stably and the root group is the
-/// ascending leaf array, so every cell's member list is ascending.
+/// dimensions.  Splits scatter row groups stably and the root group holds
+/// them in ascending number, so every cell's member list is ascending.
 class IcebergCube {
  public:
   /// Emits into `b` (its previous cells are dropped, its capacity kept).
-  IcebergCube(CubeBuffers& b, std::span<const std::uint64_t> leaf_keys,
-              std::span<const ClusterStats> leaf_stats, std::uint32_t floor,
+  IcebergCube(CubeBuffers& b, std::span<const std::uint64_t> row_keys,
+              std::span<const ClusterStats> row_stats, std::uint32_t floor,
               int max_arity)
       : b_(b),
-        leaf_stats_(leaf_stats),
+        row_stats_(row_stats),
         floor_(floor),
         max_arity_(static_cast<std::size_t>(max_arity)) {
-    b_.slots.resize(std::size_t{1} << kMaxDimBits);
+    b_.slots.resize((std::size_t{1} << kMaxDimBits) + 1);
     if (b_.level.size() < max_arity_ + 1) b_.level.resize(max_arity_ + 1);
     if (b_.split.size() < max_arity_) b_.split.resize(max_arity_);
     b_.keys.clear();
     b_.stats.clear();
     b_.member_end.clear();
     b_.members.clear();
-    b_.level[0].resize(leaf_keys.size());
-    for (std::uint32_t i = 0; i < leaf_keys.size(); ++i) {
-      b_.level[0][i] = {leaf_keys[i], leaf_stats[i].sessions, i};
+    b_.level[0].resize(row_keys.size());
+    for (std::uint32_t i = 0; i < row_keys.size(); ++i) {
+      b_.level[0][i] = {row_keys[i], row_stats[i].sessions, i};
     }
   }
 
@@ -581,8 +679,13 @@ class IcebergCube {
       const AttrDim d = kSplitOrder[p];
       const DimField f = dim_field(d);
       const std::uint64_t field = (std::uint64_t{1} << f.bits) - 1;
+      // Members without dimension d tally in the slot just past the
+      // field's values, which never becomes a sub-group.
+      const std::uint32_t absent = std::uint32_t{1} << f.bits;
       const auto value = [&](const CubeMember& m) {
-        return static_cast<std::uint32_t>((m.key >> f.offset) & field);
+        return (m.key & dim_bit(d)) != 0
+                   ? static_cast<std::uint32_t>((m.key >> f.offset) & field)
+                   : absent;
       };
 
       touched.clear();
@@ -594,7 +697,7 @@ class IcebergCube {
       }
       s.values.clear();
       for (const std::uint32_t v : touched) {
-        if (slots[v].sessions >= floor_) {
+        if (v != absent && slots[v].sessions >= floor_) {
           s.values.push_back(v);
         } else {
           slots[v].leaves = kSkip;
@@ -638,8 +741,8 @@ class IcebergCube {
             std::uint32_t begin, std::uint32_t end) {
     ClusterStats sum;
     for (std::uint32_t i = begin; i < end; ++i) {
-      sum += leaf_stats_[group[i].leaf];
-      b_.members.push_back(group[i].leaf);
+      sum += row_stats_[group[i].row];
+      b_.members.push_back(group[i].row);
     }
     assert(b_.keys.size() < CellStore::kNoCell);
     b_.keys.push_back(key);
@@ -648,23 +751,24 @@ class IcebergCube {
   }
 
   CubeBuffers& b_;
-  std::span<const ClusterStats> leaf_stats_;
+  std::span<const ClusterStats> row_stats_;
   std::uint32_t floor_;
   std::size_t max_arity_;
 };
 
-/// Leaves per block of the pruned engine's row writing: a block's rows
+/// Row groups per block of the pruned engine's row writing: a block's rows
 /// (~20-30 ids each on the generated worlds) stay in L1 while every cell
 /// scatters its ids into them.
-constexpr std::size_t kRowBlockLeaves = 256;
+constexpr std::size_t kRowBlock = 256;
 
-/// Builds the pruned table and its compact leaf rows: each leaf's row lists
-/// the final ids of the cells it is a member of, in ascending mask order.
-void expand_fold_pruned(std::span<const std::uint64_t> leaf_keys,
-                        std::span<const ClusterStats> leaf_stats,
+/// Builds the pruned table and its compact rows, one per row group (the
+/// caller has grouped the leaves): each row lists the final ids of the
+/// cells the group is a member of, in ascending mask order.
+void expand_fold_pruned(std::span<const std::uint64_t> row_keys,
+                        std::span<const ClusterStats> row_stats,
                         int max_arity, std::uint32_t floor, CubeBuffers& b,
                         EpochClusterTable& table) {
-  IcebergCube cube{b, leaf_keys, leaf_stats, floor, max_arity};
+  IcebergCube cube{b, row_keys, row_stats, floor, max_arity};
   {
     VQ_SPAN("expand.prune");
     cube.build();
@@ -699,19 +803,19 @@ void expand_fold_pruned(std::span<const std::uint64_t> leaf_keys,
   table.clusters =
       CellStore::from_mask_major(std::move(keys), std::move(stats), offsets);
 
-  // Row bounds from each leaf's membership count.
-  const std::size_t num_leaves = leaf_keys.size();
+  // Row bounds from each row group's membership count.
+  const std::size_t num_rows = row_keys.size();
   std::vector<std::size_t>& row_offsets = table.leaf_index.row_offsets;
-  row_offsets.assign(num_leaves + 1, 0);
-  for (const std::uint32_t leaf : b.members) ++row_offsets[leaf + 1];
-  for (std::size_t i = 1; i <= num_leaves; ++i) {
+  row_offsets.assign(num_rows + 1, 0);
+  for (const std::uint32_t row : b.members) ++row_offsets[row + 1];
+  for (std::size_t i = 1; i <= num_rows; ++i) {
     row_offsets[i] += row_offsets[i - 1];
   }
   table.leaf_index.cell_rows.resize(b.members.size());
 
-  // Rows, one block of leaves at a time, visiting cells in id order so that
-  // every row comes out in ascending mask order.  Member lists ascend, so a
-  // cursor per cell walks each once across all blocks.
+  // Rows, one block of row groups at a time, visiting cells in id order so
+  // that every row comes out in ascending mask order.  Member lists ascend,
+  // so a cursor per cell walks each once across all blocks.
   b.row_next.assign(row_offsets.begin(), row_offsets.end() - 1);
   b.member_next.resize(n);
   for (std::size_t c = 0; c < n; ++c) {
@@ -719,8 +823,8 @@ void expand_fold_pruned(std::span<const std::uint64_t> leaf_keys,
   }
   std::uint32_t* rows = table.leaf_index.cell_rows.data();
   const std::uint32_t* members = b.members.data();
-  for (std::size_t lo = 0; lo < num_leaves; lo += kRowBlockLeaves) {
-    const std::size_t hi = std::min(num_leaves, lo + kRowBlockLeaves);
+  for (std::size_t lo = 0; lo < num_rows; lo += kRowBlock) {
+    const std::size_t hi = std::min(num_rows, lo + kRowBlock);
     for (std::uint32_t id = 0; id < n; ++id) {
       const std::uint32_t c = b.order[id];
       const std::size_t end = b.member_end[c];
@@ -805,10 +909,16 @@ void expand_fold_into(const LeafFold& fold, const ClusterEngineConfig& config,
   const std::size_t num_leaves = index.leaf_keys.size();
 
   if (prune) {
-    expand_fold_pruned(index.leaf_keys, index.leaf_stats, config.max_arity,
-                       floor, b.cube, table);
+    // One row per row group.
+    RowGroupBuffers& groups = b.cube.row_groups;
+    group_leaves(index.leaf_keys, index.leaf_stats, floor, groups,
+                 index.leaf_group);
+    expand_fold_pruned(groups.keys, groups.stats, config.max_arity, floor,
+                       b.cube, table);
   } else {
-    // Full lattice: one id per mask in every row.
+    // Full lattice: one row per leaf, one id per mask in every row.
+    index.leaf_group.resize(num_leaves);
+    std::iota(index.leaf_group.begin(), index.leaf_group.end(), 0u);
     const std::size_t nm = masks.size();
     index.row_offsets.resize(num_leaves + 1);
     for (std::size_t i = 0; i <= num_leaves; ++i) {
@@ -823,6 +933,7 @@ void expand_fold_into(const LeafFold& fold, const ClusterEngineConfig& config,
 
   ExpandMetrics& metrics = expand_metrics();
   metrics.leaves.add(static_cast<std::uint64_t>(num_leaves));
+  metrics.row_groups.add(static_cast<std::uint64_t>(index.num_groups()));
   metrics.cells.add(static_cast<std::uint64_t>(table.clusters.size()));
 }
 

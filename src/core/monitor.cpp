@@ -227,7 +227,10 @@ constexpr char kCheckpointMagic[4] = {'V', 'Q', 'C', 'K'};
 /// Version 2 appended the epochs-observed count and the per-metric
 /// problem-streak registry to the payload (one-sided bump: version-1
 /// checkpoints are rejected, per the docs/wire_contracts.json recipe).
-constexpr std::uint32_t kCheckpointVersion = 2;
+/// Version 3 mixes the engine's max_arity into the config fingerprint; the
+/// payload is unchanged, but a version-2 fingerprint never covered the
+/// arity, so those checkpoints are rejected too.
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 [[nodiscard]] std::uint64_t fnv1a(std::string_view bytes) noexcept {
   std::uint64_t h = 14695981039346656037ULL;
@@ -294,6 +297,7 @@ std::uint64_t StreamingDetector::config_fingerprint(
   fnv_mix(h, std::bit_cast<std::uint64_t>(
                  config.cluster_params.ratio_multiplier));
   fnv_mix(h, config.cluster_params.min_sessions);
+  fnv_mix(h, static_cast<std::uint64_t>(config.engine.max_arity));
   fnv_mix(h, config.escalate_after);
   fnv_mix(h, static_cast<std::uint64_t>(config.order_policy));
   return h;

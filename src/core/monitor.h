@@ -75,8 +75,8 @@ struct MonitorConfig {
   /// Detector-side parallelism for the per-epoch lattice expansion and
   /// critical-cluster extraction (the pool/shards arguments of expand_fold
   /// and find_critical_clusters).  workers <= 1 runs serial.  Excluded from
-  /// the checkpoint fingerprint like the engine knobs: the parallel kernels
-  /// are bit-identical to the serial ones by construction, so any
+  /// the checkpoint fingerprint like the expansion kernel: the parallel
+  /// kernels are bit-identical to the serial ones by construction, so any
   /// workers x shards setting yields the same incident stream
   /// (differential-tested at {1,4} x {1,4}).
   std::uint32_t workers = 1;
@@ -84,8 +84,8 @@ struct MonitorConfig {
   /// Maintain the lattice across epochs with the incremental delta engine
   /// (src/core/incremental.h) instead of re-expanding every epoch.  The
   /// incident event stream is bit-identical either way (the engine's
-  /// differential contract), so — like the engine/worker knobs — this is
-  /// excluded from the checkpoint fingerprint and may change across a
+  /// differential contract), so — like the kernel and worker knobs — this
+  /// is excluded from the checkpoint fingerprint and may change across a
   /// save/restore.
   bool incremental = false;
 };
@@ -237,12 +237,12 @@ class StreamingDetector {
       VQ_EXCLUDES(mutex_);
 
   /// Fingerprint of the result-affecting config fields (thresholds, cluster
-  /// params, escalate_after, order policy). The engine config, the
-  /// incremental flag and the worker and shard counts are excluded: the
-  /// expansion kernel, the incremental lattice and any sharding give
-  /// bit-identical analyses (differential-tested), so they may differ
-  /// across a save/restore without changing the event stream.  The engine
-  /// config's max_arity is excluded too, although it does change results.
+  /// params, the engine's max_arity, escalate_after, order policy).  The
+  /// engine's expansion kernel, the incremental flag and the worker and
+  /// shard counts are excluded: the kernels, the incremental lattice and
+  /// any sharding give bit-identical analyses (differential-tested), so
+  /// they may differ across a save/restore without changing the event
+  /// stream.  max_arity bounds which clusters exist, so it is included.
   [[nodiscard]] static std::uint64_t config_fingerprint(
       const MonitorConfig& config) noexcept;
 

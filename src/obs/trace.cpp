@@ -37,9 +37,18 @@ TraceRecorder::ThreadBuffer& TraceRecorder::local_buffer() {
 void TraceRecorder::record(const char* name, std::uint32_t epoch,
                            std::uint32_t depth, std::uint64_t start_ns,
                            std::uint64_t dur_ns) {
+  static Counter& dropped =
+      Registry::global().counter("obs.spans_dropped", Determinism::kRuntime);
   ThreadBuffer& buf = local_buffer();
   const MutexLock lock{buf.mutex};
-  buf.events.push_back(Event{name, epoch, depth, start_ns, dur_ns});
+  const Event event{name, epoch, depth, start_ns, dur_ns};
+  if (buf.events.size() < kSpanCapacity) {
+    buf.events.push_back(event);
+    return;
+  }
+  buf.events[buf.next] = event;
+  buf.next = (buf.next + 1) % kSpanCapacity;
+  dropped.add(1);
 }
 
 void TraceRecorder::clear() {
@@ -47,6 +56,7 @@ void TraceRecorder::clear() {
   for (const auto& buf : buffers_) {
     const MutexLock buf_lock{buf->mutex};
     buf->events.clear();
+    buf->next = 0;
   }
 }
 

@@ -24,6 +24,13 @@
 // survive thread exit; clear() empties them without invalidating the
 // thread-local fast path.
 //
+// Each thread's buffer is a ring of kSpanCapacity spans, so a long-running
+// process (`monitor --serve --trace-out`) holds a bounded trace: once a
+// thread's ring is full, each new span overwrites that thread's oldest one
+// and counts in the kRuntime counter obs.spans_dropped.  The capacity sits
+// well above what a 336-epoch analyze or monitor run records on one thread,
+// so their traces are complete.
+//
 // Span names must be string literals (or otherwise outlive the recorder):
 // the buffer stores the pointer, not a copy — intentional, so the hot path
 // never allocates.
@@ -69,6 +76,9 @@ inline constexpr std::uint32_t kNoEpoch = 0xFFFF'FFFFu;
 /// any thread.
 class TraceRecorder {
  public:
+  /// Spans each thread keeps; older ones are overwritten (see above).
+  static constexpr std::size_t kSpanCapacity = std::size_t{1} << 20;
+
   [[nodiscard]] static TraceRecorder& global();
 
   /// One exported interval (events() resolves thread buffers and sorts).
@@ -81,7 +91,8 @@ class TraceRecorder {
     std::uint64_t dur_ns = 0;
   };
 
-  /// Appends one interval to the calling thread's buffer.  `name` must
+  /// Appends one interval to the calling thread's buffer, overwriting its
+  /// oldest interval when the buffer holds kSpanCapacity.  `name` must
   /// point at storage that outlives the recorder (a string literal).
   void record(const char* name, std::uint32_t epoch, std::uint32_t depth,
               std::uint64_t start_ns, std::uint64_t dur_ns)
@@ -117,7 +128,9 @@ class TraceRecorder {
     explicit ThreadBuffer(std::uint32_t id) : tid(id) {}
     const std::uint32_t tid;
     Mutex mutex;
+    /// Grows to kSpanCapacity, then is a ring whose oldest slot is `next`.
     std::vector<Event> events VQ_GUARDED_BY(mutex);
+    std::size_t next VQ_GUARDED_BY(mutex) = 0;
   };
 
   [[nodiscard]] ThreadBuffer& local_buffer() VQ_EXCLUDES(mutex_);

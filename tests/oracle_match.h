@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <cfloat>
 #include <cstdint>
+#include <map>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,6 +77,70 @@ inline void expect_cells_match(const EpochClusterTable& table,
                     it->second.sessions >= table.floor &&
                     table.clusters.id_of(raw) == id;
     mismatched += ok ? 0 : 1;
+  }
+  EXPECT_EQ(mismatched, 0u);
+}
+
+/// The leaf index's row-group shape: one group number per leaf, groups
+/// numbered in the order their first leaf appears (so each has a leaf),
+/// and row bounds per group that are monotone and end at cell_rows.size().
+inline void expect_row_group_shape(const LeafCellIndex& index) {
+  ASSERT_EQ(index.leaf_group.size(), index.num_leaves());
+  ASSERT_FALSE(index.row_offsets.empty());
+  EXPECT_EQ(index.row_offsets.front(), 0u);
+  EXPECT_EQ(index.row_offsets.back(), index.cell_rows.size());
+  EXPECT_TRUE(
+      std::is_sorted(index.row_offsets.begin(), index.row_offsets.end()));
+  std::size_t next = 0;  // the number the next new group must carry
+  std::size_t misnumbered = 0;
+  for (const std::uint32_t g : index.leaf_group) {
+    if (g == next) ++next;
+    misnumbered += g < next ? 0 : 1;
+  }
+  EXPECT_EQ(misnumbered, 0u);
+  EXPECT_EQ(next, index.num_groups());
+}
+
+/// The leaf index against the sessions: the row-group shape, one leaf per
+/// distinct attribute tuple with its counts, and each leaf's row naming, in
+/// ascending subset order, the leaf's clusters with sessions >= table.floor.
+inline void expect_rows_match(const EpochClusterTable& table,
+                              std::span<const Session> sessions,
+                              const oracle::Lattice& lattice, int max_arity) {
+  const LeafCellIndex& index = table.leaf_index;
+  const std::map<oracle::Tuple, oracle::Counts> leaves =
+      oracle::count_clusters(sessions, ProblemThresholds{},
+                             oracle::kAllAttributes);
+  ASSERT_EQ(index.num_leaves(), leaves.size());
+  expect_row_group_shape(index);
+  const std::vector<oracle::Subset> subsets =
+      oracle::cluster_subsets(max_arity);
+  EXPECT_EQ(std::vector<oracle::Subset>(index.masks.begin(),
+                                        index.masks.end()),
+            subsets);
+  std::set<oracle::Tuple> seen;
+  std::size_t mismatched = 0;
+  for (std::size_t i = 0; i < index.num_leaves(); ++i) {
+    const oracle::Cluster leaf = decode(index.leaf_keys[i]);
+    const auto it = leaves.find(leaf.values);
+    if (leaf.subset != oracle::kAllAttributes || it == leaves.end() ||
+        !(it->second == counts(index.leaf_stats[i])) ||
+        !seen.insert(leaf.values).second) {
+      ++mismatched;
+      continue;
+    }
+    std::vector<oracle::Cluster> want;
+    for (const oracle::Subset s : subsets) {
+      const oracle::Tuple values = oracle::values_over(leaf.values, s);
+      if (lattice.clusters[s].at(values).sessions >= table.floor) {
+        want.push_back({s, values});
+      }
+    }
+    std::vector<oracle::Cluster> got;
+    for (const std::uint32_t id : index.row(i)) {
+      got.push_back(decode(table.clusters.key(id)));
+    }
+    mismatched += got == want ? 0 : 1;
   }
   EXPECT_EQ(mismatched, 0u);
 }

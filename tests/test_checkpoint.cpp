@@ -191,6 +191,18 @@ TEST(Checkpoint, RejectsCorruptContainers) {
   }
 }
 
+TEST(Checkpoint, RefusesVersionTwoCheckpoints) {
+  // Version 2 fingerprints did not cover max_arity, so a version-2
+  // checkpoint cannot show it was written at the same arity.
+  const MonitorConfig config = small_monitor();
+  StreamingDetector detector{config};
+  (void)detector.ingest(monitored_epoch(0, true), 0);
+  std::string v2 = checkpoint_bytes(detector);
+  ASSERT_EQ(v2[4], 3);
+  v2[4] = 2;
+  expect_load_throws(v2, config, "unsupported version");
+}
+
 TEST(Checkpoint, FailedLoadLeavesDetectorUnchanged) {
   const MonitorConfig config = small_monitor();
   StreamingDetector detector{config};
@@ -222,18 +234,26 @@ TEST(Checkpoint, ConfigFingerprintTracksResultAffectingFieldsOnly) {
   sessions.cluster_params.min_sessions = 51;
   MonitorConfig policy = base;
   policy.order_policy = EpochOrderPolicy::kSkipStale;
-  for (const MonitorConfig& changed : {delay, sessions, policy}) {
+  // max_arity bounds which clusters exist, so it changes results.
+  MonitorConfig arity = base;
+  arity.engine.max_arity = 3;
+  for (const MonitorConfig& changed : {delay, sessions, policy, arity}) {
     EXPECT_NE(StreamingDetector::config_fingerprint(base),
               StreamingDetector::config_fingerprint(changed));
   }
 
-  // The incremental engine and the shard count are differential-tested
-  // bit-identical, so they may legitimately change across a save/restore.
+  // The expansion kernel, the incremental engine and the worker and shard
+  // counts are differential-tested bit-identical, so they may legitimately
+  // change across a save/restore.
+  MonitorConfig kernel = base;
+  kernel.engine.expand_kernel = BatchKernel::kScalar;
+  MonitorConfig workers = base;
+  workers.workers = base.workers + 3;
   MonitorConfig incremental = base;
   incremental.incremental = !incremental.incremental;
   MonitorConfig shards = base;
   shards.shards = base.shards + 3;
-  for (const MonitorConfig& same : {incremental, shards}) {
+  for (const MonitorConfig& same : {kernel, workers, incremental, shards}) {
     EXPECT_EQ(StreamingDetector::config_fingerprint(base),
               StreamingDetector::config_fingerprint(same));
   }

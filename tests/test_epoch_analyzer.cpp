@@ -89,6 +89,7 @@ void expect_same_table(const EpochClusterTable& want,
   EXPECT_EQ(want.leaf_index.masks, got.leaf_index.masks);
   EXPECT_EQ(want.leaf_index.leaf_keys, got.leaf_index.leaf_keys);
   EXPECT_EQ(want.leaf_index.leaf_stats, got.leaf_index.leaf_stats);
+  EXPECT_EQ(want.leaf_index.leaf_group, got.leaf_index.leaf_group);
   EXPECT_EQ(want.leaf_index.row_offsets, got.leaf_index.row_offsets);
   EXPECT_EQ(want.leaf_index.cell_rows, got.leaf_index.cell_rows);
 }

@@ -76,6 +76,7 @@ void expect_tables_elementwise_equal(const EpochClusterTable& expected,
   EXPECT_EQ(expected.leaf_index.masks, actual.leaf_index.masks);
   EXPECT_EQ(expected.leaf_index.leaf_keys, actual.leaf_index.leaf_keys);
   EXPECT_EQ(expected.leaf_index.leaf_stats, actual.leaf_index.leaf_stats);
+  EXPECT_EQ(expected.leaf_index.leaf_group, actual.leaf_index.leaf_group);
   EXPECT_EQ(expected.leaf_index.cell_rows, actual.leaf_index.cell_rows);
 }
 

@@ -230,6 +230,34 @@ TEST(ObsSpan, ClearEmptiesButKeepsRecording) {
   EXPECT_EQ(obs::TraceRecorder::global().size(), 1u);
 }
 
+TEST(ObsSpan, FullRingOverwritesTheOldestSpans) {
+  // One thread records capacity + k spans: it keeps the newest capacity of
+  // them and counts the k it overwrote.
+  const EnabledScope scope;
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  recorder.clear();
+  obs::Counter& dropped = obs::Registry::global().counter(
+      "obs.spans_dropped", obs::Determinism::kRuntime);
+  const std::uint64_t before = dropped.value();
+  constexpr std::uint64_t kCapacity = obs::TraceRecorder::kSpanCapacity;
+  constexpr std::uint64_t kOver = 5;
+  for (std::uint64_t i = 0; i < kCapacity + kOver; ++i) {
+    recorder.record("obs_test.ring", obs::kNoEpoch, 0, /*start_ns=*/i, 1);
+  }
+  EXPECT_EQ(recorder.size(), kCapacity);
+  EXPECT_EQ(dropped.value() - before, kOver);
+  const auto events = recorder.events();
+  ASSERT_EQ(events.size(), kCapacity);
+  std::size_t misplaced = 0;
+  for (std::uint64_t i = 0; i < kCapacity; ++i) {
+    misplaced += events[i].start_ns == kOver + i ? 0 : 1;
+  }
+  EXPECT_EQ(misplaced, 0u);
+  // The dropped count is runtime-only: --stats-out never shows it.
+  EXPECT_EQ(obs::Registry::global().snapshot_json().find("obs.spans_dropped"),
+            std::string::npos);
+}
+
 // --- chrome-trace export -----------------------------------------------------
 
 /// Minimal JSON well-formedness check: brackets/braces balance outside

@@ -204,53 +204,9 @@ const std::vector<World>& worlds() {
 using test::counts;
 using test::decode;
 using test::expect_analysis_matches;
+using test::expect_rows_match;
 using test::Found;
 using test::mass_bound;
-
-/// The leaf index against the sessions: one leaf per distinct attribute
-/// tuple with its counts, and each row naming, in ascending subset order,
-/// the leaf's clusters with sessions >= table.floor.
-void expect_rows_match(const EpochClusterTable& table,
-                       std::span<const Session> sessions,
-                       const oracle::EpochAnalysis& o, int max_arity) {
-  const LeafCellIndex& index = table.leaf_index;
-  const std::map<oracle::Tuple, oracle::Counts> leaves =
-      oracle::count_clusters(sessions, ProblemThresholds{},
-                             oracle::kAllAttributes);
-  ASSERT_EQ(index.num_leaves(), leaves.size());
-  ASSERT_EQ(index.row_offsets.size(), leaves.size() + 1);
-  EXPECT_EQ(index.row_offsets.back(), index.cell_rows.size());
-  const std::vector<oracle::Subset> subsets =
-      oracle::cluster_subsets(max_arity);
-  EXPECT_EQ(std::vector<oracle::Subset>(index.masks.begin(),
-                                        index.masks.end()),
-            subsets);
-  std::set<oracle::Tuple> seen;
-  std::size_t mismatched = 0;
-  for (std::size_t i = 0; i < index.num_leaves(); ++i) {
-    const oracle::Cluster leaf = decode(index.leaf_keys[i]);
-    const auto it = leaves.find(leaf.values);
-    if (leaf.subset != oracle::kAllAttributes || it == leaves.end() ||
-        !(it->second == counts(index.leaf_stats[i])) ||
-        !seen.insert(leaf.values).second) {
-      ++mismatched;
-      continue;
-    }
-    std::vector<oracle::Cluster> want;
-    for (const oracle::Subset s : subsets) {
-      const oracle::Tuple values = oracle::values_over(leaf.values, s);
-      if (o.lattice.clusters[s].at(values).sessions >= table.floor) {
-        want.push_back({s, values});
-      }
-    }
-    std::vector<oracle::Cluster> got;
-    for (const std::uint32_t id : index.row(i)) {
-      got.push_back(decode(table.clusters.key(id)));
-    }
-    mismatched += got == want ? 0 : 1;
-  }
-  EXPECT_EQ(mismatched, 0u);
-}
 
 /// StreamingDetector's open incidents for `metric` against the oracle's
 /// critical clusters of the epoch just ingested.
@@ -367,7 +323,7 @@ TEST_P(OracleDifferential, EveryEntryPointMatchesTheOracle) {
           expand_fold(fold, engine, p, shards, floor);
       EXPECT_EQ(table.floor, floor > 1 ? floor : 0u);
       test::expect_cells_match(table, want[e].lattice);
-      expect_rows_match(table, sessions, want[e], arity);
+      expect_rows_match(table, sessions, want[e].lattice, arity);
 
       const std::array<CriticalAnalysis, kNumMetrics> all =
           find_critical_clusters(fold, table, params, p, shards);

@@ -138,16 +138,15 @@ std::size_t expect_pruned_matches_full(const LeafFold& fold,
 
   // Rows: each pruned row is the full row's cells with sessions >= floor,
   // as pruned ids, in the full row's ascending mask order; the bounds are
-  // monotone, end at cell_rows.size(), and no slot is kNoCell.
+  // monotone per row group, end at cell_rows.size(), and no slot is
+  // kNoCell.  The full lattice has one row per leaf.
   const LeafCellIndex& fi = full.leaf_index;
   const LeafCellIndex& pi = pruned.leaf_index;
   EXPECT_EQ(pi.masks, fi.masks);
   EXPECT_EQ(pi.leaf_keys, fi.leaf_keys);
   EXPECT_EQ(pi.leaf_stats, fi.leaf_stats);
-  EXPECT_EQ(pi.row_offsets.size(), pi.num_leaves() + 1);
-  EXPECT_EQ(pi.row_offsets.front(), 0u);
-  EXPECT_EQ(pi.row_offsets.back(), pi.cell_rows.size());
-  EXPECT_TRUE(std::is_sorted(pi.row_offsets.begin(), pi.row_offsets.end()));
+  EXPECT_EQ(fi.num_groups(), fi.num_leaves());
+  test::expect_row_group_shape(pi);
   EXPECT_EQ(std::count(pi.cell_rows.begin(), pi.cell_rows.end(),
                        CellStore::kNoCell),
             0);
@@ -282,8 +281,10 @@ TEST(PrunedLattice, NoCellReachesTheFloor) {
   EXPECT_TRUE(pruned.clusters.empty());
   EXPECT_EQ(pruned.leaf_index.num_leaves(), fold.leaves.size());
   EXPECT_TRUE(pruned.leaf_index.cell_rows.empty());
-  EXPECT_EQ(pruned.leaf_index.row_offsets,
-            std::vector<std::size_t>(fold.leaves.size() + 1, 0));
+  // No attribute value reaches the floor, so every leaf is in one group.
+  EXPECT_EQ(pruned.leaf_index.row_offsets, (std::vector<std::size_t>{0, 0}));
+  EXPECT_EQ(pruned.leaf_index.leaf_group,
+            std::vector<std::uint32_t>(fold.leaves.size(), 0));
   expect_pruned_matches_full(fold, full, pruned, 1000, nullptr, 1);
 }
 
