@@ -44,15 +44,10 @@ double time_reps(std::size_t reps, F&& body) {
   return std::chrono::duration<double>(stop - start).count();
 }
 
-/// Exact equality of two leaf folds (root + every leaf cell).
+/// Exact equality of two leaf folds: root, and the canonical leaf arrays
+/// element by element.
 bool folds_identical(const vq::LeafFold& a, const vq::LeafFold& b) {
-  if (!(a.root == b.root) || a.leaves.size() != b.leaves.size()) return false;
-  bool same = true;
-  a.leaves.for_each([&](std::uint64_t raw, const vq::ClusterStats& stats) {
-    const vq::ClusterStats* other = b.leaves.find(raw);
-    if (other == nullptr || !(stats == *other)) same = false;
-  });
-  return same;
+  return a.root == b.root && a.leaves == b.leaves;
 }
 
 }  // namespace

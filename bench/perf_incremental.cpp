@@ -30,6 +30,7 @@
 // aggregates every epoch degrades the advantage toward the
 // expansion-only savings (~1.5x); this harness measures the design point.
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -105,15 +106,20 @@ vq::LeafFold make_fold(std::uint32_t epoch, std::uint32_t active,
   const std::uint32_t groups = churn == 0 ? 1 : active / churn;
   vq::LeafFold fold;
   fold.epoch = epoch;
-  fold.leaves.reserve(static_cast<std::size_t>(active) * 2);
+  fold.leaves.reserve(active);
   for (std::uint32_t i = 0; i < active; ++i) {
     const std::uint32_t g = churn == 0 ? 0 : i / churn;
     const std::uint32_t flips =
         churn != 0 && epoch > g ? (epoch - g - 1) / groups + 1 : 0;
     const vq::ClusterStats s = leaf_stats(i);
-    fold.leaves[leaf_key(i, flips % 2, active).raw()] += s;
+    fold.leaves.push_back({leaf_key(i, flips % 2, active).raw(), s});
     fold.root += s;
   }
+  // Canonical order; the cohorts' keys are distinct (see kAsnMod).
+  std::sort(fold.leaves.begin(), fold.leaves.end(),
+            [](const vq::FoldLeaf& a, const vq::FoldLeaf& b) {
+              return a.key < b.key;
+            });
   return fold;
 }
 

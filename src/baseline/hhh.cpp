@@ -255,37 +255,36 @@ LeafFold SketchAdmission::fold(const SessionColumns& columns,
   // went quiet cannot squat on a slot.
   heavy_.clear();
   counts_.clear();
-  LeafFold fold;
-  fold.epoch = epoch;
+  ClusterStats root;
   const std::uint64_t evictions_before = heavy_.evictions();
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint8_t b = bits_[i];
-    fold.root.sessions += 1;
+    root.sessions += 1;
     for (int m = 0; m < kNumMetrics; ++m) {
-      fold.root.problems[m] += (b >> m) & 1u;
+      root.problems[m] += (b >> m) & 1u;
     }
     heavy_.offer(keys_[i]);
     counts_.add(keys_[i]);
   }
 
-  // Pass 2: fold only the admitted leaves, in stream order, so each
-  // admitted leaf's stats are exactly what the unbounded fold would hold.
+  // Pass 2: fold only the admitted sessions, through the exact fold's
+  // kernel, so each admitted leaf's stats are exactly what the unbounded
+  // fold would hold.
   FlatSet64 admitted{heavy_.size() * 2};
   for (const SpaceSavingEntry& entry : heavy_.entries()) {
     admitted.insert(entry.key);
   }
-  fold.leaves.reserve(admitted.size() * 2);
-  std::uint64_t admitted_sessions = 0;
+  LeafFold fold;
+  fold.reset(epoch);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!admitted.contains(keys_[i])) continue;
-    ClusterStats& leaf = fold.leaves[keys_[i]];
-    const std::uint8_t b = bits_[i];
-    leaf.sessions += 1;
-    for (int m = 0; m < kNumMetrics; ++m) {
-      leaf.problems[m] += (b >> m) & 1u;
+    if (admitted.contains(keys_[i])) {
+      fold.codes.push_back(fold_code(keys_[i], bits_[i]));
     }
-    ++admitted_sessions;
   }
+  const std::uint64_t admitted_sessions = fold.codes.size();
+  fold_codes(fold);
+  fold.release_scratch();
+  fold.root = root;
 
   const std::uint64_t evicted = heavy_.evictions() - evictions_before;
   report_.epochs += 1;

@@ -8,8 +8,8 @@
 //
 // We pack one cluster into a single uint64_t: a 7-bit presence mask plus a
 // fixed-width value field per dimension.  Packing makes lattice aggregation
-// (127 cells per session) a stream of integer ops + one hash-map bump, and
-// makes parent/child lattice walks plain bit arithmetic.
+// (127 cells per session) a stream of integer ops, and makes parent/child
+// lattice walks plain bit arithmetic.
 
 #pragma once
 
@@ -71,7 +71,8 @@ struct AttrVec {
 ///
 /// Layout (LSB first): [mask:7][site:12][cdn:6][asn:16][conn:4][player:4]
 /// [browser:4][vod:2] = 55 bits. Bit 63 is never set, so the FlatMap64
-/// sentinel (all ones) can never collide with a valid key.
+/// sentinel (all ones) can never collide with a valid key.  The leaf fold
+/// (cluster_engine.h, fold_code) relies on the mask being bits 0-6.
 class ClusterKey {
  public:
   ClusterKey() = default;

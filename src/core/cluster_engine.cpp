@@ -1,7 +1,9 @@
 #include "src/core/cluster_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
@@ -83,27 +85,161 @@ std::vector<std::uint8_t> lattice_masks(int max_arity) {
   return masks;
 }
 
+namespace {
+
+/// The fold's radix digits: the leaf key's 48 value-field bits above the
+/// seven mask bits, eight at a time, least significant first.  The problem
+/// bits a fold code keeps below them are never sorted on, because the codes
+/// of one leaf need no order among themselves.
+constexpr int kLeafKeyBits =
+    kNumDims + std::accumulate(kDimBits.begin(), kDimBits.end(), 0);
+constexpr std::array<int, 6> kCodeShifts = {7, 15, 23, 31, 39, 47};
+static_assert(kCodeShifts.front() == kNumDims &&
+              kCodeShifts.back() + 8 >= kLeafKeyBits);
+
+/// Stable LSD radix sort of codes[0, n) by their leaf key bits, through
+/// `scratch` (n entries).  One read pass gathers every digit's histogram,
+/// and a digit that is constant across the codes is skipped, as
+/// radix_sort_pairs skips one.  Returns the buffer holding the sorted
+/// codes.
+// vq:hot
+const std::uint64_t* sort_codes(std::uint64_t* codes, std::uint64_t* scratch,
+                                std::size_t n) noexcept {
+  if (n < 2) return codes;
+  std::array<std::array<std::uint32_t, 256>, kCodeShifts.size()> hist{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t c = codes[i];
+    for (std::size_t d = 0; d < kCodeShifts.size(); ++d) {
+      ++hist[d][(c >> kCodeShifts[d]) & 0xFFu];
+    }
+  }
+  std::uint64_t* src = codes;
+  std::uint64_t* dst = scratch;
+  for (std::size_t d = 0; d < kCodeShifts.size(); ++d) {
+    std::array<std::uint32_t, 256>& h = hist[d];
+    const int shift = kCodeShifts[d];
+    if (h[(src[0] >> shift) & 0xFFu] == n) continue;
+    std::uint32_t sum = 0;
+    for (std::uint32_t& bucket : h) {
+      const std::uint32_t count = bucket;
+      bucket = sum;
+      sum += count;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t c = src[i];
+      dst[h[(c >> shift) & 0xFFu]++] = c;
+    }
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+/// Distinct leaves among sorted fold codes: codes of one leaf differ only
+/// in the mask bits.
+// vq:hot
+std::size_t count_leaves(const std::uint64_t* sorted, std::size_t n) noexcept {
+  std::size_t leaves = n == 0 ? 0 : 1;
+  for (std::size_t i = 1; i < n; ++i) {
+    leaves += (sorted[i] ^ sorted[i - 1]) > kFullMask ? 1 : 0;
+  }
+  return leaves;
+}
+
+static_assert(kNumMetrics == 4, "write_leaves counts four problem bits");
+
+/// A fold code's four problem bits spread over two u64s of two 32-bit
+/// counter lanes each: metrics 0 and 1 in kProblemLanes[0][bits], metrics
+/// 2 and 3 in kProblemLanes[1][bits], the lower metric in the low lane.
+constexpr std::array<std::array<std::uint64_t, 16>, 2> kProblemLanes = [] {
+  std::array<std::array<std::uint64_t, 16>, 2> lanes{};
+  for (std::uint64_t bits = 0; bits < 16; ++bits) {
+    for (std::size_t half = 0; half < 2; ++half) {
+      lanes[half][bits] = ((bits >> (2 * half)) & 1u) |
+                          (((bits >> (2 * half + 1)) & 1u) << 32);
+    }
+  }
+  return lanes;
+}();
+
+/// Writes one leaf per run of sorted fold codes to `out` (count_leaves
+/// entries) and returns the codes' sum.  Branch-free: the open run's
+/// counters live in registers and are stored on every code, so the run's
+/// last code leaves its totals, and a code that starts a new leaf moves the
+/// output one entry on and clears the counters.  fold_codes caps n below
+/// 2^32, so no 32-bit lane overflows.
+// vq:hot
+ClusterStats write_leaves(const std::uint64_t* sorted, std::size_t n,
+                          FoldLeaf* out) noexcept {
+  std::uint64_t run_lo = 0;  // the open run's problems, metrics 0 and 1
+  std::uint64_t run_hi = 0;  // metrics 2 and 3
+  std::uint64_t all_lo = 0;  // every code's problems
+  std::uint64_t all_hi = 0;
+  std::size_t start = 0;  // the open run's first code
+  FoldLeaf* leaf = out;
+  std::uint64_t prev = n == 0 ? 0 : sorted[0];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t c = sorted[i];
+    const std::uint64_t starts = (c ^ prev) > kFullMask ? 1 : 0;
+    const std::uint64_t keep = starts - 1;  // all ones within a run
+    prev = c;
+    leaf += starts;
+    start = (start & keep) | (i & ~keep);
+    const std::uint64_t lo = kProblemLanes[0][c & 15u];
+    const std::uint64_t hi = kProblemLanes[1][c & 15u];
+    run_lo = (run_lo & keep) + lo;
+    run_hi = (run_hi & keep) + hi;
+    all_lo += lo;
+    all_hi += hi;
+    leaf->key = c | kFullMask;
+    leaf->stats.sessions = static_cast<std::uint32_t>(i + 1 - start);
+    leaf->stats.problems = {static_cast<std::uint32_t>(run_lo),
+                            static_cast<std::uint32_t>(run_lo >> 32),
+                            static_cast<std::uint32_t>(run_hi),
+                            static_cast<std::uint32_t>(run_hi >> 32)};
+  }
+  return ClusterStats{static_cast<std::uint32_t>(n),
+                      {static_cast<std::uint32_t>(all_lo),
+                       static_cast<std::uint32_t>(all_lo >> 32),
+                       static_cast<std::uint32_t>(all_hi),
+                       static_cast<std::uint32_t>(all_hi >> 32)}};
+}
+
+}  // namespace
+
+void fold_codes(LeafFold& fold) {
+  const std::size_t n = fold.codes.size();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error{"fold_codes: more sessions than a leaf counts"};
+  }
+  if (fold.code_scratch.size() < n) fold.code_scratch.resize(n);
+  const std::uint64_t* sorted =
+      sort_codes(fold.codes.data(), fold.code_scratch.data(), n);
+  // Grown geometrically: resized to each new high of a stream's leaf
+  // count, the array would move at every diurnal climb and leave behind
+  // freed blocks too small for the next, which only grows the heap.
+  const std::size_t leaves = count_leaves(sorted, n);
+  if (leaves > fold.leaves.capacity()) {
+    fold.leaves.reserve(std::max(leaves, 2 * fold.leaves.capacity()));
+  }
+  fold.leaves.resize(leaves);
+  fold.root = write_leaves(sorted, n, fold.leaves.data());
+}
+
 void fold_sessions_into(std::span<const Session> sessions,
                         const ProblemThresholds& thresholds,
                         std::uint32_t epoch, LeafFold& fold) {
   fold.reset(epoch);
-  fold.leaves.reserve(sessions.size() / 4 + 16);
+  fold.codes.resize(sessions.size());
+  std::uint64_t* code = fold.codes.data();
   for (const Session& s : sessions) {
     if (s.epoch != epoch) {
       throw std::invalid_argument{
           "aggregate_epoch: session epoch mismatch"};
     }
-    const std::uint8_t bits = thresholds.problem_bits(s.quality);
-    ClusterStats& leaf =
-        fold.leaves[ClusterKey::pack(kFullMask, s.attrs).raw()];
-    fold.root.sessions += 1;
-    leaf.sessions += 1;
-    for (int m = 0; m < kNumMetrics; ++m) {
-      const std::uint32_t bit = (bits >> m) & 1u;
-      fold.root.problems[m] += bit;
-      leaf.problems[m] += bit;
-    }
+    *code++ = fold_code(ClusterKey::pack(kFullMask, s.attrs).raw(),
+                        thresholds.problem_bits(s.quality));
   }
+  fold_codes(fold);
 }
 
 LeafFold fold_sessions(std::span<const Session> sessions,
@@ -111,6 +247,7 @@ LeafFold fold_sessions(std::span<const Session> sessions,
                        std::uint32_t epoch) {
   LeafFold fold;
   fold_sessions_into(sessions, thresholds, epoch, fold);
+  fold.release_scratch();
   return fold;
 }
 
@@ -840,13 +977,6 @@ void expand_fold_pruned(std::span<const std::uint64_t> row_keys,
 }  // namespace
 
 struct ExpandWorkspace::Buffers {
-  // Leaf sort.
-  std::vector<std::uint64_t> sort_keys;
-  std::vector<std::uint32_t> sort_slots;
-  std::vector<ClusterStats> gathered;
-  std::vector<std::uint64_t> key_scratch;
-  std::vector<std::uint32_t> slot_scratch;
-  // Engines.
   CubeBuffers cube;
   std::vector<MaskCells> mask_cells;
   ExpandScratch mask_scratch;
@@ -857,31 +987,25 @@ ExpandWorkspace::~ExpandWorkspace() = default;
 
 namespace {
 
-/// Canonical leaf order: ascending raw key, by a radix sort of (key, slot)
-/// pairs gathered from the fold's hash table.  Leaves `keys`/`stats` in
-/// that order.
-void sort_leaves(const LeafFold& fold, ExpandWorkspace::Buffers& b,
-                 std::vector<std::uint64_t>& keys,
-                 std::vector<ClusterStats>& stats) {
-  b.sort_keys.clear();
-  b.gathered.clear();
-  // Gathered in hash order, then radix-sorted by key just below.
-  // vq-lint: allow(unordered-iter)
-  fold.leaves.for_each([&](std::uint64_t raw, const ClusterStats& s) {
-    b.sort_keys.push_back(raw);
-    b.gathered.push_back(s);
-  });
-  const std::size_t n = b.sort_keys.size();
-  b.sort_slots.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) b.sort_slots[i] = i;
-  // Leaf keys are distinct, so any sort gives the same order; the radix
-  // traffic is not counted in expand.radix_bytes, which measures the
-  // lattice grouping alone.
-  (void)radix_sort_pairs(b.sort_keys, b.sort_slots, radix_plan(kFullMask),
-                         b.key_scratch, b.slot_scratch);
-  keys.swap(b.sort_keys);
-  stats.resize(n);
-  for (std::size_t i = 0; i < n; ++i) stats[i] = b.gathered[b.sort_slots[i]];
+/// Copies the fold's leaves into the index's key and stats arrays, checking
+/// that they are canonical (cluster_engine.h, LeafFold).
+void take_leaves(const LeafFold& fold, LeafCellIndex& index) {
+  const std::size_t n = fold.leaves.size();
+  index.leaf_keys.resize(n);
+  index.leaf_stats.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const FoldLeaf& leaf = fold.leaves[i];
+    if ((leaf.key & kFullMask) != kFullMask) {
+      throw std::invalid_argument{
+          "expand_fold: fold leaf key is not full-arity"};
+    }
+    if (i > 0 && leaf.key <= index.leaf_keys[i - 1]) {
+      throw std::invalid_argument{
+          "expand_fold: fold leaf keys do not strictly ascend"};
+    }
+    index.leaf_keys[i] = leaf.key;
+    index.leaf_stats[i] = leaf.stats;
+  }
 }
 
 }  // namespace
@@ -900,12 +1024,11 @@ void expand_fold_into(const LeafFold& fold, const ClusterEngineConfig& config,
   table.root = fold.root;
   table.floor = prune ? floor : 0;
 
-  // Canonical leaf order: ascending raw key.  This fixes the dense-id
-  // assignment and the iteration order of every downstream per-leaf sweep,
-  // independent of hash-table layout and shard count.  Both engines
-  // consume the contiguous key/stat arrays, which stay on the table as the
-  // index.
-  sort_leaves(fold, b, index.leaf_keys, index.leaf_stats);
+  // Canonical leaf order, ascending raw key, as the fold delivers it.  It
+  // fixes the dense-id assignment and the iteration order of every
+  // downstream per-leaf sweep at any shard count.  Both engines consume
+  // the contiguous key/stat arrays, which stay on the table as the index.
+  take_leaves(fold, index);
   const std::size_t num_leaves = index.leaf_keys.size();
 
   if (prune) {

@@ -11,10 +11,19 @@
 // floor has no descendant at or above it (see "pruned" below).
 //
 // Aggregation runs in two passes.  Pass 1 (fold_sessions) folds sessions
-// onto their distinct full-arity leaves, one hash bump per session.  Pass 2
-// (expand_fold) expands each *distinct* leaf across its projections, adding
-// the leaf's whole counter block per cell, so the expensive part shrinks by
-// the sessions-per-leaf ratio.
+// onto their distinct full-arity leaves.  Pass 2 (expand_fold) expands each
+// *distinct* leaf across its projections, adding the leaf's whole counter
+// block per cell, so the expensive part shrinks by the sessions-per-leaf
+// ratio.
+//
+// Pass 1 is a radix fold with no hash table.  Each session becomes one u64
+// fold code (fold_code): its full-arity leaf key with the session's four
+// problem bits in the seven mask bits, which every leaf key sets to
+// kFullMask.  The kernel (fold_codes) sorts the codes by an LSD radix over
+// the key digits that vary and writes each run of one leaf's codes as one
+// leaf, so the leaves come out in the canonical order — ascending raw key
+// — with no leaf sort after them.  The row fold, the columnar fold
+// (columns.h) and the sketch admission tier (baseline/hhh.h) all end in it.
 //
 // Pass 2 builds one of two lattices, with the same cell content wherever
 // both hold a cell:
@@ -65,11 +74,11 @@
 // above the floor (19.7 of 127 on the paper world), so no row slot ever
 // names an absent cell, and leaves of one row group share one row.
 //
-// The canonical leaf order (ascending raw key) comes from an LSD radix
-// sort of (key, slot) pairs (expand_kernels.h).  expand_fold_into rebuilds
-// a caller's table in place and draws every scratch buffer from an
-// ExpandWorkspace; EpochAnalyzer (epoch_analyzer.h) keeps both across
-// epochs, so a stream of epochs allocates its large buffers once.
+// expand_fold takes the fold's leaves in their canonical order as they are.
+// expand_fold_into rebuilds a caller's table in place and draws every
+// scratch buffer from an ExpandWorkspace; EpochAnalyzer (epoch_analyzer.h)
+// keeps both across epochs, so a stream of epochs allocates its large
+// buffers once.
 
 #pragma once
 
@@ -292,25 +301,68 @@ struct EpochClusterTable {
   [[nodiscard]] ClusterStats stats(const ClusterKey& key) const noexcept;
 };
 
+/// One distinct leaf of a LeafFold: its full-arity key and the combined
+/// counters of the sessions on it.
+struct FoldLeaf {
+  std::uint64_t key = 0;
+  ClusterStats stats;
+
+  friend bool operator==(const FoldLeaf&, const FoldLeaf&) = default;
+};
+
 /// Pass-1 output: sessions folded onto their distinct full-arity leaves.
-/// `leaves` maps ClusterKey::pack(kFullMask, attrs).raw() to the combined
-/// counters of every session sharing that leaf; `root` is their sum.
+/// `leaves` is canonical: one entry per distinct leaf key
+/// ClusterKey::pack(kFullMask, attrs).raw(), in ascending key order, with
+/// the combined counters of every session on that leaf.  `root` holds the
+/// epoch's global counters, which is the leaves' sum except under a fold
+/// provider that admits only some leaves (PipelineConfig::fold_provider).
+/// expand_fold throws std::invalid_argument on a fold that is not
+/// canonical.
 struct LeafFold {
   std::uint32_t epoch = 0;
   ClusterStats root;
-  FlatMap64<ClusterStats> leaves;
+  std::vector<FoldLeaf> leaves;
+  /// Scratch of fold_codes, not part of the fold: one fold_code per session
+  /// and the radix sort's second buffer.  A fold refilled every epoch keeps
+  /// their capacity.
+  std::vector<std::uint64_t> codes;
+  std::vector<std::uint64_t> code_scratch;
 
-  /// Empties the fold for `e`, keeping the leaf table's capacity (the
-  /// streaming consumers refill one fold per epoch).
+  /// Empties the fold for `e`, keeping its buffers' capacity (the
+  /// streaming consumers refill one fold per epoch).  The scratch keeps its
+  /// contents; a fold call sizes `codes` before it writes them.
   void reset(std::uint32_t e) noexcept {
     epoch = e;
     root = {};
     leaves.clear();
   }
+
+  /// Frees the scratch, for a fold kept past its fold call.
+  void release_scratch() noexcept {
+    std::vector<std::uint64_t>().swap(codes);
+    std::vector<std::uint64_t>().swap(code_scratch);
+  }
 };
 
-/// Folds one epoch's sessions into their distinct leaves (one hash op per
-/// session). All sessions must carry the same epoch id as `epoch`.
+/// A session's fold code: its full-arity leaf key with the session's
+/// problem bits (ProblemThresholds::problem_bits) in the seven mask bits.
+/// Every leaf key sets those bits to kFullMask, so they carry no
+/// information, and `code | kFullMask` is the leaf key again.
+[[nodiscard]] constexpr std::uint64_t fold_code(
+    std::uint64_t leaf_key, std::uint8_t problem_bits) noexcept {
+  return (leaf_key & ~std::uint64_t{kFullMask}) | problem_bits;
+}
+
+/// The kernel every fold ends in (see the file comment): folds
+/// `fold.codes`, one fold_code per session in any order, into canonical
+/// `fold.leaves` and sets `fold.root` to their sum.  Leaves fold.codes
+/// permuted.  Throws std::length_error on 2^32 or more codes, which no
+/// leaf's 32-bit counters could hold.
+void fold_codes(LeafFold& fold);
+
+/// Folds one epoch's sessions into their distinct leaves.  All sessions
+/// must carry the same epoch id as `epoch`.  The returned fold holds no
+/// scratch.
 [[nodiscard]] LeafFold fold_sessions(std::span<const Session> sessions,
                                      const ProblemThresholds& thresholds,
                                      std::uint32_t epoch);
@@ -320,14 +372,14 @@ void fold_sessions_into(std::span<const Session> sessions,
                         const ProblemThresholds& thresholds,
                         std::uint32_t epoch, LeafFold& fold);
 
-/// Scratch buffers of expand_fold_into: the leaf sort's key/slot arrays and
-/// radix double buffers, the pruned engine's row groups (per-value session
-/// totals, reduced keys, the group map and the groups' keys and stats),
-/// per-depth group buffers, per-value tallies and member lists, and the
-/// mask-major engine's per-mask cells.  Keeping one across epochs (EpochAnalyzer does) keeps those
-/// buffers' pages mapped: freed and re-requested every epoch, a buffer
-/// above glibc's dynamic mmap threshold, or one freed at the heap top past
-/// its trim threshold, comes back as fresh zero pages that fault in again.
+/// Scratch buffers of expand_fold_into: the pruned engine's row groups
+/// (per-value session totals, reduced keys, the group map and the groups'
+/// keys and stats), per-depth group buffers, per-value tallies and member
+/// lists, and the mask-major engine's per-mask cells.  Keeping one across
+/// epochs (EpochAnalyzer does) keeps those buffers' pages mapped: freed and
+/// re-requested every epoch, a buffer above glibc's dynamic mmap threshold,
+/// or one freed at the heap top past its trim threshold, comes back as
+/// fresh zero pages that fault in again.
 class ExpandWorkspace {
  public:
   ExpandWorkspace();
@@ -350,6 +402,10 @@ class ExpandWorkspace {
 /// cells with sessions >= floor and records the floor on the table;
 /// otherwise the full lattice is built.  Every analysis at min_sessions >=
 /// floor reads the same result from either table.
+///
+/// The fold's leaves are taken as they are, in their canonical order.
+/// Throws std::invalid_argument when they are not canonical: a key that is
+/// not full-arity, or keys that do not strictly ascend.
 [[nodiscard]] EpochClusterTable expand_fold(const LeafFold& fold,
                                             const ClusterEngineConfig& config,
                                             ThreadPool* pool = nullptr,
@@ -359,6 +415,7 @@ class ExpandWorkspace {
 /// expand_fold into `table`, overwriting every field and reusing its
 /// vectors' capacity, with scratch drawn from `workspace`.  The result is
 /// identical to expand_fold's whatever the table and workspace last held.
+/// Throws as expand_fold does, leaving `table` unspecified.
 void expand_fold_into(const LeafFold& fold, const ClusterEngineConfig& config,
                       ThreadPool* pool, std::size_t shards,
                       std::uint32_t floor, ExpandWorkspace& workspace,

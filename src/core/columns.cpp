@@ -222,8 +222,8 @@ void pack_block_simd(const SessionColumns& c, std::size_t base,
 #endif
 }
 
-/// Block size for the fold's scratch (keys + bits): 2048 keeps ~18 KB of
-/// scratch L1/L2-resident for any epoch size.
+/// Block size of the fold's kernel sweeps: a block's codes and problem bits
+/// (~18 KB) stay L1/L2-resident for any epoch size.
 constexpr std::size_t kFoldBlock = 2048;
 
 }  // namespace
@@ -263,6 +263,7 @@ LeafFold fold_sessions_columns(const SessionColumns& columns,
                                std::uint32_t epoch, BatchKernel kernel) {
   LeafFold fold;
   fold_sessions_columns_into(columns, thresholds, epoch, fold, kernel);
+  fold.release_scratch();
   return fold;
 }
 
@@ -271,37 +272,27 @@ void fold_sessions_columns_into(const SessionColumns& columns,
                                 std::uint32_t epoch, LeafFold& fold,
                                 BatchKernel kernel) {
   fold.reset(epoch);
-  fold.leaves.reserve(columns.size() / 4 + 16);
   validate_attr_columns(columns);
 
   const bool scalar = kernel == BatchKernel::kScalar;
-  std::array<std::uint64_t, kFoldBlock> keys;
-  std::array<std::uint8_t, kFoldBlock> bits;
   const std::size_t n = columns.size();
+  fold.codes.resize(n);
+  std::array<std::uint8_t, kFoldBlock> bits;
   for (std::size_t base = 0; base < n; base += kFoldBlock) {
     const std::size_t len = std::min(kFoldBlock, n - base);
+    std::uint64_t* codes = fold.codes.data() + base;
     if (scalar) {
       threshold_block_scalar(columns, base, len, thresholds, bits.data());
-      pack_block_scalar(columns, base, len, keys.data());
+      pack_block_scalar(columns, base, len, codes);
     } else {
       threshold_block_simd(columns, base, len, thresholds, bits.data());
-      pack_block_simd(columns, base, len, keys.data());
+      pack_block_simd(columns, base, len, codes);
     }
-    // The fold itself is the row-wise loop's arithmetic verbatim: same
-    // insertion order, same uint32 adds, so the resulting LeafFold is
-    // identical to fold_sessions over the same rows.
     for (std::size_t i = 0; i < len; ++i) {
-      ClusterStats& leaf = fold.leaves[keys[i]];
-      const std::uint8_t b = bits[i];
-      fold.root.sessions += 1;
-      leaf.sessions += 1;
-      for (int m = 0; m < kNumMetrics; ++m) {
-        const std::uint32_t bit = (b >> m) & 1u;
-        fold.root.problems[m] += bit;
-        leaf.problems[m] += bit;
-      }
+      codes[i] = fold_code(codes[i], bits[i]);
     }
   }
+  fold_codes(fold);
 }
 
 std::string_view batch_kernel_name() noexcept {

@@ -19,9 +19,12 @@
 //     max-scan per dimension instead of one branch per session per
 //     dimension).
 //   * fold_sessions_columns — pass 1 of the leaf-folded aggregation over a
-//     SessionColumns batch.  Produces a LeafFold identical to
-//     fold_sessions over the same sessions in the same order (enforced by
-//     tests/test_columns_fold.cpp at every workers x shards combination).
+//     SessionColumns batch.  The two kernels above write each block's
+//     fold codes (cluster_engine.h, fold_code) straight into the fold's
+//     code array, and the epoch then ends in the same radix fold kernel
+//     (fold_codes) as the row path, so the LeafFold is identical to
+//     fold_sessions over the same sessions (enforced by
+//     tests/test_columns_fold.cpp and tests/test_fold_differential.cpp).
 //
 // SessionColumns is also the unit of streaming: EpochColumnsSource is the
 // abstract one-epoch-at-a-time feed run_pipeline_streaming (pipeline.h)
@@ -102,9 +105,10 @@ void pack_leaf_keys_columns(const SessionColumns& columns,
                             BatchKernel kernel = BatchKernel::kAuto);
 
 /// Pass-1 leaf fold over a column batch; identical to
-/// fold_sessions(rows, thresholds, epoch) over the same sessions in the
-/// same order.  The two hot kernels above run over fixed-size blocks so
-/// scratch stays cache-resident regardless of epoch size.
+/// fold_sessions(rows, thresholds, epoch) over the same sessions.  The two
+/// hot kernels above run over fixed-size blocks, so a block's bits stay
+/// cache-resident regardless of epoch size, and the returned fold holds no
+/// scratch.
 [[nodiscard]] LeafFold fold_sessions_columns(
     const SessionColumns& columns, const ProblemThresholds& thresholds,
     std::uint32_t epoch, BatchKernel kernel = BatchKernel::kAuto);

@@ -157,23 +157,19 @@ void IncrementalLattice::apply_deltas(const LeafFold& fold) {
   added_active_.clear();
 
   // Split the fold into unchanged leaves (present-marked, no work) and the
-  // changed frontier.  Accumulation only: the changed list is sorted by key
-  // below before any state is mutated, so slot/cell creation order is
-  // canonical regardless of hash layout.
-  // vq-lint: allow(unordered-iter)
-  fold.leaves.for_each([&](std::uint64_t key, const ClusterStats& stats) {
+  // changed frontier.  The fold's leaves ascend by key, so the changed list
+  // does too, and slot/cell creation order is canonical.
+  for (const auto& [key, stats] : fold.leaves) {
     const std::uint32_t* entry = leaf_slot_.find(key);
     if (entry != nullptr && *entry != 0) {
       const std::uint32_t slot = *entry - 1;
       present_seq_[slot] = seq_;
-      if (leaf_stats_[slot] == stats) return;  // steady-state leaf
+      if (leaf_stats_[slot] == stats) continue;  // steady-state leaf
     } else if (stats == ClusterStats{}) {
-      return;  // empty leaf record; from-scratch would not materialise it
+      continue;  // empty leaf record; from-scratch would not materialise it
     }
     changed_.emplace_back(key, stats);
-  });
-  std::sort(changed_.begin(), changed_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
 
   for (const auto& [key, stats] : changed_) {
     const std::uint32_t slot = slot_for(key);

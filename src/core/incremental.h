@@ -95,9 +95,9 @@ struct IncrementalDeltaStats {
   std::array<bool, kNumMetrics> full_flag_pass{};
 };
 
-/// The incremental lattice.  Feed it one LeafFold per epoch (in stream
-/// order); it returns the epoch's four critical analyses, bit-identical to
-/// the from-scratch expand + extract path.
+/// The incremental lattice.  Feed it one canonical LeafFold per epoch (in
+/// stream order; cluster_engine.h); it returns the epoch's four critical
+/// analyses, bit-identical to the from-scratch expand + extract path.
 class IncrementalLattice {
  public:
   explicit IncrementalLattice(const ProblemClusterParams& params,

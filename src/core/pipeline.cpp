@@ -1,6 +1,7 @@
 #include "src/core/pipeline.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -137,11 +138,23 @@ PipelineResult run_pipeline(const SessionTable& table,
   if (pool_ptr == nullptr) {
     for (std::uint32_t e = 0; e < result.num_epochs; ++e) process_epoch(e);
   } else {
+    // Largest epochs first (ties by index): the pool hands out iterations
+    // in order, so a large epoch never starts last and leaves the pass
+    // ending on one thread.  Results land in per-epoch slots and the
+    // counters are sums, so the order changes no output.
+    std::vector<std::uint32_t> order(result.num_epochs);
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return table.epoch(a).size() > table.epoch(b).size();
+                     });
     // parallel_for is re-entrant, so the per-epoch workers can themselves
     // fan the lattice expansion out across the same pool; a throwing epoch
     // (e.g. an epoch-mismatch in fold_sessions) surfaces here rather than
     // terminating the process.
-    pool_ptr->parallel_for(0, result.num_epochs, process_epoch);
+    pool_ptr->parallel_for(0, order.size(), [&](std::size_t i) {
+      process_epoch(order[i]);
+    });
   }
   return result;
 }

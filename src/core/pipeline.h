@@ -11,10 +11,10 @@
 // `incremental` flag swaps in the incremental lattice (incremental.h).
 //
 // Parallelism has two levels sharing one thread pool: epochs are spread
-// across workers, and within an epoch the lattice expansion can be sharded
-// (see cluster_engine.h).  Sharding matters when there are fewer epochs
-// than cores — e.g. a live monitor re-analysing the latest hour — and is
-// derived automatically by default.
+// across workers, largest first, and within an epoch the lattice expansion
+// can be sharded (see cluster_engine.h).  Sharding matters when there are
+// fewer epochs than cores — e.g. a live monitor re-analysing the latest
+// hour — and is derived automatically by default.
 
 #pragma once
 
@@ -54,8 +54,11 @@ struct PipelineConfig {
   /// Streaming only: optional replacement for the pass-1 fold, e.g. the
   /// sketch-bounded admission tier (src/baseline/hhh.h) that folds only
   /// heavy leaves under a --max-cells budget.  The returned fold must carry
-  /// the requested epoch id; its root is taken as the epoch's global
-  /// counters.  Null uses fold_sessions_columns (exact).
+  /// the requested epoch id and be canonical (cluster_engine.h, LeafFold:
+  /// distinct full-arity leaf keys in ascending order; fold_codes produces
+  /// such a fold), or the epoch's expansion throws std::invalid_argument.
+  /// Its root is taken as the epoch's global counters.  Null uses
+  /// fold_sessions_columns (exact).
   std::function<LeafFold(const SessionColumns&, const ProblemThresholds&,
                          std::uint32_t)>
       fold_provider;

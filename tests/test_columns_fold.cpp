@@ -43,18 +43,6 @@ SessionTable medium_trace(std::uint32_t epochs = 3,
   return generate_trace(world, events, trace_config);
 }
 
-void expect_folds_identical(const LeafFold& expected, const LeafFold& actual) {
-  EXPECT_EQ(expected.epoch, actual.epoch);
-  EXPECT_EQ(expected.root, actual.root);
-  ASSERT_EQ(expected.leaves.size(), actual.leaves.size());
-  std::size_t mismatches = 0;
-  expected.leaves.for_each([&](std::uint64_t raw, const ClusterStats& stats) {
-    const ClusterStats* other = actual.leaves.find(raw);
-    if (other == nullptr || !(stats == *other)) ++mismatches;
-  });
-  EXPECT_EQ(mismatches, 0u);
-}
-
 TEST(ColumnsBatch, RoundTripsRowsExactly) {
   const SessionTable trace = medium_trace(2, 500);
   const std::span<const Session> sessions = trace.epoch(1);
@@ -199,8 +187,8 @@ TEST(ColumnsFold, MatchesRowWiseFoldOnGeneratedTrace) {
     const LeafFold expected = fold_sessions(sessions, thresholds, e);
     const SessionColumns columns = SessionColumns::from_sessions(sessions, e);
     for (const BatchKernel kernel : kBothKernels) {
-      expect_folds_identical(
-          expected, fold_sessions_columns(columns, thresholds, e, kernel));
+      EXPECT_TRUE(test::folds_equal(
+          expected, fold_sessions_columns(columns, thresholds, e, kernel)));
     }
   }
 }
@@ -228,8 +216,8 @@ TEST(ColumnsFold, MatchesRowWiseFoldAcrossBlockBoundaries) {
     const LeafFold expected = fold_sessions(sessions, thresholds, 0);
     const SessionColumns columns = SessionColumns::from_sessions(sessions, 0);
     for (const BatchKernel kernel : kBothKernels) {
-      expect_folds_identical(
-          expected, fold_sessions_columns(columns, thresholds, 0, kernel));
+      EXPECT_TRUE(test::folds_equal(
+          expected, fold_sessions_columns(columns, thresholds, 0, kernel)));
     }
   }
 }

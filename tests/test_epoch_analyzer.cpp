@@ -20,6 +20,7 @@
 #include "src/core/epoch_analyzer.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_support.h"
 
 namespace vq {
 namespace {
@@ -30,8 +31,7 @@ namespace {
 LeafFold random_fold(std::uint64_t seed, std::size_t num_leaves,
                      std::uint32_t epoch) {
   Xoshiro256ss rng{seed};
-  LeafFold fold;
-  fold.epoch = epoch;
+  test::FoldBuilder fold{epoch};
   for (std::size_t i = 0; i < num_leaves; ++i) {
     AttrVec a;
     a[AttrDim::kSite] = static_cast<std::uint16_t>(rng() % 12);
@@ -51,10 +51,9 @@ LeafFold random_fold(std::uint64_t seed, std::size_t num_leaves,
         s.problems[m] += rng() % 100 < percent ? 1 : 0;
       }
     }
-    fold.leaves[ClusterKey::pack(kFullMask, a).raw()] += s;
-    fold.root += s;
+    fold.add(a, s);
   }
-  return fold;
+  return fold.build();
 }
 
 void expect_same_analysis(const CriticalAnalysis& want,

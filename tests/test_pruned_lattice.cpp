@@ -54,8 +54,7 @@ LeafFold planted_fold(std::uint64_t seed, std::size_t num_leaves,
       {AttrDim::kAsn, AttrDim::kConnType, 7, 2, 2},
       {AttrDim::kCdn, AttrDim::kPlayer, 2, 0, 3},
   };
-  LeafFold fold;
-  fold.epoch = epoch;
+  test::FoldBuilder fold{epoch};
   for (std::size_t i = 0; i < num_leaves; ++i) {
     AttrVec a;
     a[AttrDim::kSite] = static_cast<std::uint16_t>(rng() % 12);
@@ -75,10 +74,9 @@ LeafFold planted_fold(std::uint64_t seed, std::size_t num_leaves,
         s.problems[m] += rng() % 100 < percent ? 1 : 0;
       }
     }
-    fold.leaves[ClusterKey::pack(kFullMask, a).raw()] += s;
-    fold.root += s;
+    fold.add(a, s);
   }
-  return fold;
+  return fold.build();
 }
 
 /// Bit-exact equality of every analysis field; doubles by bit pattern.

@@ -140,13 +140,7 @@ TEST(SketchAdmissionFold, UnlimitedBudgetIsTheExactFold) {
   SketchAdmission admission{SketchAdmissionParams{.max_cells = 0}};
   const LeafFold bounded = admission.fold(columns, thresholds, 0);
   const LeafFold exact = fold_sessions_columns(columns, thresholds, 0);
-  EXPECT_EQ(bounded.root, exact.root);
-  EXPECT_EQ(bounded.leaves.size(), exact.leaves.size());
-  exact.leaves.for_each([&](std::uint64_t key, const ClusterStats& s) {
-    const ClusterStats* got = bounded.leaves.find(key);
-    ASSERT_NE(got, nullptr);
-    EXPECT_EQ(*got, s);
-  });
+  EXPECT_TRUE(test::folds_equal(exact, bounded));
   // The unlimited path never touches the sketches.
   EXPECT_EQ(admission.report().epochs, 0u);
 }
@@ -182,19 +176,23 @@ TEST(SketchAdmissionFold, RootIsExactAndAdmittedLeavesCarryExactStats) {
   EXPECT_EQ(bounded.epoch, 7u);
   EXPECT_EQ(bounded.root, exact.root);  // exact over ALL sessions
   EXPECT_LE(bounded.leaves.size(), 8u);
-  // Every admitted leaf is exact (pass 2 refolds from the raw stream).
-  bounded.leaves.for_each([&](std::uint64_t key, const ClusterStats& s) {
-    const ClusterStats* truth = exact.leaves.find(key);
-    ASSERT_NE(truth, nullptr);
-    EXPECT_EQ(*truth, s);
-  });
+  // The bounded fold is the exact fold restricted to the admitted leaves:
+  // canonical order, and every admitted leaf's stats exact (pass 2 refolds
+  // from the raw stream).
+  std::vector<FoldLeaf> restricted;
+  for (const FoldLeaf& leaf : exact.leaves) {
+    if (test::find_leaf(bounded, leaf.key) != nullptr) {
+      restricted.push_back(leaf);
+    }
+  }
+  EXPECT_EQ(bounded.leaves, restricted);
   // The three heavy leaves beat every singleton; they must all be present.
   for (const Attrs& heavy :
        {Attrs{.site = 1, .cdn = 1, .asn = 1}, Attrs{.site = 2, .cdn = 1,
                                                     .asn = 2},
         Attrs{.site = 3, .cdn = 2, .asn = 3}}) {
     const std::uint64_t key = ClusterKey::pack(kFullMask, heavy.vec()).raw();
-    EXPECT_NE(bounded.leaves.find(key), nullptr);
+    EXPECT_NE(test::find_leaf(bounded, key), nullptr);
   }
   const SketchAdmissionReport& report = admission.report();
   EXPECT_EQ(report.epochs, 1u);
