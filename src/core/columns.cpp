@@ -55,7 +55,10 @@ Session SessionColumns::row(std::size_t i, std::uint32_t epoch) const {
 
 void SessionColumns::append_rows(std::uint32_t epoch,
                                  std::vector<Session>& out) const {
-  out.reserve(out.size() + size());
+  // Grow geometrically: reserving exactly the new size on every call would
+  // copy `out` once per appended batch, quadratic over a whole trace.
+  const std::size_t need = out.size() + size();
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
   for (std::size_t i = 0; i < size(); ++i) out.push_back(row(i, epoch));
 }
 

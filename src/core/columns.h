@@ -76,7 +76,8 @@ struct SessionColumns {
   [[nodiscard]] Session row(std::size_t i, std::uint32_t epoch) const;
 
   /// Appends the batch as Session rows carrying `epoch` (the streaming
-  /// monitor's per-epoch materialisation).
+  /// monitor's per-epoch materialisation).  `out` grows geometrically, so
+  /// appending a trace's batches one by one reallocates O(log rows) times.
   void append_rows(std::uint32_t epoch, std::vector<Session>& out) const;
 
   /// Builds the batch from row-wise sessions. Every session must carry

@@ -1,7 +1,9 @@
 #include "src/core/session.h"
 
-#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace vq {
 
@@ -73,14 +75,37 @@ void SessionTable::append(const Session& s) {
 }
 
 void SessionTable::finalize() {
-  std::stable_sort(
-      sessions_.begin(), sessions_.end(),
-      [](const Session& a, const Session& b) { return a.epoch < b.epoch; });
-  num_epochs_ = sessions_.empty() ? 0 : sessions_.back().epoch + 1;
-  epoch_offsets_.assign(num_epochs_ + 1, 0);
-  for (const auto& s : sessions_) ++epoch_offsets_[s.epoch + 1];
-  for (std::uint32_t e = 0; e < num_epochs_; ++e) {
-    epoch_offsets_[e + 1] += epoch_offsets_[e];
+  // One counting pass: epoch_offsets_[e + 1] counts epoch e's rows, and the
+  // pass notes whether the rows already arrive in epoch order, as every
+  // trace reader and generate_trace deliver them.  The index holds one slot
+  // per epoch up to the highest, so epoch UINT32_MAX, which leaves no
+  // num_epochs(), is refused (the readers cap epochs far below it).
+  epoch_offsets_.assign(1, 0);
+  bool ordered = true;
+  std::uint32_t last = 0;
+  for (const Session& s : sessions_) {
+    if (s.epoch + std::size_t{1} >= epoch_offsets_.size()) {
+      if (s.epoch == std::numeric_limits<std::uint32_t>::max()) {
+        throw std::out_of_range{"SessionTable: epoch id out of range"};
+      }
+      epoch_offsets_.resize(s.epoch + std::size_t{2}, 0);
+    }
+    ++epoch_offsets_[s.epoch + std::size_t{1}];
+    ordered = ordered && s.epoch >= last;
+    last = s.epoch;
+  }
+  num_epochs_ = static_cast<std::uint32_t>(epoch_offsets_.size() - 1);
+  std::partial_sum(epoch_offsets_.begin(), epoch_offsets_.end(),
+                   epoch_offsets_.begin());
+  if (!ordered) {
+    // Stable scatter by epoch: each epoch's rows keep their relative order,
+    // which is the order std::stable_sort by epoch gives, in
+    // O(rows + epochs).
+    std::vector<std::size_t> next(epoch_offsets_.begin(),
+                                  epoch_offsets_.end() - 1);
+    std::vector<Session> by_epoch(sessions_.size());
+    for (const Session& s : sessions_) by_epoch[next[s.epoch]++] = s;
+    sessions_ = std::move(by_epoch);
   }
   finalized_ = true;
 }

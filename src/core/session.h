@@ -89,8 +89,10 @@ class SessionTable {
 
   void append(const Session& s);
 
-  /// Sorts by epoch and (re)builds the epoch index; called automatically by
-  /// the constructor, and required after manual append()s before epoch().
+  /// Orders the rows by epoch, stably, and (re)builds the epoch index in
+  /// O(rows + epochs); rows already in epoch order are not moved.  Called
+  /// automatically by the constructor, and required after manual append()s
+  /// before epoch().  Throws std::out_of_range on epoch UINT32_MAX.
   void finalize();
 
  private:

@@ -625,6 +625,10 @@ std::uint64_t ColumnarReader::total_sessions() const noexcept {
   return impl_->total_sessions;
 }
 
+std::uint64_t ColumnarReader::max_rows() const noexcept {
+  return (impl_->file_end - impl_->data_start) / kColumnarRowBytes;
+}
+
 bool ColumnarReader::footer_recovered() const noexcept {
   return impl_->footer_recovered;
 }
@@ -642,12 +646,11 @@ namespace {
 RobustLoadedTrace materialize(ColumnarReader& reader) {
   RobustLoadedTrace out;
   std::vector<Session> sessions;
-  // The index counts are untrusted input; reserve a bounded floor and let
-  // geometric growth cover honest large traces (same rationale as the
-  // binary reader).
-  constexpr std::uint64_t kMaxInitialReserve = 1u << 16;
+  // One allocation: the index counts every row an undamaged read yields.
+  // The counts are untrusted (forged chunks may overlap), so the reserve is
+  // capped by the rows the container's bytes can hold.
   sessions.reserve(static_cast<std::size_t>(
-      std::min(reader.total_sessions(), kMaxInitialReserve)));
+      std::min(reader.total_sessions(), reader.max_rows())));
   SessionColumns columns;
   for (std::uint32_t e = 0; e < reader.num_epochs(); ++e) {
     reader.read_epoch(e, columns);

@@ -82,6 +82,10 @@ class ColumnarReader final : public EpochColumnsSource {
   /// would yield).
   [[nodiscard]] std::uint64_t total_sessions() const noexcept;
 
+  /// Rows the container's bytes can hold at 27 bytes a row: a bound on what
+  /// any read of it yields, whatever its index claims.
+  [[nodiscard]] std::uint64_t max_rows() const noexcept;
+
   /// True when the footer index was damaged and rebuilt by sequential scan.
   [[nodiscard]] bool footer_recovered() const noexcept;
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <istream>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -315,6 +316,20 @@ namespace {
 
 using detail::at_record;
 
+/// Bytes left between the read position and the end of the stream, or
+/// nullopt when the stream cannot report its size (a pipe).  The read
+/// position is restored.
+[[nodiscard]] std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
+  const std::streampos here = in.tellg();
+  if (here == std::streampos(-1)) return std::nullopt;
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  if (!in || end == std::streampos(-1) || end - here < 0) return std::nullopt;
+  return static_cast<std::uint64_t>(end - here);
+}
+
 }  // namespace
 
 RobustLoadedTrace read_trace_binary_robust(std::istream& in,
@@ -345,12 +360,15 @@ RobustLoadedTrace read_trace_binary_robust(std::istream& in,
 
   std::vector<Session> sessions;
   // The count is untrusted: a corrupted header could demand a multi-GB
-  // up-front allocation before the first truncated read fails. Reserve a
-  // bounded floor and let push_back's geometric growth cover honest large
-  // traces.
+  // up-front allocation before the first truncated read fails. Reserve no
+  // more rows than the remaining bytes hold; when the stream cannot report
+  // its size, reserve a bounded floor and let push_back's geometric growth
+  // cover honest large traces.
   constexpr std::uint64_t kMaxInitialReserve = 1u << 16;
-  sessions.reserve(
-      static_cast<std::size_t>(std::min(count, kMaxInitialReserve)));
+  const std::optional<std::uint64_t> bytes = remaining_bytes(in);
+  sessions.reserve(static_cast<std::size_t>(std::min(
+      count, bytes.has_value() ? *bytes / kBinaryRecordSize
+                               : kMaxInitialReserve)));
 
   const bool best_effort = options.policy == ErrorPolicy::kBestEffort;
   // The schema is fixed once its section is read: look each dimension's

@@ -11,10 +11,12 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/pipeline.h"
 #include "src/gen/columnar.h"
+#include "src/gen/robust_io.h"
 #include "src/gen/trace_io.h"
 #include "src/gen/tracegen.h"
 #include "tests/test_support.h"
@@ -58,6 +60,43 @@ void expect_tables_equal(const SessionTable& expected,
     EXPECT_EQ(a.attrs, b.attrs);
     EXPECT_EQ(a.quality, b.quality);
   }
+  ASSERT_EQ(actual.num_epochs(), expected.num_epochs());
+  for (std::uint32_t e = 0; e < expected.num_epochs(); ++e) {
+    EXPECT_EQ(actual.epoch(e).size(), expected.epoch(e).size()) << e;
+  }
+}
+
+void expect_schemas_equal(const AttributeSchema& expected,
+                          const AttributeSchema& actual) {
+  for (int d = 0; d < kNumDims; ++d) {
+    const auto dim = static_cast<AttrDim>(d);
+    ASSERT_EQ(actual.cardinality(dim), expected.cardinality(dim));
+    for (std::size_t id = 0; id < expected.cardinality(dim); ++id) {
+      EXPECT_EQ(actual.name(dim, static_cast<std::uint16_t>(id)),
+                expected.name(dim, static_cast<std::uint16_t>(id)));
+    }
+  }
+}
+
+void expect_reports_equal(const IngestReport& expected,
+                          const IngestReport& actual) {
+  EXPECT_EQ(actual.policy, expected.policy);
+  EXPECT_EQ(actual.rows_read, expected.rows_read);
+  EXPECT_EQ(actual.rows_kept, expected.rows_kept);
+  EXPECT_EQ(actual.rows_quarantined, expected.rows_quarantined);
+  EXPECT_EQ(actual.fields_clamped, expected.fields_clamped);
+  EXPECT_EQ(actual.input_truncated, expected.input_truncated);
+  EXPECT_EQ(actual.quarantine_payloads_dropped,
+            expected.quarantine_payloads_dropped);
+  EXPECT_EQ(actual.reason_counts, expected.reason_counts);
+  EXPECT_EQ(actual.quarantine.size(), expected.quarantine.size());
+  ASSERT_EQ(actual.epochs.size(), expected.epochs.size());
+  for (std::size_t i = 0; i < expected.epochs.size(); ++i) {
+    EXPECT_EQ(actual.epochs[i].epoch, expected.epochs[i].epoch);
+    EXPECT_EQ(actual.epochs[i].kept, expected.epochs[i].kept);
+    EXPECT_EQ(actual.epochs[i].quarantined, expected.epochs[i].quarantined);
+  }
+  EXPECT_EQ(actual.summary(), expected.summary());
 }
 
 TEST(Columnar, RoundTripsExactly) {
@@ -66,15 +105,7 @@ TEST(Columnar, RoundTripsExactly) {
   write_trace_columnar(buffer, original.table, original.schema);
   const LoadedTrace loaded = read_trace_columnar(buffer);
   expect_tables_equal(original.table, loaded.table);
-  for (int d = 0; d < kNumDims; ++d) {
-    const auto dim = static_cast<AttrDim>(d);
-    ASSERT_EQ(loaded.schema.cardinality(dim),
-              original.schema.cardinality(dim));
-    for (std::size_t id = 0; id < loaded.schema.cardinality(dim); ++id) {
-      EXPECT_EQ(loaded.schema.name(dim, static_cast<std::uint16_t>(id)),
-                original.schema.name(dim, static_cast<std::uint16_t>(id)));
-    }
-  }
+  expect_schemas_equal(original.schema, loaded.schema);
 }
 
 TEST(Columnar, StreamingReaderServesEpochsIndependently) {
@@ -161,18 +192,37 @@ TEST(Columnar, FileRoundTripAndStreamingPipelineAgree) {
 
 TEST(Columnar, CsvBinaryColumnarChainIsLossless) {
   // The convert chain of the CLI: CSV -> binary -> columnar -> load must
-  // preserve every session bit-exactly at each hop.
-  const LoadedTrace original = generate_loaded(2, 350);
+  // preserve every session bit-exactly at each hop, and the three loaders
+  // must agree on table, schema and ingest report.  The second trace has
+  // many epochs: the columnar loader appends one chunk per epoch.
+  for (const auto& [epochs, per_epoch] :
+       {std::pair{2u, 350u}, std::pair{120u, 30u}}) {
+    SCOPED_TRACE(std::to_string(epochs) + " epochs");
+    const LoadedTrace original = generate_loaded(epochs, per_epoch);
+    ASSERT_EQ(original.table.num_epochs(), epochs);
 
-  std::stringstream bin{std::ios::in | std::ios::out | std::ios::binary};
-  write_trace_binary(bin, original.table, original.schema);
-  const LoadedTrace from_bin = read_trace_binary(bin);
-  expect_tables_equal(original.table, from_bin.table);
+    std::stringstream csv;
+    write_trace_csv(csv, original.table, original.schema);
+    const RobustLoadedTrace from_csv = read_trace_csv_robust(csv);
+    expect_tables_equal(original.table, from_csv.table);
 
-  std::stringstream col{std::ios::in | std::ios::out | std::ios::binary};
-  write_trace_columnar(col, from_bin.table, from_bin.schema);
-  const LoadedTrace from_col = read_trace_columnar(col);
-  expect_tables_equal(original.table, from_col.table);
+    std::stringstream bin{std::ios::in | std::ios::out | std::ios::binary};
+    write_trace_binary(bin, from_csv.table, from_csv.schema);
+    const RobustLoadedTrace from_bin = read_trace_binary_robust(bin);
+    expect_tables_equal(original.table, from_bin.table);
+
+    std::stringstream col{std::ios::in | std::ios::out | std::ios::binary};
+    write_trace_columnar(col, from_bin.table, from_bin.schema);
+    const RobustLoadedTrace from_col = read_trace_columnar_robust(col);
+    expect_tables_equal(original.table, from_col.table);
+
+    for (const RobustLoadedTrace* loaded : {&from_bin, &from_col}) {
+      expect_schemas_equal(from_csv.schema, loaded->schema);
+      expect_reports_equal(from_csv.report, loaded->report);
+    }
+    EXPECT_EQ(from_col.report.rows_kept, original.table.size());
+    EXPECT_EQ(from_col.report.epochs.size(), epochs);
+  }
 }
 
 TEST(Columnar, RejectsBadMagic) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "src/gen/columnar.h"
+#include "src/gen/trace_format.h"
 #include "src/gen/trace_io.h"
 #include "tests/fault_injection.h"
 #include "tests/test_support.h"
@@ -334,6 +336,60 @@ TEST(ColumnarFault, PoisonedEpochIdIsRejectedAtIndexAdoption) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(ColumnarFault, OverlappingIndexCountsAreCappedByTheFile) {
+  const TinyColumnar t = tiny_columnar();
+  {
+    std::stringstream honest{t.bytes, std::ios::in | std::ios::binary};
+    const ColumnarReader reader{honest};
+    EXPECT_GE(reader.max_rows(), reader.total_sessions());
+  }
+  // A forged index whose entries all claim the largest chunk that fits
+  // before the footer, with a valid footer checksum: each entry passes its
+  // own bounds check, but together they count more rows than the file
+  // holds, so they must not size the load.
+  using detail::kColumnarFooterEntryBytes;
+  using detail::kColumnarRowBytes;
+  const std::uint64_t claimed =
+      (t.footer - t.chunk0 - detail::kColumnarChunkHeaderBytes -
+       detail::kColumnarChunkTrailerBytes) /
+      kColumnarRowBytes;
+  std::string forged = t.bytes;
+  const std::size_t entries = t.footer + 12;  // magic, count, num_epochs
+  for (std::uint32_t e = 0; e < kEpochs; ++e) {
+    char* entry = forged.data() + entries + e * kColumnarFooterEntryBytes;
+    const std::uint64_t offset = t.chunk0;
+    std::memcpy(entry + detail::kFooterEntryOffsetPos, &offset,
+                sizeof offset);
+    std::memcpy(entry + detail::kFooterEntryCountPos, &claimed,
+                sizeof claimed);
+  }
+  const std::uint64_t checksum = detail::fnv1a(
+      forged.data() + entries, kEpochs * kColumnarFooterEntryBytes);
+  std::memcpy(forged.data() + entries + kEpochs * kColumnarFooterEntryBytes,
+              &checksum, sizeof checksum);
+
+  std::stringstream in{forged, std::ios::in | std::ios::binary};
+  const ColumnarReader reader{in};
+  EXPECT_FALSE(reader.footer_recovered());
+  EXPECT_EQ(reader.total_sessions(), kEpochs * claimed);
+  EXPECT_LE(reader.max_rows(), forged.size() / kColumnarRowBytes);
+  EXPECT_LT(reader.max_rows(), reader.total_sessions());
+
+  // No chunk header agrees with its forged entry: strict refuses, and
+  // quarantine accounts for every claimed row and keeps none.
+  std::stringstream strict{forged, std::ios::in | std::ios::binary};
+  EXPECT_THROW((void)read_trace_columnar(strict), std::runtime_error);
+  std::stringstream lenient{forged, std::ios::in | std::ios::binary};
+  const RobustLoadedTrace loaded = read_trace_columnar_robust(
+      lenient, {.policy = ErrorPolicy::kQuarantine});
+  EXPECT_TRUE(loaded.table.empty());
+  EXPECT_EQ(loaded.report.rows_read, kEpochs * claimed);
+  EXPECT_EQ(loaded.report.rows_quarantined, kEpochs * claimed);
+  EXPECT_EQ(loaded.report.reason_counts[static_cast<std::uint8_t>(
+                RowErrorKind::kBadChecksum)],
+            kEpochs * claimed);
 }
 
 TEST(ColumnarFault, RowLevelDamageFollowsPolicyInsideIntactChunks) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -60,6 +61,33 @@ TEST(ColumnsBatch, RoundTripsRowsExactly) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i].attrs, sessions[i].attrs);
     EXPECT_EQ(rows[i].quality, sessions[i].quality);
+  }
+}
+
+TEST(ColumnsBatch, AppendRowsReallocatesLogarithmically) {
+  // Materialising a trace appends one batch per epoch to one vector; 336
+  // hourly batches must move it O(log rows) times, not once per batch.
+  std::vector<Session> sessions;
+  test::add_sessions(sessions, 0, test::Attrs{.site = 5}, test::bad_bitrate(),
+                     25);
+  const SessionColumns batch = SessionColumns::from_sessions(sessions, 0);
+  constexpr std::uint32_t kEpochs = 336;
+  std::vector<Session> rows;
+  std::size_t moves = 0;  // data() pointers seen, each unlike the last
+  const Session* data = rows.data();
+  for (std::uint32_t e = 0; e < kEpochs; ++e) {
+    batch.append_rows(e, rows);
+    if (rows.data() != data) {
+      ++moves;
+      data = rows.data();
+    }
+  }
+  ASSERT_EQ(rows.size(), kEpochs * batch.size());
+  EXPECT_LE(moves, 2u * std::bit_width(kEpochs));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].epoch, i / batch.size());
+    EXPECT_EQ(rows[i].attrs, sessions[i % batch.size()].attrs);
+    EXPECT_EQ(rows[i].quality, sessions[i % batch.size()].quality);
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "tests/test_support.h"
 
@@ -89,11 +94,58 @@ TEST(SessionTable, EmptyTable) {
   EXPECT_EQ(table.num_epochs(), 0u);
 }
 
+/// Builds a table from `rows` and checks it against std::stable_sort by
+/// epoch: the same rows in the same order (so each epoch keeps its input
+/// order), num_epochs() = highest epoch + 1, and epoch(e) spans that
+/// partition the rows in place.
+void expect_matches_stable_sort(std::vector<Session> rows) {
+  std::vector<Session> reference = rows;
+  std::stable_sort(
+      reference.begin(), reference.end(),
+      [](const Session& a, const Session& b) { return a.epoch < b.epoch; });
+  const SessionTable table{std::move(rows)};
+
+  ASSERT_EQ(table.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const Session& got = table.sessions()[i];
+    EXPECT_EQ(got.epoch, reference[i].epoch) << "row " << i;
+    EXPECT_EQ(got.attrs, reference[i].attrs) << "row " << i;
+    EXPECT_EQ(got.quality, reference[i].quality) << "row " << i;
+  }
+  const std::uint32_t epochs =
+      reference.empty() ? 0 : reference.back().epoch + 1;
+  EXPECT_EQ(table.num_epochs(), epochs);
+  std::size_t begin = 0;
+  for (std::uint32_t e = 0; e < epochs; ++e) {
+    std::size_t end = begin;
+    while (end < reference.size() && reference[end].epoch == e) ++end;
+    const std::span<const Session> span = table.epoch(e);
+    EXPECT_EQ(span.data(), table.sessions().data() + begin) << "epoch " << e;
+    EXPECT_EQ(span.size(), end - begin) << "epoch " << e;
+    begin = end;
+  }
+  EXPECT_EQ(begin, reference.size());
+  EXPECT_TRUE(table.epoch(epochs).empty());  // out of range -> empty span
+}
+
+/// One row per id, with the id in the site field so the order within an
+/// epoch is visible.
+std::vector<Session> rows_with_epochs(std::span<const std::uint32_t> epochs) {
+  std::vector<Session> rows;
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
+    rows.push_back(test::make_session(
+        epochs[i], Attrs{.site = static_cast<std::uint16_t>(i)},
+        i % 3 == 0 ? test::bad_buffering() : test::good_quality()));
+  }
+  return rows;
+}
+
 TEST(SessionTable, SortsByEpochAndIndexes) {
   std::vector<Session> sessions;
   test::add_sessions(sessions, 2, Attrs{.site = 1}, test::good_quality(), 3);
   test::add_sessions(sessions, 0, Attrs{.site = 2}, test::good_quality(), 2);
   test::add_sessions(sessions, 2, Attrs{.site = 3}, test::bad_buffering(), 1);
+  expect_matches_stable_sort(sessions);
   const SessionTable table{std::move(sessions)};
 
   EXPECT_EQ(table.size(), 6u);
@@ -104,6 +156,35 @@ TEST(SessionTable, SortsByEpochAndIndexes) {
   EXPECT_EQ(table.epoch(99).size(), 0u);  // out of range -> empty span
   for (const Session& s : table.epoch(0)) EXPECT_EQ(s.epoch, 0u);
   for (const Session& s : table.epoch(2)) EXPECT_EQ(s.epoch, 2u);
+
+  expect_matches_stable_sort({});
+
+  // Reverse-ordered: epochs descend, three rows each.
+  std::vector<std::uint32_t> reverse;
+  for (std::uint32_t e = 10; e-- > 0;) reverse.insert(reverse.end(), 3, e);
+  expect_matches_stable_sort(rows_with_epochs(reverse));
+
+  // Shuffled, with many ties per epoch.
+  std::mt19937 rng{2013};
+  std::vector<std::uint32_t> shuffled(600);
+  for (std::uint32_t& e : shuffled) e = rng() % 24;
+  expect_matches_stable_sort(rows_with_epochs(shuffled));
+
+  // Gapped: epochs 1-2, 4 and 6-11 are empty, out of order and in order.
+  const std::uint32_t gapped[] = {5, 0, 12, 3, 12, 5, 0, 3};
+  expect_matches_stable_sort(rows_with_epochs(gapped));
+  const std::uint32_t gapped_ordered[] = {0, 0, 3, 3, 5, 12, 12, 12};
+  expect_matches_stable_sort(rows_with_epochs(gapped_ordered));
+
+  // Single epoch: every row in epoch 0, or every row in epoch 7.
+  const std::uint32_t first[] = {0, 0, 0, 0};
+  expect_matches_stable_sort(rows_with_epochs(first));
+  const std::uint32_t seventh[] = {7, 7, 7};
+  expect_matches_stable_sort(rows_with_epochs(seventh));
+
+  // Ordered up to the last row, which belongs first.
+  const std::uint32_t late[] = {1, 1, 2, 4, 4, 0};
+  expect_matches_stable_sort(rows_with_epochs(late));
 }
 
 TEST(SessionTable, EpochSpansPartitionAllSessions) {
@@ -118,6 +199,13 @@ TEST(SessionTable, EpochSpansPartitionAllSessions) {
     total += table.epoch(e).size();
   }
   EXPECT_EQ(total, table.size());
+}
+
+TEST(SessionTable, RefusesEpochWithNoRoomForNumEpochs) {
+  std::vector<Session> sessions;
+  test::add_sessions(sessions, 1, Attrs{}, test::good_quality(), 2);
+  test::add_sessions(sessions, UINT32_MAX, Attrs{}, test::good_quality(), 1);
+  EXPECT_THROW(SessionTable{std::move(sessions)}, std::out_of_range);
 }
 
 TEST(SessionTable, AppendRequiresFinalize) {

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
+#include <utility>
 
+#include "src/gen/robust_io.h"
+#include "src/gen/trace_format.h"
 #include "src/gen/trace_io.h"
 #include "src/gen/tracegen.h"
 #include "tests/test_support.h"
@@ -122,6 +128,61 @@ TEST(TraceBinary, CorruptedSessionCountFailsFastWithoutHugeAllocation) {
 
   std::stringstream patched{bytes, std::ios::in | std::ios::binary};
   EXPECT_THROW((void)read_trace_binary(patched), std::runtime_error);
+}
+
+/// A stream that cannot seek, like a pipe: tellg() reports no position.
+class UnseekableStreambuf : public std::streambuf {
+ public:
+  explicit UnseekableStreambuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(TraceBinary, ForgedSessionCountReservesOnlyWhatTheBytesHold) {
+  // Only the header count lies: every record is intact.  The reader sizes
+  // its rows by the bytes left, not by the count, so it reads every record
+  // and then fails positioned at the first missing one, whether or not the
+  // stream can report its size.
+  const LoadedTrace original = generate_loaded(2, 50);
+  std::stringstream buffer{std::ios::in | std::ios::out | std::ios::binary};
+  write_trace_binary(buffer, original.table, original.schema);
+  std::string bytes = buffer.str();
+  const std::size_t count_pos =
+      bytes.size() - original.table.size() * detail::kBinaryRecordSize - 8;
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + count_pos, sizeof count);
+  ASSERT_EQ(count, original.table.size());
+  const std::uint64_t huge = std::uint64_t{1} << 60;
+  std::memcpy(bytes.data() + count_pos, &huge, sizeof huge);
+
+  std::stringstream seekable{bytes, std::ios::in | std::ios::binary};
+  UnseekableStreambuf unseekable_buf{bytes};
+  std::istream unseekable{&unseekable_buf};
+  for (std::istream* in : {static_cast<std::istream*>(&seekable),
+                           &unseekable}) {
+    const RobustLoadedTrace loaded =
+        read_trace_binary_robust(*in, {.policy = ErrorPolicy::kQuarantine});
+    EXPECT_TRUE(loaded.report.input_truncated);
+    EXPECT_EQ(loaded.report.rows_kept, original.table.size());
+    ASSERT_EQ(loaded.table.size(), original.table.size());
+    for (std::size_t i = 0; i < original.table.size(); ++i) {
+      EXPECT_EQ(loaded.table.sessions()[i].attrs,
+                original.table.sessions()[i].attrs);
+    }
+  }
+
+  std::stringstream strict{bytes, std::ios::in | std::ios::binary};
+  try {
+    (void)read_trace_binary(strict);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("truncated input"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceBinary, RejectsWrongVersion) {
