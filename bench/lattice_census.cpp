@@ -4,9 +4,11 @@
 // (expand_fold with the floor) — checks that the pruned store holds exactly
 // the full store's cells with sessions >= floor, and prints the per-arity
 // means: full cells, significant cells, and their share, plus the mean
-// length of the pruned table's leaf rows against the full lattice's, and
-// the per-epoch means of the pruned table's row groups against the leaves
-// and of its stored row ids (cell_rows.size()) against one row per leaf.
+// number of a leaf's projections at or above the floor against the full
+// lattice's, and the per-epoch means of the pruned table's row groups
+// against the leaves and of its stored ids (cell_rows.size(), one per
+// group-cell membership in the cells' member lists) against one row per
+// leaf.
 //
 //   usage: lattice_census TRACE.vqtc MIN_SESSIONS
 //
@@ -19,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <vector>
 
 #include "src/core/cluster_engine.h"
 #include "src/core/columns.h"
@@ -68,12 +71,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FATAL: epoch %u: pruned store differs\n", e);
       return 1;
     }
+    const vq::LeafCellIndex& index = pruned.leaf_index;
     leaves += static_cast<double>(fold.leaves.size());
-    row_groups += static_cast<double>(pruned.leaf_index.num_groups());
-    stored_ids += static_cast<double>(pruned.leaf_index.cell_rows.size());
-    for (std::size_t leaf = 0; leaf < pruned.leaf_index.num_leaves();
-         ++leaf) {
-      row_ids += static_cast<double>(pruned.leaf_index.row(leaf).size());
+    row_groups += static_cast<double>(index.num_groups());
+    stored_ids += static_cast<double>(index.cell_rows.size());
+    // A leaf's row would hold one id per cell its group is a member of.
+    std::vector<std::size_t> group_leaves(index.num_groups(), 0);
+    for (const std::uint32_t g : index.leaf_group) ++group_leaves[g];
+    for (std::uint32_t id = 0; id < pruned.clusters.size(); ++id) {
+      for (const std::uint32_t g : index.members(id)) {
+        row_ids += static_cast<double>(group_leaves[g]);
+      }
     }
   }
 

@@ -10,6 +10,11 @@
 //                CDNs, 2000 ASNs; near-unique leaves), folded from columns
 //                as run_pipeline_streaming folds it
 //
+// It also times the paper-world epoch at floor 1 (`paper_full_*`), where
+// the analyzer builds the full lattice and the sweep gathers its per-leaf
+// rows.  No CI gate tracks that figure; it keeps the cost of the full
+// lattice's row layout in view.
+//
 // Each repeat times both inputs in turn, so a burst of host noise lands on
 // both, and each figure is the median repeat; the JSON also records the
 // spread (interquartile range over median).  Like the other perf_* gates
@@ -138,6 +143,10 @@ int main(int argc, char** argv) {
   std::vector<EpochInput> inputs;
   inputs.push_back(make_input("bench", 20, 3, 50, bench_sessions, true));
   inputs.push_back(make_input("paper", 379, 19, 2000, 8'000, false));
+  EpochInput full = inputs.back();
+  full.name = "paper_full";
+  full.params.min_sessions = 1;
+  inputs.push_back(std::move(full));
 
   // Correctness before the numbers mean anything.  One analyzer and one
   // fold per input are kept across every run, as the streaming consumers

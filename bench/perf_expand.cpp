@@ -19,7 +19,7 @@
 // Smoke mode shrinks the knobs so the whole binary finishes in seconds; it
 // still runs every variant and the bit-identity checks, which refuse to
 // report numbers when the full variants' tables differ, or when the pruned
-// table is not the full one filtered to the floor, row for row.
+// table is not the full one filtered to the floor, cell for cell.
 
 #include <algorithm>
 #include <chrono>
@@ -53,7 +53,7 @@ double time_reps(std::size_t reps, F&& body) {
 }
 
 /// Element-by-element equality: root, every cell id for id, and the leaf
-/// index rows (the variants share one canonical id order).
+/// index in its layout (the variants share one canonical id order).
 bool tables_identical(const vq::EpochClusterTable& a,
                       const vq::EpochClusterTable& b) {
   if (!(a.root == b.root) || a.clusters.size() != b.clusters.size()) {
@@ -65,15 +65,18 @@ bool tables_identical(const vq::EpochClusterTable& a,
       return false;
     }
   }
-  return a.leaf_index.leaf_keys == b.leaf_index.leaf_keys &&
-         a.leaf_index.leaf_group == b.leaf_index.leaf_group &&
-         a.leaf_index.row_offsets == b.leaf_index.row_offsets &&
-         a.leaf_index.cell_rows == b.leaf_index.cell_rows;
+  const vq::LeafCellIndex& x = a.leaf_index;
+  const vq::LeafCellIndex& y = b.leaf_index;
+  return x.layout == y.layout && x.leaf_keys == y.leaf_keys &&
+         x.leaf_group == y.leaf_group && x.groups == y.groups &&
+         x.row_offsets == y.row_offsets &&
+         x.member_bounds == y.member_bounds && x.cell_rows == y.cell_rows;
 }
 
 /// The pruned table against the full one: the full table's cells with
-/// sessions >= floor, in id order, and every leaf's row equal to its full
-/// row filtered the same way (as pruned ids).
+/// sessions >= floor, in id order, and every pruned cell's member groups,
+/// expanded to their leaves, exactly the leaves whose full row holds the
+/// cell, each list ascending.
 bool pruned_matches_full(const vq::EpochClusterTable& full,
                          const vq::EpochClusterTable& pruned,
                          std::uint32_t floor) {
@@ -92,18 +95,33 @@ bool pruned_matches_full(const vq::EpochClusterTable& full,
     ++next;
   }
   if (next != pruned.clusters.size()) return false;
-  std::vector<std::uint32_t> want;
-  for (std::size_t i = 0; i < full.leaf_index.num_leaves(); ++i) {
-    want.clear();
-    for (const std::uint32_t id : full.leaf_index.row(i)) {
+
+  const vq::LeafCellIndex& index = pruned.leaf_index;
+  std::vector<std::vector<std::uint32_t>> want(pruned.clusters.size());
+  for (std::uint32_t i = 0; i < full.leaf_index.num_leaves(); ++i) {
+    for (const std::uint32_t id : full.leaf_index.group_row(i)) {
       if (full.clusters.cell(id).sessions >= floor) {
-        want.push_back(pruned.clusters.id_of(full.clusters.key(id)));
+        want[pruned.clusters.id_of(full.clusters.key(id))].push_back(i);
       }
     }
-    const auto got = pruned.leaf_index.row(i);
-    if (!std::equal(want.begin(), want.end(), got.begin(), got.end())) {
+  }
+  std::vector<std::vector<std::uint32_t>> group_leaves(index.num_groups());
+  for (std::uint32_t i = 0; i < index.num_leaves(); ++i) {
+    group_leaves[index.leaf_group[i]].push_back(i);
+  }
+  std::vector<std::uint32_t> got;
+  for (std::uint32_t id = 0; id < pruned.clusters.size(); ++id) {
+    const auto members = index.members(id);
+    if (!std::is_sorted(members.begin(), members.end()) ||
+        std::adjacent_find(members.begin(), members.end()) != members.end()) {
       return false;
     }
+    got.clear();
+    for (const std::uint32_t g : members) {
+      got.insert(got.end(), group_leaves[g].begin(), group_leaves[g].end());
+    }
+    std::sort(got.begin(), got.end());
+    if (got != want[id]) return false;
   }
   return true;
 }

@@ -270,9 +270,9 @@ struct ExpandMetrics {
 /// expand.radix_bytes is kStable: radix traffic is a pure function of the
 /// per-mask source sizes (cell counts) and radix plans, and the source
 /// choice is itself a deterministic function of those counts — independent
-/// of shard count and SIMD kernel.  expand.row_groups counts the rows the
-/// leaf index stores: one per leaf on a full lattice, one per row group on
-/// a pruned one.
+/// of shard count and SIMD kernel.  expand.row_groups counts the leaf
+/// index's row groups: one per leaf on a full lattice, one per group of
+/// leaves with equal reduced keys on a pruned one.
 ExpandMetrics& expand_metrics() {
   static ExpandMetrics metrics{
       obs::Registry::global().counter("expand.leaves"),
@@ -728,7 +728,8 @@ struct CubeSplit {
 };
 
 /// The pruned engine's buffers: the row groups, the recursion's state, its
-/// emitted cells, and the canonical-order and row-writing arrays.
+/// emitted cells, and the canonical order.  The cells' member lists go
+/// straight to the table's LeafCellIndex::cell_rows.
 struct CubeBuffers {
   RowGroupBuffers row_groups;
   std::vector<ValueSlot> slots;  // indexed by attribute value, then one
@@ -737,16 +738,12 @@ struct CubeBuffers {
   std::vector<std::uint32_t> touched;
   std::vector<std::vector<CubeMember>> level;  // group buffer per depth
   std::vector<CubeSplit> split;
-  // Emitted cells in emission order: key, stats, and the member row groups
-  // members[member_end of the previous cell, member_end).
+  // Emitted cells in emission order: key, stats, and the end of the cell's
+  // member list, which starts where the previous cell's ends.
   std::vector<std::uint64_t> keys;
   std::vector<ClusterStats> stats;
   std::vector<std::size_t> member_end;
-  std::vector<std::uint32_t> members;
-  // Canonical order and row writing.
-  std::vector<std::uint32_t> order;       // dense id -> emitted cell
-  std::vector<std::size_t> member_next;   // per emitted cell
-  std::vector<std::size_t> row_next;      // per row group
+  std::vector<std::uint32_t> order;  // dense id -> emitted cell
 };
 
 /// The significance-pruned engine (expand_fold with a floor above 1): the
@@ -768,11 +765,14 @@ struct CubeBuffers {
 /// them in ascending number, so every cell's member list is ascending.
 class IcebergCube {
  public:
-  /// Emits into `b` (its previous cells are dropped, its capacity kept).
-  IcebergCube(CubeBuffers& b, std::span<const std::uint64_t> row_keys,
+  /// Emits cells into `b` and their member lists into `members` (the
+  /// previous contents of both are dropped, their capacity kept).
+  IcebergCube(CubeBuffers& b, std::vector<std::uint32_t>& members,
+              std::span<const std::uint64_t> row_keys,
               std::span<const ClusterStats> row_stats, std::uint32_t floor,
               int max_arity)
       : b_(b),
+        members_(members),
         row_stats_(row_stats),
         floor_(floor),
         max_arity_(static_cast<std::size_t>(max_arity)) {
@@ -782,7 +782,7 @@ class IcebergCube {
     b_.keys.clear();
     b_.stats.clear();
     b_.member_end.clear();
-    b_.members.clear();
+    members_.clear();
     b_.level[0].resize(row_keys.size());
     for (std::uint32_t i = 0; i < row_keys.size(); ++i) {
       b_.level[0][i] = {row_keys[i], row_stats[i].sessions, i};
@@ -876,36 +876,36 @@ class IcebergCube {
 
   void emit(std::uint64_t key, const std::vector<CubeMember>& group,
             std::uint32_t begin, std::uint32_t end) {
+    const std::size_t at = members_.size();
+    members_.resize(at + (end - begin));
+    std::uint32_t* out = members_.data() + at;
     ClusterStats sum;
     for (std::uint32_t i = begin; i < end; ++i) {
       sum += row_stats_[group[i].row];
-      b_.members.push_back(group[i].row);
+      *out++ = group[i].row;
     }
     assert(b_.keys.size() < CellStore::kNoCell);
     b_.keys.push_back(key);
     b_.stats.push_back(sum);
-    b_.member_end.push_back(b_.members.size());
+    b_.member_end.push_back(members_.size());
   }
 
   CubeBuffers& b_;
+  std::vector<std::uint32_t>& members_;
   std::span<const ClusterStats> row_stats_;
   std::uint32_t floor_;
   std::size_t max_arity_;
 };
 
-/// Row groups per block of the pruned engine's row writing: a block's rows
-/// (~20-30 ids each on the generated worlds) stay in L1 while every cell
-/// scatters its ids into them.
-constexpr std::size_t kRowBlock = 256;
-
-/// Builds the pruned table and its compact rows, one per row group (the
-/// caller has grouped the leaves): each row lists the final ids of the
-/// cells the group is a member of, in ascending mask order.
+/// Builds the pruned table and its cell-major index over the row groups
+/// (the caller has grouped the leaves): every cell's member list, as the
+/// cube emitted it, with its bounds by dense id.
 void expand_fold_pruned(std::span<const std::uint64_t> row_keys,
                         std::span<const ClusterStats> row_stats,
                         int max_arity, std::uint32_t floor, CubeBuffers& b,
                         EpochClusterTable& table) {
-  IcebergCube cube{b, row_keys, row_stats, floor, max_arity};
+  LeafCellIndex& index = table.leaf_index;
+  IcebergCube cube{b, index.cell_rows, row_keys, row_stats, floor, max_arity};
   {
     VQ_SPAN("expand.prune");
     cube.build();
@@ -928,10 +928,13 @@ void expand_fold_pruned(std::span<const std::uint64_t> row_keys,
   std::array<std::uint32_t, kFullMask + 2> offsets{};
   std::vector<std::uint64_t> keys(n);
   std::vector<ClusterStats> stats(n);
+  index.member_bounds.resize(n);
   for (std::uint32_t id = 0; id < n; ++id) {
     const std::uint32_t c = b.order[id];
     keys[id] = b.keys[c];
     stats[id] = b.stats[c];
+    index.member_bounds[id] = {c == 0 ? 0 : b.member_end[c - 1],
+                               b.member_end[c]};
     ++offsets[(keys[id] & kFullMask) + 1];
   }
   for (std::size_t m = 1; m < offsets.size(); ++m) {
@@ -939,39 +942,6 @@ void expand_fold_pruned(std::span<const std::uint64_t> row_keys,
   }
   table.clusters =
       CellStore::from_mask_major(std::move(keys), std::move(stats), offsets);
-
-  // Row bounds from each row group's membership count.
-  const std::size_t num_rows = row_keys.size();
-  std::vector<std::size_t>& row_offsets = table.leaf_index.row_offsets;
-  row_offsets.assign(num_rows + 1, 0);
-  for (const std::uint32_t row : b.members) ++row_offsets[row + 1];
-  for (std::size_t i = 1; i <= num_rows; ++i) {
-    row_offsets[i] += row_offsets[i - 1];
-  }
-  table.leaf_index.cell_rows.resize(b.members.size());
-
-  // Rows, one block of row groups at a time, visiting cells in id order so
-  // that every row comes out in ascending mask order.  Member lists ascend,
-  // so a cursor per cell walks each once across all blocks.
-  b.row_next.assign(row_offsets.begin(), row_offsets.end() - 1);
-  b.member_next.resize(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    b.member_next[c] = c == 0 ? 0 : b.member_end[c - 1];
-  }
-  std::uint32_t* rows = table.leaf_index.cell_rows.data();
-  const std::uint32_t* members = b.members.data();
-  for (std::size_t lo = 0; lo < num_rows; lo += kRowBlock) {
-    const std::size_t hi = std::min(num_rows, lo + kRowBlock);
-    for (std::uint32_t id = 0; id < n; ++id) {
-      const std::uint32_t c = b.order[id];
-      const std::size_t end = b.member_end[c];
-      std::size_t m = b.member_next[c];
-      for (; m < end && members[m] < hi; ++m) {
-        rows[b.row_next[members[m]]++] = id;
-      }
-      b.member_next[c] = m;
-    }
-  }
 }
 
 }  // namespace
@@ -1032,16 +1002,22 @@ void expand_fold_into(const LeafFold& fold, const ClusterEngineConfig& config,
   const std::size_t num_leaves = index.leaf_keys.size();
 
   if (prune) {
-    // One row per row group.
+    // One member list per cell, over the row groups.
     RowGroupBuffers& groups = b.cube.row_groups;
     group_leaves(index.leaf_keys, index.leaf_stats, floor, groups,
                  index.leaf_group);
+    index.layout = LeafCellIndex::Layout::kCellMembers;
+    index.groups = groups.keys.size();
+    index.row_offsets.clear();
     expand_fold_pruned(groups.keys, groups.stats, config.max_arity, floor,
                        b.cube, table);
   } else {
     // Full lattice: one row per leaf, one id per mask in every row.
     index.leaf_group.resize(num_leaves);
     std::iota(index.leaf_group.begin(), index.leaf_group.end(), 0u);
+    index.layout = LeafCellIndex::Layout::kGroupRows;
+    index.groups = num_leaves;
+    index.member_bounds.clear();
     const std::size_t nm = masks.size();
     index.row_offsets.resize(num_leaves + 1);
     for (std::size_t i = 0; i <= num_leaves; ++i) {

@@ -51,14 +51,13 @@
 //    its one-attribute cell reaches the floor.  Each leaf's *reduced key*
 //    clears the field and the mask bit of every dimension whose value is
 //    not kept, and leaves with equal reduced keys merge into one *row
-//    group*.  The cube splits groups, not leaves, and writes one row per
-//    group.  This is exact: a cell at or above the floor holds no more
-//    sessions than any of its one-attribute projections, so every value it
-//    fixes is kept, and whether a leaf belongs to it depends on the
-//    reduced key alone.  Leaves of one group therefore have equal rows.
-//    On the e2ebench paper world 2.7 % of an epoch's attribute values are
-//    kept, and 57 % of its leaves remain as row groups (44 % on the bench
-//    world).
+//    group*.  The cube splits groups, not leaves.  This is exact: a cell at
+//    or above the floor holds no more sessions than any of its
+//    one-attribute projections, so every value it fixes is kept, and
+//    whether a leaf belongs to it depends on the reduced key alone.  Leaves
+//    of one group therefore belong to the same cells.  On the e2ebench
+//    paper world 2.7 % of an epoch's attribute values are kept, and 57 %
+//    of its leaves remain as row groups (44 % on the bench world).
 //
 // tests/test_oracle.cpp checks both against a brute-force aggregation of
 // the raw sessions (tests/oracle.h).
@@ -66,13 +65,14 @@
 // Cells are stored *indexed*: dense uint32 id -> ClusterStats in one
 // contiguous vector, built sorted, so a key resolves by binary search
 // within its mask group (no hash table at all).  As a byproduct of pass 2,
-// expand_fold records a LeafCellIndex — for every distinct leaf, the dense
-// ids of its materialised projections — which lets the critical-cluster
-// analysis (critical_cluster.h) read plain array gathers of precomputed
-// per-cell flag words instead of looking cells up per leaf.  Rows are
-// compact: a pruned table's row lists only the leaf's projections at or
-// above the floor (19.7 of 127 on the paper world), so no row slot ever
-// names an absent cell, and leaves of one row group share one row.
+// expand_fold records a LeafCellIndex: which cells hold each row group of
+// leaves, in the orientation its engine produces.  The mask-major engine
+// writes one row of cell ids per leaf.  The cube keeps its own member
+// lists, one per cell, listing the row groups the cell holds; nothing
+// transposes them into rows (a paper-world leaf has 19.7 of its 127
+// projections at or above the floor).  Either way the critical-cluster analysis
+// (critical_cluster.h) reads precomputed per-cell flag words through plain
+// array passes instead of looking cells up per leaf.
 //
 // expand_fold takes the fold's leaves in their canonical order as they are.
 // expand_fold_into rebuilds a caller's table in place and draws every
@@ -87,6 +87,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/attributes.h"
@@ -229,44 +230,62 @@ class CellStore {
   std::array<std::uint32_t, kFullMask + 2> mask_offsets_{};
 };
 
-/// Byproduct of the pass-2 expansion: for every distinct leaf, the dense
-/// cell ids of its materialised projections.  Leaves are sorted by
-/// ascending raw key — the canonical order the critical sweep iterates in,
-/// which is what makes sharded and serial runs bit-identical (see
-/// critical_cluster.h).  row(i) lists the ids of leaf i's projections in
-/// ascending mask order.  A full-lattice table's rows hold one id per
-/// lattice mask (masks.size() each); a pruned table's row holds only the
-/// projections with sessions >= EpochClusterTable::floor, so rows differ
-/// in length.  No slot is ever CellStore::kNoCell.
+/// Byproduct of the pass-2 expansion: which materialised cells hold each
+/// distinct leaf.  Leaves are sorted by ascending raw key — the canonical
+/// order the critical sweep iterates in, which is what makes sharded and
+/// serial runs bit-identical (see critical_cluster.h).
 ///
-/// Rows are stored once per *row group*: leaf i's row is group
-/// leaf_group[i]'s, cell_rows[row_offsets[g], row_offsets[g + 1]).  On a
+/// Leaves are held in *row groups*: leaf i is in group leaf_group[i].  On a
 /// pruned table a group is the set of leaves whose keys agree once every
 /// attribute value below the floor is dropped (see the file comment): no
-/// cell at or above the floor tells them apart, so they share a row.
-/// Groups are numbered in the order their first leaf appears.  A full
-/// lattice, or a pruned one where every value reaches the floor, has one
-/// group per leaf and leaf_group is the identity.
+/// cell at or above the floor tells them apart, so they are members of the
+/// same cells.  Groups are numbered in the order their first leaf appears.
+/// A full lattice, or a pruned one where every value reaches the floor,
+/// has one group per leaf and leaf_group is the identity.
+///
+/// The group-cell membership relation is stored in one of two layouts,
+/// each as its engine produces it.  Either way cell_rows holds one entry
+/// per membership, and every entry names a present group or cell.
+///  * kGroupRows (full lattice): group g's row, group_row(g), lists the ids
+///    of its projections, one per lattice mask in `masks` order, so in
+///    ascending mask order.  row_offsets holds num_groups() + 1 bounds.
+///  * kCellMembers (pruned): cell id c's member list, members(c), lists
+///    the groups it holds in ascending order.  The lists are the iceberg
+///    cube's, in the order it emitted the cells; member_bounds[c] delimits
+///    cell c's.  A group is a member of exactly its projections with
+///    sessions >= EpochClusterTable::floor.
 struct LeafCellIndex {
+  enum class Layout : std::uint8_t { kGroupRows, kCellMembers };
+
+  Layout layout = Layout::kGroupRows;
   std::vector<std::uint8_t> masks;        // materialised masks, ascending
   std::vector<std::uint64_t> leaf_keys;   // distinct leaves, ascending raw
   std::vector<ClusterStats> leaf_stats;   // parallel to leaf_keys
   std::vector<std::uint32_t> leaf_group;  // parallel to leaf_keys
-  std::vector<std::size_t> row_offsets;   // num_groups() + 1 row bounds
-  std::vector<std::uint32_t> cell_rows;   // every group's row, concatenated
+  std::size_t groups = 0;                 // number of row groups
+  std::vector<std::size_t> row_offsets;   // kGroupRows: row bounds
+  std::vector<std::pair<std::size_t, std::size_t>>
+      member_bounds;                      // kCellMembers: per cell id
+  std::vector<std::uint32_t> cell_rows;   // the rows or the member lists
 
   [[nodiscard]] bool empty() const noexcept { return leaf_keys.empty(); }
   [[nodiscard]] std::size_t num_leaves() const noexcept {
     return leaf_keys.size();
   }
-  [[nodiscard]] std::size_t num_groups() const noexcept {
-    return row_offsets.empty() ? 0 : row_offsets.size() - 1;
-  }
-  [[nodiscard]] std::span<const std::uint32_t> row(
-      std::size_t leaf) const noexcept {
-    const std::uint32_t g = leaf_group[leaf];
+  [[nodiscard]] std::size_t num_groups() const noexcept { return groups; }
+  /// Group g's cell ids (kGroupRows only).
+  [[nodiscard]] std::span<const std::uint32_t> group_row(
+      std::size_t g) const noexcept {
+    assert(layout == Layout::kGroupRows);
     return std::span{cell_rows}.subspan(row_offsets[g],
                                         row_offsets[g + 1] - row_offsets[g]);
+  }
+  /// The groups cell `id` holds (kCellMembers only).
+  [[nodiscard]] std::span<const std::uint32_t> members(
+      std::uint32_t id) const noexcept {
+    assert(layout == Layout::kCellMembers);
+    const auto [begin, end] = member_bounds[id];
+    return std::span{cell_rows}.subspan(begin, end - begin);
   }
 };
 
@@ -374,8 +393,9 @@ void fold_sessions_into(std::span<const Session> sessions,
 
 /// Scratch buffers of expand_fold_into: the pruned engine's row groups
 /// (per-value session totals, reduced keys, the group map and the groups'
-/// keys and stats), per-depth group buffers, per-value tallies and member
-/// lists, and the mask-major engine's per-mask cells.  Keeping one across
+/// keys and stats), per-depth group buffers, per-value tallies, the
+/// emitted cells and their canonical order, and the mask-major engine's
+/// per-mask cells.  Keeping one across
 /// epochs (EpochAnalyzer does) keeps those buffers' pages mapped: freed and
 /// re-requested every epoch, a buffer above glibc's dynamic mmap threshold,
 /// or one freed at the heap top past its trim threshold, comes back as

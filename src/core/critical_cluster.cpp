@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <stdexcept>
 
 #include "src/core/mask_bits.h"
@@ -108,14 +109,66 @@ void compute_cell_flags(const EpochClusterTable& table,
   }
 }
 
-void CriticalSweep::sweep_leaves(const LeafCellIndex& index,
-                                 MetricSet metrics, std::size_t lo,
-                                 std::size_t hi, ShardOut& out) const {
+namespace {
+
+/// The minimal candidates of one (row group, metric) from the group's mask
+/// sets: the flagged masks (a) with no significant unflagged strict
+/// superset (b) that pass (c), minimal by inclusion ("closest to the
+/// root").
+MaskBits minimal_candidates(const MaskBits& significant,
+                            const MaskBits& flagged,
+                            const MaskBits& removal_ok) {
+  const MaskBits veto = strict_superset_or(
+      {significant.lo & ~flagged.lo, significant.hi & ~flagged.hi});
+  MaskBits candidates{flagged.lo & ~veto.lo & removal_ok.lo,
+                      flagged.hi & ~veto.hi & removal_ok.hi};
+  if (!candidates.any()) return candidates;
+  const MaskBits below = strict_subset_or(candidates);
+  candidates.lo &= ~below.lo;
+  candidates.hi &= ~below.hi;
+  return candidates;
+}
+
+/// Calls fn(mask) for every mask in `set`, in ascending order.
+template <typename Fn>
+void for_each_mask(const MaskBits& set, Fn&& fn) {
+  for (int half = 0; half < 2; ++half) {
+    for (std::uint64_t bits = half == 0 ? set.lo : set.hi; bits != 0;
+         bits &= bits - 1) {
+      fn(static_cast<std::uint8_t>(64 * half + std::countr_zero(bits)));
+    }
+  }
+}
+
+/// A leaf's share of each of its candidates: its problem sessions split
+/// equally among them.
+double share_of(std::uint32_t problems, const MaskBits& candidates) {
+  return static_cast<double>(problems) /
+         static_cast<double>(std::popcount(candidates.lo) +
+                             std::popcount(candidates.hi));
+}
+
+/// ORs `mask`'s bit into sets[g] for every group g in `groups`.
+void scatter_mask(std::span<const std::uint32_t> groups, unsigned mask,
+                  std::vector<MaskBits>& sets) {
+  const std::uint64_t bit = std::uint64_t{1} << (mask & 63);
+  if (mask < 64) {
+    for (const std::uint32_t g : groups) sets[g].lo |= bit;
+  } else {
+    for (const std::uint32_t g : groups) sets[g].hi |= bit;
+  }
+}
+
+}  // namespace
+
+void CriticalSweep::gather_rows(const LeafCellIndex& index, MetricSet metrics,
+                                std::size_t lo, std::size_t hi,
+                                ShardOut& out) const {
   // Written for flagged masks only, and read only for candidates, which
   // are flagged; a row names each mask at most once.
   std::array<std::uint32_t, kNumMasks> id_by_mask{};
-  for (std::size_t i = lo; i < hi; ++i) {
-    const ClusterStats& leaf = index.leaf_stats[i];
+  for (std::size_t g = lo; g < hi; ++g) {
+    const ClusterStats& leaf = index.leaf_stats[g];  // one leaf per group
     unsigned active = 0;  // requested metrics with problem sessions here
     for (int m = 0; m < kNumMetrics; ++m) {
       if (((metrics >> m) & 1u) && leaf.problems[m] > 0) active |= 1u << m;
@@ -125,7 +178,7 @@ void CriticalSweep::sweep_leaves(const LeafCellIndex& index,
     MaskBits significant;
     std::array<MaskBits, kNumMetrics> flagged;
     std::array<MaskBits, kNumMetrics> removal_ok;
-    for (const std::uint32_t id : index.row(i)) {
+    for (const std::uint32_t id : index.group_row(g)) {
       const std::uint16_t word = words_[id];
       // An insignificant cell is neither flagged nor a veto.
       if (!(word & cell_word::kSignificant)) continue;
@@ -142,30 +195,63 @@ void CriticalSweep::sweep_leaves(const LeafCellIndex& index,
     for (int m = 0; m < kNumMetrics; ++m) {
       if (!((active >> m) & 1u) || !flagged[m].any()) continue;  // (a)
       out.in_pc[m] += leaf.problems[m];
-      // (b): a mask is vetoed when any strict superset within the leaf is
-      // significant but not flagged.
-      const MaskBits veto = strict_superset_or(
-          {significant.lo & ~flagged[m].lo, significant.hi & ~flagged[m].hi});
-      MaskBits candidates{flagged[m].lo & ~veto.lo & removal_ok[m].lo,
-                          flagged[m].hi & ~veto.hi & removal_ok[m].hi};
+      const MaskBits candidates =
+          minimal_candidates(significant, flagged[m], removal_ok[m]);
       if (!candidates.any()) continue;
-      // Minimal by inclusion ("closest to the root").
-      const MaskBits below = strict_subset_or(candidates);
-      candidates.lo &= ~below.lo;
-      candidates.hi &= ~below.hi;
-      const double share =
-          static_cast<double>(leaf.problems[m]) /
-          static_cast<double>(std::popcount(candidates.lo) +
-                              std::popcount(candidates.hi));
-      for (int half = 0; half < 2; ++half) {
-        for (std::uint64_t bits = half == 0 ? candidates.lo : candidates.hi;
-             bits != 0; bits &= bits - 1) {
-          const unsigned mask = 64u * half + std::countr_zero(bits);
-          out.shares[m].emplace_back(id_by_mask[mask], share);
-        }
-      }
+      const double share = share_of(leaf.problems[m], candidates);
+      for_each_mask(candidates, [&](std::uint8_t mask) {
+        out.shares[m].emplace_back(id_by_mask[mask], share);
+      });
     }
   }
+}
+
+void CriticalSweep::sweep_members(const EpochClusterTable& table, int m,
+                                  CriticalAnalysis& out) {
+  const LeafCellIndex& index = table.leaf_index;
+  const CellStore& cells = table.clusters;
+  const std::size_t groups = index.num_groups();
+  flagged_.assign(groups, {});
+  removal_ok_.assign(groups, {});
+  for (std::uint32_t id = 0; id < cells.size(); ++id) {
+    const std::uint16_t word = words_[id];
+    if (!(word & cell_word::flagged(m))) continue;
+    const unsigned mask = word & cell_word::kMask;
+    scatter_mask(index.members(id), mask, flagged_);
+    if (word & cell_word::removal_ok(m)) {
+      scatter_mask(index.members(id), mask, removal_ok_);
+    }
+  }
+
+  const auto bit = static_cast<std::uint8_t>(1u << m);
+  for (std::size_t i = 0; i < index.num_leaves(); ++i) {
+    const std::uint32_t problems = index.leaf_stats[i].problems[m];
+    if (problems == 0) continue;
+    const std::uint32_t g = index.leaf_group[i];
+    if (!flagged_[g].any()) continue;  // (a)
+    out.problem_sessions_in_pc += problems;
+    // The group's first leaf with problem sessions replaces its (c) set
+    // with its candidates, which every later leaf of the group reads.
+    if (!(solved_[g] & bit)) {
+      removal_ok_[g] =
+          minimal_candidates(significant_[g], flagged_[g], removal_ok_[g]);
+      solved_[g] |= bit;
+    }
+    const MaskBits candidates = removal_ok_[g];
+    if (!candidates.any()) continue;
+    const double share = share_of(problems, candidates);
+    const ClusterKey leaf = ClusterKey::from_raw(index.leaf_keys[i]);
+    for_each_mask(candidates, [&](std::uint8_t mask) {
+      const std::uint32_t id = cells.id_of(leaf.project(mask).raw());
+      assert(id != CellStore::kNoCell);
+      attribute(id, share);
+    });
+  }
+}
+
+void CriticalSweep::attribute(std::uint32_t id, double share) {
+  if (attribution_[id] == 0.0) touched_.push_back(id);
+  attribution_[id] += share;  // share > 0, so touched_ stays accurate
 }
 
 std::array<CriticalAnalysis, kNumMetrics> CriticalSweep::run(
@@ -181,28 +267,41 @@ std::array<CriticalAnalysis, kNumMetrics> CriticalSweep::run(
   compute_cell_flags(table, params, metrics, words_);
   const LeafCellIndex& index = table.leaf_index;
   const CellStore& cells = table.clusters;
-  const std::size_t num_leaves = index.num_leaves();
+  const std::size_t groups = index.num_groups();
+  const bool rows = index.layout == LeafCellIndex::Layout::kGroupRows;
 
-  // Sharding only pays off when each shard gets a meaningful slice.
-  constexpr std::size_t kMinLeavesPerShard = 256;
   std::size_t num_shards = 1;
-  if (pool != nullptr && shards > 1 &&
-      num_leaves >= 2 * kMinLeavesPerShard) {
-    num_shards = std::min(shards, num_leaves / kMinLeavesPerShard);
-  }
-  if (shards_.size() < num_shards) shards_.resize(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    for (auto& list : shards_[s].shares) list.clear();
-    shards_[s].in_pc.fill(0);
-  }
-  const auto sweep_shard = [&](std::size_t s) {
-    sweep_leaves(index, metrics, num_leaves * s / num_shards,
-                 num_leaves * (s + 1) / num_shards, shards_[s]);
-  };
-  if (num_shards == 1) {
-    sweep_shard(0);
+  if (rows) {
+    // Sharding only pays off when each shard gets a meaningful slice.
+    constexpr std::size_t kMinGroupsPerShard = 256;
+    if (pool != nullptr && shards > 1 && groups >= 2 * kMinGroupsPerShard) {
+      num_shards = std::min(shards, groups / kMinGroupsPerShard);
+    }
+    if (shards_.size() < num_shards) shards_.resize(num_shards);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      for (auto& list : shards_[s].shares) list.clear();
+      shards_[s].in_pc.fill(0);
+    }
+    const auto gather_shard = [&](std::size_t s) {
+      gather_rows(index, metrics, groups * s / num_shards,
+                  groups * (s + 1) / num_shards, shards_[s]);
+    };
+    if (num_shards == 1) {
+      gather_shard(0);
+    } else {
+      pool->parallel_for(0, num_shards, gather_shard);
+    }
   } else {
-    pool->parallel_for(0, num_shards, sweep_shard);
+    // Every significant cell's mask, scattered over the groups it holds.
+    significant_.assign(groups, {});
+    solved_.assign(groups, 0);
+    for (std::uint32_t id = 0; id < cells.size(); ++id) {
+      const std::uint16_t word = words_[id];
+      if (word & cell_word::kSignificant) {
+        scatter_mask(index.members(id), word & cell_word::kMask,
+                     significant_);
+      }
+    }
   }
 
   attribution_.resize(cells.size());
@@ -220,17 +319,20 @@ std::array<CriticalAnalysis, kNumMetrics> CriticalSweep::run(
     a.num_problem_clusters =
         static_cast<std::uint32_t>(a.problem_cluster_keys.size());
 
-    // Deterministic merge: shards cover contiguous ranges of the ascending
-    // leaf array and appended their shares in leaf order, so replaying the
-    // lists in shard order reproduces the serial floating-point
-    // accumulation sequence exactly — for any shard count.
+    // Shares accumulate leaf by leaf in canonical order, each leaf's in
+    // ascending mask order: row shards cover contiguous ranges of the
+    // leaves and are replayed in shard order, so the floating-point
+    // accumulation sequence is the same for any shard count.
     touched_.clear();
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      a.problem_sessions_in_pc += shards_[s].in_pc[m];
-      for (const auto& [id, share] : shards_[s].shares[m]) {
-        if (attribution_[id] == 0.0) touched_.push_back(id);
-        attribution_[id] += share;  // share > 0, so touched_ stays accurate
+    if (rows) {
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        a.problem_sessions_in_pc += shards_[s].in_pc[m];
+        for (const auto& [id, share] : shards_[s].shares[m]) {
+          attribute(id, share);
+        }
       }
+    } else {
+      sweep_members(table, m, a);
     }
     a.criticals.reserve(touched_.size());
     for (const std::uint32_t id : touched_) {

@@ -29,22 +29,32 @@
 // word per cell (compute_cell_flags): the cell's mask, its significance,
 // its problem flag per metric, and per metric whether condition (c) holds.
 // (c) is a property of the cell, not of the leaf it is reached from: its
-// ancestors are projections of the cell's own key.  Then each leaf is read
-// once: its compact row of cell ids (cluster_engine.h) gathers the words
-// into 128-bit mask sets, and per metric (a) and (c) are set membership,
-// (b) one superset-OR of the significant-but-unflagged set, and minimality
-// one subset-OR of the candidates — zero hash lookups and zero threshold
-// evaluations per leaf.  A pruned table's row omits the cells below its
-// floor; those are insignificant, so they could be neither flagged nor a
-// veto.  The per-leaf loop can shard across a ThreadPool: shards take
-// contiguous ranges of the canonical (ascending-key) leaf array and their
-// share lists are replayed in shard order, reproducing the serial
-// floating-point accumulation sequence exactly — output is bit-identical
-// for any shard count.
+// ancestors are projections of the cell's own key.  Leaves of one row
+// group (cluster_engine.h) belong to the same cells, so the conditions are
+// evaluated once per group, on 128-bit mask sets: per metric (a) and (c)
+// are set membership, (b) one superset-OR of the significant-but-unflagged
+// set, and minimality one subset-OR of the candidates — zero hash lookups
+// and zero threshold evaluations per group.  The sets are filled from the
+// table's LeafCellIndex in the orientation it holds:
+//  * a full lattice's rows are gathered, one row per group, every metric
+//    at once, in contiguous group ranges that can shard across a
+//    ThreadPool;
+//  * a pruned table's member lists are scattered, each significant cell's
+//    mask bit over the groups it holds, then for one metric at a time each
+//    flagged cell's.  The cells below the floor are absent from them; those
+//    are insignificant, so they could be neither flagged nor a veto.
+// Shares are then added leaf by leaf in canonical (ascending-key) order,
+// each leaf's equal shares over its group's candidates in ascending mask
+// order, with a candidate's id read from the gathered row or looked up by
+// the leaf key's projection.  Row shards cover contiguous ranges of the
+// leaves and their share lists are replayed in shard order, so the
+// floating-point accumulation sequence, and with it the output, is the
+// same for any shard count.
 //
 // The single-metric find_critical_clusters is the same sweep restricted to
-// one metric.  CriticalSweep keeps the sweep's buffers (cell words, share
-// lists, attribution) across epochs for EpochAnalyzer (epoch_analyzer.h).
+// one metric.  CriticalSweep keeps the sweep's buffers (cell words, the
+// groups' mask sets, attribution) across epochs for EpochAnalyzer
+// (epoch_analyzer.h).
 // tests/test_oracle.cpp checks every analysis against a brute-force
 // restatement of §3.1-3.2 over the raw sessions (tests/oracle.h).
 
@@ -57,6 +67,7 @@
 #include <vector>
 
 #include "src/core/cluster_engine.h"
+#include "src/core/mask_bits.h"
 #include "src/core/problem_cluster.h"
 #include "src/core/session.h"
 
@@ -154,16 +165,18 @@ void compute_cell_flags(const EpochClusterTable& table,
 class CriticalSweep {
  public:
   /// The analyses of every metric in `metrics` (the others are left
-  /// default).  With `pool` non-null and `shards > 1` the per-leaf loop
-  /// runs sharded.  Throws std::invalid_argument when params.min_sessions
-  /// is below table.floor, or when a non-empty table carries no
-  /// LeafCellIndex (expand_fold always builds one).
+  /// default).  With `pool` non-null and `shards > 1` a full-lattice
+  /// table's rows are gathered in shards.  Throws std::invalid_argument
+  /// when params.min_sessions is below table.floor, or when a non-empty
+  /// table carries no LeafCellIndex (expand_fold always builds one).
   [[nodiscard]] std::array<CriticalAnalysis, kNumMetrics> run(
       const EpochClusterTable& table, const ProblemClusterParams& params,
       MetricSet metrics, ThreadPool* pool = nullptr, std::size_t shards = 1);
 
  private:
-  /// One shard's output: per metric, the (cell id, share) list in leaf
+  using MaskBits = detail::MaskBits;
+
+  /// One row shard's output: per metric, the (cell id, share) list in leaf
   /// order and the problem sessions of leaves inside a problem cluster.
   struct ShardOut {
     std::array<std::vector<std::pair<std::uint32_t, double>>, kNumMetrics>
@@ -171,11 +184,26 @@ class CriticalSweep {
     std::array<std::uint64_t, kNumMetrics> in_pc{};
   };
 
-  void sweep_leaves(const LeafCellIndex& index, MetricSet metrics,
-                    std::size_t lo, std::size_t hi, ShardOut& out) const;
+  /// kGroupRows: gathers the rows of groups (= leaves) [lo, hi) into mask
+  /// sets and appends every requested metric's shares to `out`.
+  void gather_rows(const LeafCellIndex& index, MetricSet metrics,
+                   std::size_t lo, std::size_t hi, ShardOut& out) const;
+  /// kCellMembers, metric m: scatters the flagged cells' masks over their
+  /// members, then walks the leaves and attributes their shares.
+  void sweep_members(const EpochClusterTable& table, int m,
+                     CriticalAnalysis& out);
+  /// Adds one share to cell `id`'s attribution.
+  void attribute(std::uint32_t id, double share);
 
-  std::vector<std::uint16_t> words_;
-  std::vector<ShardOut> shards_;
+  std::vector<std::uint16_t> words_;  // per cell
+  std::vector<ShardOut> shards_;      // kGroupRows
+  // kCellMembers, per row group: the significant masks, one metric's
+  // flagged masks and (c) set (then its candidates), and the metrics whose
+  // candidates are computed.
+  std::vector<MaskBits> significant_;
+  std::vector<MaskBits> flagged_;
+  std::vector<MaskBits> removal_ok_;
+  std::vector<std::uint8_t> solved_;
   std::vector<double> attribution_;  // per cell; all zero between metrics
   std::vector<std::uint32_t> touched_;
 };

@@ -1,6 +1,7 @@
 #include "src/core/pipeline.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -10,6 +11,7 @@
 #include "src/core/incremental.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/mutex.h"
 #include "src/util/thread_pool.h"
 
 namespace vq {
@@ -73,6 +75,66 @@ struct EpochCounters {
   }
 };
 
+/// run_pipeline's per-thread epoch state: one fold and one analyzer per
+/// compute thread, each kept across the epochs it serves so its buffers'
+/// pages stay mapped.  An epoch task checks a slot out for its duration.
+/// A pool thread runs one epoch task at a time (a nested parallel_for only
+/// runs its own batch's iterations), so the pool's workers and the calling
+/// thread never need more slots than there are threads.
+class EpochSlots {
+ public:
+  struct Slot {
+    explicit Slot(const PipelineConfig& config)
+        : analyzer{config.engine, config.cluster_params} {}
+    LeafFold fold;
+    EpochAnalyzer analyzer;
+  };
+
+  /// A slot held by one epoch task, returned when the lease ends, also
+  /// when the task throws.
+  class Lease {
+   public:
+    explicit Lease(EpochSlots& slots) : slots_(slots), slot_(slots.take()) {}
+    ~Lease() { slots_.give_back(slot_); }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    Slot* operator->() const noexcept { return slot_; }
+
+   private:
+    EpochSlots& slots_;
+    Slot* slot_;
+  };
+
+  EpochSlots(std::size_t threads, const PipelineConfig& config) {
+    slots_.reserve(threads);
+    const MutexLock lock{mutex_};
+    free_.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+      slots_.push_back(std::make_unique<Slot>(config));
+      free_.push_back(slots_.back().get());
+    }
+  }
+
+ private:
+  Slot* take() {
+    const MutexLock lock{mutex_};
+    if (free_.empty()) {
+      throw std::logic_error{"run_pipeline: more epoch tasks than threads"};
+    }
+    Slot* slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  void give_back(Slot* slot) noexcept {
+    const MutexLock lock{mutex_};
+    free_.push_back(slot);  // within the capacity reserved for every slot
+  }
+
+  std::vector<std::unique_ptr<Slot>> slots_;
+  Mutex mutex_;
+  std::vector<Slot*> free_ VQ_GUARDED_BY(mutex_);
+};
+
 std::size_t resolve_shards(const PipelineConfig& config, std::size_t workers,
                            std::size_t num_epochs) {
   if (config.shards != 0) return config.shards;
@@ -116,22 +178,24 @@ PipelineResult run_pipeline(const SessionTable& table,
                                             result.num_epochs);
 
   EpochCounters counters;
+  EpochSlots slots{pool_ptr == nullptr ? 1 : pool_ptr->worker_count() + 1,
+                   config};
 
   const auto process_epoch = [&](std::size_t e) {
     const auto epoch = static_cast<std::uint32_t>(e);
     VQ_SPAN_EPOCH("pipeline.epoch", epoch);
     const std::span<const Session> sessions = table.epoch(epoch);
+    const EpochSlots::Lease slot{slots};
     // One leaf fold per epoch feeds both the lattice expansion and all four
     // critical analyses.
-    const LeafFold fold = [&] {
+    {
       VQ_SPAN_EPOCH("pipeline.fold_sessions", epoch);
-      return fold_sessions(sessions, config.thresholds, epoch);
-    }();
+      fold_sessions_into(sessions, config.thresholds, epoch, slot->fold);
+    }
     // The analyses publish problem_cluster_keys as a byproduct, so no
     // separate find_problem_clusters pass is needed per metric.
-    EpochAnalyzer analyzer{config.engine, config.cluster_params};
     std::array<CriticalAnalysis, kNumMetrics> analyses =
-        analyzer.analyze(fold, pool_ptr, shards);
+        slot->analyzer.analyze(slot->fold, pool_ptr, shards);
     counters.record(result, epoch, analyses, sessions.size());
   };
 
@@ -150,8 +214,8 @@ PipelineResult run_pipeline(const SessionTable& table,
                      });
     // parallel_for is re-entrant, so the per-epoch workers can themselves
     // fan the lattice expansion out across the same pool; a throwing epoch
-    // (e.g. an epoch-mismatch in fold_sessions) surfaces here rather than
-    // terminating the process.
+    // (e.g. an epoch mismatch in fold_sessions_into) surfaces here rather
+    // than terminating the process.
     pool_ptr->parallel_for(0, order.size(), [&](std::size_t i) {
       process_epoch(order[i]);
     });

@@ -14,6 +14,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/cluster_engine.h"
@@ -81,16 +82,15 @@ inline void expect_cells_match(const EpochClusterTable& table,
   EXPECT_EQ(mismatched, 0u);
 }
 
-/// The leaf index's row-group shape: one group number per leaf, groups
-/// numbered in the order their first leaf appears (so each has a leaf),
-/// and row bounds per group that are monotone and end at cell_rows.size().
-inline void expect_row_group_shape(const LeafCellIndex& index) {
+/// The leaf index's shape: one group number per leaf, groups numbered in
+/// the order their first leaf appears (so each has a leaf), and bounds in
+/// the layout the index holds.  kGroupRows: num_groups() + 1 monotone row
+/// bounds ending at cell_rows.size().  kCellMembers: one member list per
+/// cell, the lists tiling cell_rows exactly, each strictly ascending over
+/// existing groups.
+inline void expect_index_shape(const EpochClusterTable& table) {
+  const LeafCellIndex& index = table.leaf_index;
   ASSERT_EQ(index.leaf_group.size(), index.num_leaves());
-  ASSERT_FALSE(index.row_offsets.empty());
-  EXPECT_EQ(index.row_offsets.front(), 0u);
-  EXPECT_EQ(index.row_offsets.back(), index.cell_rows.size());
-  EXPECT_TRUE(
-      std::is_sorted(index.row_offsets.begin(), index.row_offsets.end()));
   std::size_t next = 0;  // the number the next new group must carry
   std::size_t misnumbered = 0;
   for (const std::uint32_t g : index.leaf_group) {
@@ -99,28 +99,68 @@ inline void expect_row_group_shape(const LeafCellIndex& index) {
   }
   EXPECT_EQ(misnumbered, 0u);
   EXPECT_EQ(next, index.num_groups());
+  if (index.layout == LeafCellIndex::Layout::kGroupRows) {
+    EXPECT_TRUE(index.member_bounds.empty());
+    ASSERT_EQ(index.row_offsets.size(), index.num_groups() + 1);
+    EXPECT_EQ(index.row_offsets.front(), 0u);
+    EXPECT_EQ(index.row_offsets.back(), index.cell_rows.size());
+    EXPECT_TRUE(
+        std::is_sorted(index.row_offsets.begin(), index.row_offsets.end()));
+    return;
+  }
+  EXPECT_TRUE(index.row_offsets.empty());
+  ASSERT_EQ(index.member_bounds.size(), table.clusters.size());
+  std::vector<std::pair<std::size_t, std::size_t>> bounds =
+      index.member_bounds;
+  std::sort(bounds.begin(), bounds.end());
+  std::size_t at = 0;
+  std::size_t gaps = 0;
+  for (const auto& [begin, end] : bounds) {
+    gaps += begin == at && end > begin ? 0 : 1;
+    at = end;
+  }
+  EXPECT_EQ(gaps, 0u);
+  EXPECT_EQ(at, index.cell_rows.size());
+  std::size_t unordered = 0;
+  for (std::uint32_t id = 0; id < table.clusters.size(); ++id) {
+    const std::span<const std::uint32_t> members = index.members(id);
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      const bool ok = members[k] < index.num_groups() &&
+                      (k == 0 || members[k - 1] < members[k]);
+      unordered += ok ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(unordered, 0u);
 }
 
-/// The leaf index against the sessions: the row-group shape, one leaf per
-/// distinct attribute tuple with its counts, and each leaf's row naming, in
-/// ascending subset order, the leaf's clusters with sessions >= table.floor.
-inline void expect_rows_match(const EpochClusterTable& table,
-                              std::span<const Session> sessions,
-                              const oracle::Lattice& lattice, int max_arity) {
+/// The leaf index against the sessions: its shape, one leaf per distinct
+/// attribute tuple with its counts, and the membership relation in the
+/// layout the index holds.  kGroupRows: each leaf's row names, in
+/// ascending subset order, the leaf's clusters with sessions >=
+/// table.floor.  kCellMembers: each cell's member groups, expanded to
+/// their leaves, are exactly the leaves the oracle puts in that cluster.
+inline void expect_index_matches(const EpochClusterTable& table,
+                                 std::span<const Session> sessions,
+                                 const oracle::Lattice& lattice,
+                                 int max_arity) {
   const LeafCellIndex& index = table.leaf_index;
   const std::map<oracle::Tuple, oracle::Counts> leaves =
       oracle::count_clusters(sessions, ProblemThresholds{},
                              oracle::kAllAttributes);
   ASSERT_EQ(index.num_leaves(), leaves.size());
-  expect_row_group_shape(index);
+  expect_index_shape(table);
   const std::vector<oracle::Subset> subsets =
       oracle::cluster_subsets(max_arity);
   EXPECT_EQ(std::vector<oracle::Subset>(index.masks.begin(),
                                         index.masks.end()),
             subsets);
+  const bool rows = index.layout == LeafCellIndex::Layout::kGroupRows;
   std::set<oracle::Tuple> seen;
+  // kCellMembers: the oracle's member leaves of every cluster that reaches
+  // the floor, by leaf index.
+  std::map<oracle::Cluster, std::vector<std::uint32_t>> member_leaves;
   std::size_t mismatched = 0;
-  for (std::size_t i = 0; i < index.num_leaves(); ++i) {
+  for (std::uint32_t i = 0; i < index.num_leaves(); ++i) {
     const oracle::Cluster leaf = decode(index.leaf_keys[i]);
     const auto it = leaves.find(leaf.values);
     if (leaf.subset != oracle::kAllAttributes || it == leaves.end() ||
@@ -134,15 +174,39 @@ inline void expect_rows_match(const EpochClusterTable& table,
       const oracle::Tuple values = oracle::values_over(leaf.values, s);
       if (lattice.clusters[s].at(values).sessions >= table.floor) {
         want.push_back({s, values});
+        member_leaves[want.back()].push_back(i);
       }
     }
+    if (!rows) continue;
     std::vector<oracle::Cluster> got;
-    for (const std::uint32_t id : index.row(i)) {
+    for (const std::uint32_t id : index.group_row(index.leaf_group[i])) {
       got.push_back(decode(table.clusters.key(id)));
     }
     mismatched += got == want ? 0 : 1;
   }
   EXPECT_EQ(mismatched, 0u);
+  if (rows || mismatched != 0) return;
+
+  std::vector<std::vector<std::uint32_t>> group_leaves(index.num_groups());
+  for (std::uint32_t i = 0; i < index.num_leaves(); ++i) {
+    group_leaves[index.leaf_group[i]].push_back(i);
+  }
+  EXPECT_EQ(member_leaves.size(), table.clusters.size());
+  std::size_t wrong_members = 0;
+  for (std::uint32_t id = 0; id < table.clusters.size(); ++id) {
+    std::vector<std::uint32_t> got;
+    for (const std::uint32_t g : index.members(id)) {
+      if (g >= group_leaves.size()) {
+        got.push_back(~std::uint32_t{0});
+        continue;
+      }
+      got.insert(got.end(), group_leaves[g].begin(), group_leaves[g].end());
+    }
+    std::sort(got.begin(), got.end());
+    const auto it = member_leaves.find(decode(table.clusters.key(id)));
+    wrong_members += it != member_leaves.end() && it->second == got ? 0 : 1;
+  }
+  EXPECT_EQ(wrong_members, 0u);
 }
 
 /// Totals of what the oracle found, to show a comparison is not vacuous.

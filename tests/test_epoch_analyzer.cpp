@@ -20,6 +20,7 @@
 #include "src/core/epoch_analyzer.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/oracle_match.h"
 #include "tests/test_support.h"
 
 namespace vq {
@@ -89,8 +90,10 @@ void expect_same_table(const EpochClusterTable& want,
   EXPECT_EQ(want.leaf_index.leaf_keys, got.leaf_index.leaf_keys);
   EXPECT_EQ(want.leaf_index.leaf_stats, got.leaf_index.leaf_stats);
   EXPECT_EQ(want.leaf_index.leaf_group, got.leaf_index.leaf_group);
-  EXPECT_EQ(want.leaf_index.row_offsets, got.leaf_index.row_offsets);
-  EXPECT_EQ(want.leaf_index.cell_rows, got.leaf_index.cell_rows);
+  EXPECT_EQ(want.leaf_index.layout, got.leaf_index.layout);
+  EXPECT_EQ(want.leaf_index.num_groups(), got.leaf_index.num_groups());
+  EXPECT_EQ(test::leaf_rows(want), test::leaf_rows(got));
+  test::expect_index_shape(got);
 }
 
 class EpochAnalyzerReuse : public ::testing::TestWithParam<std::size_t> {};

@@ -77,16 +77,20 @@ void expect_tables_elementwise_equal(const EpochClusterTable& expected,
   EXPECT_EQ(expected.leaf_index.leaf_keys, actual.leaf_index.leaf_keys);
   EXPECT_EQ(expected.leaf_index.leaf_stats, actual.leaf_index.leaf_stats);
   EXPECT_EQ(expected.leaf_index.leaf_group, actual.leaf_index.leaf_group);
-  EXPECT_EQ(expected.leaf_index.cell_rows, actual.leaf_index.cell_rows);
+  EXPECT_EQ(expected.leaf_index.layout, actual.leaf_index.layout);
+  EXPECT_EQ(test::leaf_rows(expected), test::leaf_rows(actual));
 }
 
-/// Every LeafCellIndex row slot must point at the cell whose key is that
+/// Every leaf's row must name, mask by mask, the cell whose key is that
 /// leaf's projection — the engine-independent meaning of the index.
 void expect_index_rows_valid(const EpochClusterTable& table) {
   const LeafCellIndex& index = table.leaf_index;
+  const std::vector<std::vector<std::uint32_t>> rows = test::leaf_rows(table);
+  ASSERT_EQ(rows.size(), index.num_leaves());
   for (std::size_t leaf = 0; leaf < index.num_leaves(); ++leaf) {
     const ClusterKey key = ClusterKey::from_raw(index.leaf_keys[leaf]);
-    const std::span<const std::uint32_t> row = index.row(leaf);
+    const std::vector<std::uint32_t>& row = rows[leaf];
+    ASSERT_EQ(row.size(), index.masks.size()) << "leaf " << leaf;
     for (std::size_t j = 0; j < index.masks.size(); ++j) {
       ASSERT_LT(row[j], table.clusters.size());
       ASSERT_EQ(table.clusters.key(row[j]),

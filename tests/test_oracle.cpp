@@ -2,11 +2,12 @@
 //
 // On small random worlds with planted events, every entry point that
 // produces cells or analyses must agree with the oracle: expand_fold's
-// cells and leaf rows, find_critical_clusters (the four-metric and the
+// cells and leaf index (leaf rows of a full lattice, cell member lists of
+// a pruned one), find_critical_clusters (the four-metric and the
 // single-metric call), EpochAnalyzer, run_pipeline, run_pipeline_streaming
 // and StreamingDetector's open incidents.  The grid covers analysis floors
 // {1, 2, median cell size, root sessions} x max_arity {2, 7} x shards
-// {1, 4}.  Cell counts, leaf rows, integer fields, problem-cluster sets and
+// {1, 4}.  Cell counts, the index, integer fields, problem-cluster sets and
 // critical-cluster sets must match exactly; masses match within the bound
 // of test::mass_bound (tests/oracle_match.h), where engine keys are decoded
 // to (subset, tuple); the oracle never sees them.
@@ -204,7 +205,7 @@ const std::vector<World>& worlds() {
 using test::counts;
 using test::decode;
 using test::expect_analysis_matches;
-using test::expect_rows_match;
+using test::expect_index_matches;
 using test::Found;
 using test::mass_bound;
 
@@ -323,7 +324,7 @@ TEST_P(OracleDifferential, EveryEntryPointMatchesTheOracle) {
           expand_fold(fold, engine, p, shards, floor);
       EXPECT_EQ(table.floor, floor > 1 ? floor : 0u);
       test::expect_cells_match(table, want[e].lattice);
-      expect_rows_match(table, sessions, want[e].lattice, arity);
+      expect_index_matches(table, sessions, want[e].lattice, arity);
 
       const std::array<CriticalAnalysis, kNumMetrics> all =
           find_critical_clusters(fold, table, params, p, shards);

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
+#include <string>
+
 #include "src/core/prevalence.h"
 #include "src/gen/tracegen.h"
 #include "tests/check_analysis.h"
@@ -164,6 +168,33 @@ TEST_F(GeneratedFixture, ShardedExpansionMatchesSerial) {
       ASSERT_EQ(a.criticals.size(), b.criticals.size());
       for (std::size_t i = 0; i < a.criticals.size(); ++i) {
         EXPECT_EQ(a.criticals[i].key, b.criticals[i].key);
+      }
+    }
+  }
+}
+
+TEST_F(GeneratedFixture, EpochMismatchSurfacesAndTheNextCallMatches) {
+  // SessionTable indexes its rows by epoch, so a row whose epoch disagrees
+  // with its span can only come from a row changed after indexing: change
+  // one of epoch 5's in a copy of the trace.  The epoch task that folds it
+  // throws; the throw must surface from run_pipeline, serial or on the
+  // pool, and a later call on the intact trace must read the serial
+  // result exactly.
+  SessionTable bad = trace;
+  const std::span<const Session> five = bad.epoch(5);
+  ASSERT_FALSE(five.empty());
+  const_cast<Session&>(five[five.size() / 2]).epoch = 4;
+  for (const std::size_t workers : {1u, 3u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    PipelineConfig c = config;
+    c.workers = workers;
+    EXPECT_THROW((void)run_pipeline(bad, c), std::invalid_argument);
+    const PipelineResult again = run_pipeline(trace, c);
+    ASSERT_EQ(again.num_epochs, result.num_epochs);
+    for (const Metric m : kAllMetrics) {
+      for (std::uint32_t e = 0; e < result.num_epochs; ++e) {
+        EXPECT_EQ(again.at(m, e).analysis, result.at(m, e).analysis)
+            << metric_name(m) << " epoch " << e;
       }
     }
   }

@@ -1,8 +1,9 @@
 // Differential tests for the significance-pruned lattice: expand_fold with
 // an analysis floor above 1 must build exactly the full lattice's cells
-// with sessions >= floor (same keys, stats and canonical id order), compact
-// leaf rows holding exactly the ids of the leaf's projections at or above
-// the floor in ascending mask order, and every CriticalAnalysis equal to the
+// with sessions >= floor (same keys, stats and canonical id order), a
+// membership relation holding exactly each leaf's projections at or above
+// the floor (the leaf rows rebuilt from the cells' member lists), and
+// every CriticalAnalysis equal to the
 // full lattice's field by field, doubles by bit pattern — over randomized
 // folds with planted events, floors {2, 3, median cell size, root sessions,
 // root sessions + 1}, arity caps {2, 7} and shard counts {1, 4}.  Also
@@ -102,7 +103,8 @@ void expect_analyses_identical(const CriticalAnalysis& expected,
 }
 
 /// The pruned table against the full one at `floor`: store contents and
-/// order, leaf rows, and all four analyses at min_sessions = floor.
+/// order, the index's layouts and membership relation, and all four
+/// analyses at min_sessions = floor.
 /// Returns the total number of critical clusters, to catch vacuous passes.
 std::size_t expect_pruned_matches_full(const LeafFold& fold,
                                        const EpochClusterTable& full,
@@ -134,30 +136,34 @@ std::size_t expect_pruned_matches_full(const LeafFold& fold,
     EXPECT_EQ(pruned.clusters.id_of(keys[id]), id);
   }
 
-  // Rows: each pruned row is the full row's cells with sessions >= floor,
-  // as pruned ids, in the full row's ascending mask order; the bounds are
-  // monotone per row group, end at cell_rows.size(), and no slot is
-  // kNoCell.  The full lattice has one row per leaf.
+  // Membership: the full table keeps one row per leaf, the pruned one a
+  // strictly ascending member list per cell (the index's shape).  Each
+  // pruned leaf row rebuilt from the member lists is the full row's cells
+  // with sessions >= floor, as pruned ids, in the full row's ascending mask
+  // order.
   const LeafCellIndex& fi = full.leaf_index;
   const LeafCellIndex& pi = pruned.leaf_index;
+  EXPECT_EQ(fi.layout, LeafCellIndex::Layout::kGroupRows);
+  EXPECT_EQ(pi.layout, LeafCellIndex::Layout::kCellMembers);
   EXPECT_EQ(pi.masks, fi.masks);
   EXPECT_EQ(pi.leaf_keys, fi.leaf_keys);
   EXPECT_EQ(pi.leaf_stats, fi.leaf_stats);
   EXPECT_EQ(fi.num_groups(), fi.num_leaves());
-  test::expect_row_group_shape(pi);
-  EXPECT_EQ(std::count(pi.cell_rows.begin(), pi.cell_rows.end(),
-                       CellStore::kNoCell),
-            0);
+  test::expect_index_shape(pruned);
+  const std::vector<std::vector<std::uint32_t>> full_rows =
+      test::leaf_rows(full);
+  const std::vector<std::vector<std::uint32_t>> pruned_rows =
+      test::leaf_rows(pruned);
+  EXPECT_EQ(pruned_rows.size(), fi.num_leaves());
   std::size_t mismatched_rows = 0;
   for (std::size_t leaf = 0; leaf < fi.num_leaves(); ++leaf) {
     std::vector<std::uint32_t> want;
-    for (const std::uint32_t id : fi.row(leaf)) {
+    for (const std::uint32_t id : full_rows[leaf]) {
       if (full.clusters.cell(id).sessions >= floor) {
         want.push_back(pruned.clusters.id_of(full.clusters.key(id)));
       }
     }
-    const auto got = pi.row(leaf);
-    if (!std::equal(want.begin(), want.end(), got.begin(), got.end())) {
+    if (leaf >= pruned_rows.size() || want != pruned_rows[leaf]) {
       ++mismatched_rows;
     }
   }
@@ -270,8 +276,8 @@ TEST(PrunedLattice, EmptyEpoch) {
 
 TEST(PrunedLattice, NoCellReachesTheFloor) {
   // Every cell of a 40-leaf epoch holds fewer sessions than the floor: the
-  // store is empty, every row is empty, and the analyses still carry the
-  // epoch's header counts.
+  // store is empty, there are no member lists, and the analyses still carry
+  // the epoch's header counts.
   const LeafFold fold = planted_fold(3, 40, 0);
   ASSERT_LT(fold.root.sessions, 1000u);
   const EpochClusterTable full = expand_fold(fold, {});
@@ -280,7 +286,8 @@ TEST(PrunedLattice, NoCellReachesTheFloor) {
   EXPECT_EQ(pruned.leaf_index.num_leaves(), fold.leaves.size());
   EXPECT_TRUE(pruned.leaf_index.cell_rows.empty());
   // No attribute value reaches the floor, so every leaf is in one group.
-  EXPECT_EQ(pruned.leaf_index.row_offsets, (std::vector<std::size_t>{0, 0}));
+  EXPECT_EQ(pruned.leaf_index.num_groups(), 1u);
+  EXPECT_TRUE(pruned.leaf_index.member_bounds.empty());
   EXPECT_EQ(pruned.leaf_index.leaf_group,
             std::vector<std::uint32_t>(fold.leaves.size(), 0));
   expect_pruned_matches_full(fold, full, pruned, 1000, nullptr, 1);
@@ -294,6 +301,8 @@ TEST(PrunedLattice, FullLatticeWhereNotPruned) {
     const EpochClusterTable t = expand_fold(fold, {}, nullptr, 1, floor);
     EXPECT_EQ(t.floor, 0u);
     EXPECT_EQ(t.clusters.size(), full.clusters.size());
+    EXPECT_EQ(t.leaf_index.layout, LeafCellIndex::Layout::kGroupRows);
+    EXPECT_EQ(t.leaf_index.row_offsets, full.leaf_index.row_offsets);
     EXPECT_EQ(t.leaf_index.cell_rows, full.leaf_index.cell_rows);
   }
 }

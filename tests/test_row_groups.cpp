@@ -3,11 +3,11 @@
 //
 // A pruned expansion drops every attribute value whose one-attribute cell
 // is below the floor and merges the leaves whose keys then coincide into
-// one row group, which the iceberg cube splits and which gets one row.
-// These tests compute the expected groups straight from the sessions —
-// for each distinct leaf, the (subset, tuple) of its values that reach the
-// floor — and check the engine's groups, cells, rows and all four analyses
-// against the oracle: at a kept value that is its field's maximum next to
+// one row group, which the iceberg cube splits and lists as a member of
+// its cells.  These tests compute the expected groups straight from the
+// sessions — for each distinct leaf, the (subset, tuple) of its values
+// that reach the floor — and check the engine's groups, cells, member
+// lists and all four analyses against the oracle: at a kept value that is its field's maximum next to
 // dropped values of the same dimension, at a dimension whose every value
 // is dropped, at a floor that keeps no value, at floors 0 and 1, and over
 // random worlds with planted events at several floors.
@@ -71,10 +71,11 @@ struct Checked {
 };
 
 /// Expands one epoch at `floor` and checks the table against the oracle:
-/// cells, the row-group shape, every leaf's row, the group count against
-/// expected_groups and expand.row_groups, and the four analyses.  Leaves
-/// of one group read one stored row, so matching every leaf's row to the
-/// oracle also shows that the oracle gives them equal rows.
+/// cells, the index's shape, every cell's member leaves (every leaf's row
+/// on a full lattice), the group count against expected_groups and
+/// expand.row_groups, and the four analyses.  Leaves of one group are
+/// listed once, as their group, so matching every cell's leaves to the
+/// oracle also shows that the oracle puts them in the same cells.
 Checked check(std::span<const Session> sessions, std::uint32_t floor,
               int max_arity = kNumDims) {
   SCOPED_TRACE("floor " + std::to_string(floor) + ", arity " +
@@ -97,7 +98,7 @@ Checked check(std::span<const Session> sessions, std::uint32_t floor,
   const LeafCellIndex& index = table.leaf_index;
 
   test::expect_cells_match(table, want.lattice);
-  test::expect_rows_match(table, sessions, want.lattice, max_arity);
+  test::expect_index_matches(table, sessions, want.lattice, max_arity);
   out.groups =
       floor > 1 ? expected_groups(sessions, floor).size() : fold.leaves.size();
   EXPECT_EQ(index.num_groups(), out.groups);
@@ -232,15 +233,52 @@ TEST(RowGroups, FloorKeepingNoValueLeavesOneGroupWithAnEmptyRow) {
   const LeafCellIndex& index = c.table.leaf_index;
   EXPECT_EQ(index.num_groups(), 1u);
   EXPECT_TRUE(c.table.clusters.empty());
+  EXPECT_TRUE(index.cell_rows.empty());
   EXPECT_GT(index.num_leaves(), 1u);
+  const std::vector<std::vector<std::uint32_t>> rows = test::leaf_rows(c.table);
   for (std::size_t i = 0; i < index.num_leaves(); ++i) {
     EXPECT_EQ(index.leaf_group[i], 0u);
-    EXPECT_TRUE(index.row(i).empty());
+    EXPECT_TRUE(rows[i].empty());
   }
   // At the largest cell itself, that one value is kept.
   const Checked at = check(sessions, static_cast<std::uint32_t>(largest));
   EXPECT_GT(at.groups, 1u);
   EXPECT_FALSE(at.table.clusters.empty());
+}
+
+TEST(RowGroups, EventOnVodLiveSurfacesThroughTheHighMaskWord) {
+  // VoD/Live is the dimension of mask bit 6, so every cell that fixes it
+  // has a mask of 64 or more, held in the high word of the sweep's 128-bit
+  // mask sets.  Buffering is bad on a quarter of the sessions, the live
+  // ones, so [vod=1] is the critical cluster of their problem sessions.
+  std::vector<Session> sessions;
+  Xoshiro256ss rng{41};
+  for (int i = 0; i < 3000; ++i) {
+    const Attrs a{.site = static_cast<std::uint16_t>(rng() % 6),
+                  .cdn = static_cast<std::uint16_t>(rng() % 3),
+                  .asn = static_cast<std::uint16_t>(rng() % 8),
+                  .player = static_cast<std::uint16_t>(rng() % 2),
+                  .vod = static_cast<std::uint16_t>(rng() % 4 == 0 ? 1 : 0)};
+    sessions.push_back(test::make_session(
+        0, a,
+        rng() % 100 < (a.vod == 1 ? 70u : 4u) ? test::bad_buffering()
+                                               : test::good_quality()));
+  }
+  for (const std::uint32_t floor : {2u, 40u, 150u}) {
+    for (const int arity : {2, kNumDims}) {
+      const Checked c = check(sessions, floor, arity);
+      const ProblemClusterParams params{.ratio_multiplier = 1.5,
+                                        .min_sessions = floor};
+      const CriticalAnalysis buf = find_critical_clusters(
+          sessions, c.table, ProblemThresholds{}, params, Metric::kBufRatio);
+      const ClusterKey live =
+          ClusterKey::pack(dim_bit(AttrDim::kVodLive), Attrs{.vod = 1}.vec());
+      EXPECT_TRUE(std::ranges::any_of(
+          buf.criticals,
+          [&](const CriticalRecord& r) { return r.key == live; }))
+          << "floor " << floor << ", arity " << arity;
+    }
+  }
 }
 
 /// One epoch of sessions over a small universe with skewed values, so

@@ -119,15 +119,27 @@ TEST(TraceBinary, CorruptedSessionCountFailsFastWithoutHugeAllocation) {
   std::string bytes = buffer.str();
 
   // The count is the little-endian u64 right before the fixed-size session
-  // records (31 bytes each).
+  // records (31 bytes each), one per session the table holds.
   constexpr std::size_t kRecordSize = 7 * 2 + 4 + 3 * 4 + 1;
   static_assert(kRecordSize == 31);
-  const std::size_t count_pos = bytes.size() - 20 * kRecordSize - 8;
+  ASSERT_GT(original.table.size(), 0u);
+  const std::size_t count_pos =
+      bytes.size() - original.table.size() * kRecordSize - 8;
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + count_pos, sizeof count);
+  ASSERT_EQ(count, original.table.size());
   const std::uint64_t huge = std::uint64_t{1} << 60;
   std::memcpy(bytes.data() + count_pos, &huge, sizeof huge);
 
   std::stringstream patched{bytes, std::ios::in | std::ios::binary};
-  EXPECT_THROW((void)read_trace_binary(patched), std::runtime_error);
+  try {
+    (void)read_trace_binary(patched);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("truncated input"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 /// A stream that cannot seek, like a pipe: tellg() reports no position.
