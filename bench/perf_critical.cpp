@@ -1,8 +1,7 @@
 // Standalone critical-extraction benchmark: times the fused sweep (one
-// four-metric call per rep, serial and sharded) on one realistic
-// full-lattice epoch and writes the numbers to BENCH_critical.json.  The
-// JSON keys predate the fused sweep: "indexed" names the sweep that reads
-// the table's LeafCellIndex.
+// four-metric call per rep) on one realistic full-lattice epoch and writes
+// the numbers to BENCH_critical.json.  The JSON keys predate the fused
+// sweep: "indexed" names the sweep that reads the table's LeafCellIndex.
 //
 // Unlike the google-benchmark microbenches (perf_engine), this harness is a
 // plain main() so CI can run it in smoke mode and the JSON can be checked
@@ -11,12 +10,11 @@
 //   usage: perf_critical [--smoke] [output.json]
 //
 //   VIDQUAL_CRIT_SESSIONS  sessions in the benchmarked epoch (default 200000)
-//   VIDQUAL_CRIT_REPS      timed repetitions per strategy    (default 20)
-//   VIDQUAL_CRIT_SHARDS    shard count for the sharded run   (default 4)
+//   VIDQUAL_CRIT_REPS      timed repetitions                 (default 20)
 //
 // Smoke mode shrinks both knobs so the whole binary finishes in seconds; it
-// still runs every variant and the equality check, which refuses to report
-// numbers when the serial, sharded and single-metric runs disagree.
+// still runs the equality check, which refuses to report numbers when the
+// four-metric and single-metric runs disagree.
 
 #include <chrono>
 #include <cstdio>
@@ -27,7 +25,6 @@
 
 #include "src/core/critical_cluster.h"
 #include "src/gen/tracegen.h"
-#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -66,8 +63,6 @@ int main(int argc, char** argv) {
       env_u64("VIDQUAL_CRIT_SESSIONS", smoke ? 20'000 : 200'000));
   const auto reps =
       static_cast<std::size_t>(env_u64("VIDQUAL_CRIT_REPS", smoke ? 3 : 20));
-  const auto shards =
-      static_cast<std::size_t>(env_u64("VIDQUAL_CRIT_SHARDS", 4));
 
   // One epoch over a compact attribute universe: leaves repeat heavily,
   // clusters clear the significance floor — the regime the paper's traces
@@ -91,37 +86,29 @@ int main(int argc, char** argv) {
                                     .min_sessions = 150};
   const LeafFold fold = fold_sessions(trace.epoch(0), thresholds, 0);
   const EpochClusterTable table = expand_fold(fold, {});
-  ThreadPool pool{shards};
 
   std::printf("perf_critical: %zu sessions, %zu leaves, %zu cells, %zu reps\n",
               trace.size(), fold.leaves.size(), table.clusters.size(), reps);
 
   // A "rep" covers all four metrics, matching what the pipeline does per
   // epoch — so reps/sec is directly epochs/sec of critical extraction.
-  const auto fused_rep = [&](ThreadPool* p, std::size_t s) {
-    return [&, p, s] {
-      const auto all = find_critical_clusters(fold, table, params, p, s);
-      for (const CriticalAnalysis& a : all) {
-        if (a.criticals.empty() && a.num_problem_clusters > 0) std::abort();
-      }
-    };
-  };
-  const double indexed_s = time_reps(reps, fused_rep(nullptr, 1));
-  const double sharded_s = time_reps(reps, fused_rep(&pool, shards));
+  const double indexed_s = time_reps(reps, [&] {
+    const auto all = find_critical_clusters(fold, table, params);
+    for (const CriticalAnalysis& a : all) {
+      if (a.criticals.empty() && a.num_problem_clusters > 0) std::abort();
+    }
+  });
 
-  // The variants must agree exactly before the numbers mean anything: the
-  // sharded four-metric call and four single-metric calls against the
-  // serial four-metric call, every field equal, doubles included — they
-  // share one floating-point accumulation order (the check against the
-  // paper's definitions lives in tests/test_oracle.cpp).
+  // The variants must agree exactly before the numbers mean anything: four
+  // single-metric calls against the four-metric call, every field equal,
+  // doubles included — they share one floating-point accumulation order
+  // (the check against the paper's definitions lives in
+  // tests/test_oracle.cpp).
   std::size_t criticals = 0;
-  const auto serial = find_critical_clusters(fold, table, params);
-  const auto sharded = find_critical_clusters(fold, table, params, &pool,
-                                              shards);
+  const auto all = find_critical_clusters(fold, table, params);
   for (const Metric m : kAllMetrics) {
-    const auto& want = serial[static_cast<std::uint8_t>(m)];
-    if (want != sharded[static_cast<std::uint8_t>(m)] ||
-        want != find_critical_clusters(fold, table, params, m)) {
+    const auto& want = all[static_cast<std::uint8_t>(m)];
+    if (want != find_critical_clusters(fold, table, params, m)) {
       std::fprintf(stderr, "FATAL: sweep variants disagree on metric %d\n",
                    static_cast<int>(m));
       return 1;
@@ -129,13 +116,8 @@ int main(int argc, char** argv) {
     criticals += want.criticals.size();
   }
 
-  const double n = static_cast<double>(reps);
-  const double indexed_eps = n / indexed_s;
-  const double sharded_eps = n / sharded_s;
-
+  const double indexed_eps = static_cast<double>(reps) / indexed_s;
   std::printf("  fused           : %8.2f epochs/sec\n", indexed_eps);
-  std::printf("  fused x%zu       : %8.2f epochs/sec  (%.2fx)\n", shards,
-              sharded_eps, sharded_eps / indexed_eps);
 
   std::ofstream out{out_path};
   if (!out) {
@@ -150,9 +132,7 @@ int main(int argc, char** argv) {
       << "  \"lattice_cells\": " << table.clusters.size() << ",\n"
       << "  \"critical_clusters\": " << criticals << ",\n"
       << "  \"reps\": " << reps << ",\n"
-      << "  \"shards\": " << shards << ",\n"
-      << "  \"indexed_epochs_per_sec\": " << indexed_eps << ",\n"
-      << "  \"indexed_sharded_epochs_per_sec\": " << sharded_eps << "\n"
+      << "  \"indexed_epochs_per_sec\": " << indexed_eps << "\n"
       << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

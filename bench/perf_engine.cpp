@@ -11,7 +11,6 @@
 #include "src/core/pipeline.h"
 #include "src/gen/tracegen.h"
 #include "src/util/flat_hash_map.h"
-#include "src/util/thread_pool.h"
 
 namespace vq {
 namespace {
@@ -136,23 +135,6 @@ void BM_AggregateEpochFoldedByLeafRatio(benchmark::State& state) {
 BENCHMARK(BM_AggregateEpochFoldedByLeafRatio)
     ->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
-void BM_ExpandFoldSharded(benchmark::State& state) {
-  // Pass-2 expansion alone over a pre-built fold, at several shard counts
-  // (shards=1 is the serial expansion baseline).
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const std::vector<Session> sessions =
-      leaf_ratio_epoch(kLeafRatioSessions, kLeafRatioSessions / 4);
-  const LeafFold fold = fold_sessions(sessions, {}, 0);
-  ThreadPool pool{4};
-  for (auto _ : state) {
-    const auto table = expand_fold(fold, {}, &pool, shards);
-    benchmark::DoNotOptimize(table.clusters.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(fold.leaves.size()) * 127);
-}
-BENCHMARK(BM_ExpandFoldSharded)->Arg(1)->Arg(2)->Arg(4);
-
 // --- critical extraction: the fused sweep -----------------------------------
 // Shared fixture: one fold + one indexed table per process, so the loops
 // time extraction alone (not aggregation), all four metrics per call.
@@ -183,20 +165,6 @@ void BM_CriticalFused(benchmark::State& state) {
                           static_cast<long>(f.fold.leaves.size()));
 }
 BENCHMARK(BM_CriticalFused);
-
-void BM_CriticalFusedSharded(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const CriticalFixture& f = critical_fixture();
-  ThreadPool pool{4};
-  for (auto _ : state) {
-    const auto analyses =
-        find_critical_clusters(f.fold, f.table, f.params, &pool, shards);
-    benchmark::DoNotOptimize(analyses[0].criticals.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(f.fold.leaves.size()));
-}
-BENCHMARK(BM_CriticalFusedSharded)->Arg(2)->Arg(4);
 
 void BM_CriticalFusedByLeafRatio(benchmark::State& state) {
   const auto ratio = static_cast<std::size_t>(state.range(0));

@@ -11,9 +11,9 @@
 //                as run_pipeline_streaming folds it
 //
 // It also times the paper-world epoch at floor 1 (`paper_full_*`), where
-// the analyzer builds the full lattice and the sweep gathers its per-leaf
-// rows.  No CI gate tracks that figure; it keeps the cost of the full
-// lattice's row layout in view.
+// the iceberg cube builds the full lattice and the sweep scatters all of
+// its member lists.  No CI gate tracks that figure; it keeps the cost of
+// the full lattice in view.
 //
 // Each repeat times both inputs in turn, so a burst of host noise lands on
 // both, and each figure is the median repeat; the JSON also records the

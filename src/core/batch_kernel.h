@@ -1,9 +1,8 @@
-// Kernel-dispatch selector shared by every batch/SIMD entry point in core:
-// the column fold kernels (columns.h) and the mask-major lattice expansion
-// kernels (expand_kernels.h).  kAuto picks the widest instruction set the
-// build supports (AVX2, else SSE2, else scalar); kScalar forces the portable
-// fallback — differential tests run both and require bit-identical output,
-// which is possible because every kernel is integer arithmetic or
+// Kernel-dispatch selector of the batch/SIMD entry points in core: the
+// column fold kernels (columns.h).  kAuto picks the widest instruction set
+// the build supports (AVX2, else SSE2, else scalar); kScalar forces the
+// portable fallback — differential tests run both and require bit-identical
+// output, which is possible because every kernel is integer arithmetic or
 // ordered-quiet float compares (no reassociated float accumulation).
 
 #pragma once

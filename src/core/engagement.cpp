@@ -67,8 +67,12 @@ EngagementWhatIf::EngagementWhatIf(const SessionTable& table,
   const PipelineConfig& config = result.config;
   for (std::uint32_t epoch = 0; epoch < result.num_epochs; ++epoch) {
     const std::span<const Session> sessions = table.epoch(epoch);
-    const EpochClusterTable lattice = aggregate_epoch(
-        sessions, config.thresholds, config.engine, epoch);
+    // At the analysis floor, as the pipelines expand: every cell the
+    // candidate test and the factor read is present (critical_cluster.h).
+    const EpochClusterTable lattice =
+        expand_fold(fold_sessions(sessions, config.thresholds, epoch),
+                    config.engine, nullptr, 1,
+                    config.cluster_params.min_sessions);
 
     for (const Metric metric : kAllMetrics) {
       const auto mi = static_cast<std::uint8_t>(metric);

@@ -5,13 +5,12 @@
 namespace vq {
 
 std::array<CriticalAnalysis, kNumMetrics> EpochAnalyzer::analyze(
-    const LeafFold& fold, ThreadPool* pool, std::size_t shards) {
+    const LeafFold& fold) {
   {
     VQ_SPAN_EPOCH("pipeline.expand_lattice", fold.epoch);
-    expand_fold_into(fold, engine_, pool, shards, params_.min_sessions,
-                     workspace_, table_);
+    expand_fold_into(fold, engine_, params_.min_sessions, workspace_, table_);
   }
-  return sweep_.run(table_, params_, kAllMetricSet, pool, shards);
+  return sweep_.run(table_, params_, kAllMetricSet);
 }
 
 }  // namespace vq

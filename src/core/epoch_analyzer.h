@@ -1,5 +1,6 @@
-// One epoch's rebuild path as one object: leaf fold -> pruned (or full)
-// lattice -> the four §3.2 analyses in one fused sweep.
+// One epoch's rebuild path as one object: leaf fold -> the lattice's cells
+// at the analysis floor (the iceberg cube, cluster_engine.h) -> the four
+// §3.2 analyses in one fused sweep over the cube's member lists.
 //
 // EpochAnalyzer owns the epoch table and every expansion and sweep buffer
 // (ExpandWorkspace, CriticalSweep) and keeps them from one analyze() to the
@@ -21,15 +22,12 @@
 #pragma once
 
 #include <array>
-#include <cstddef>
 
 #include "src/core/cluster_engine.h"
 #include "src/core/critical_cluster.h"
 #include "src/core/problem_cluster.h"
 
 namespace vq {
-
-class ThreadPool;
 
 class EpochAnalyzer {
  public:
@@ -39,11 +37,9 @@ class EpochAnalyzer {
 
   /// Expands `fold` at the analysis floor (params.min_sessions) and returns
   /// its four critical analyses — identical to expand_fold followed by
-  /// find_critical_clusters.  `pool`/`shards` parallelise both steps as
-  /// there.
+  /// find_critical_clusters.
   [[nodiscard]] std::array<CriticalAnalysis, kNumMetrics> analyze(
-      const LeafFold& fold, ThreadPool* pool = nullptr,
-      std::size_t shards = 1);
+      const LeafFold& fold);
 
   /// The last analysed epoch's table.
   [[nodiscard]] const EpochClusterTable& table() const noexcept {

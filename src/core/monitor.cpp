@@ -87,8 +87,6 @@ std::vector<IncidentEvent> StreamingDetector::ingest(
 
   // One fold per ingested epoch, shared by the expansion (or the delta
   // engine) and all metrics.
-  ThreadPool* pool_ptr = pool_ ? &*pool_ : nullptr;
-  const std::size_t shards = std::max<std::uint32_t>(1, config_.shards);
   fold_sessions_into(sessions, config_.thresholds, epoch, fold_);
 
   // Incremental mode applies the fold as a per-leaf delta against the
@@ -96,8 +94,9 @@ std::vector<IncidentEvent> StreamingDetector::ingest(
   // bit-identical analyses (tests/test_incremental.cpp), so the incident
   // stream cannot depend on the mode.
   const std::array<CriticalAnalysis, kNumMetrics> analyses =
-      lattice_ ? lattice_->advance(fold_, pool_ptr, shards)
-               : analyzer_.analyze(fold_, pool_ptr, shards);
+      lattice_ ? lattice_->advance(fold_, pool_ ? &*pool_ : nullptr,
+                                   std::max<std::uint32_t>(1, config_.shards))
+               : analyzer_.analyze(fold_);
 
   std::vector<IncidentEvent> events;
   for (const Metric metric : kAllMetrics) {

@@ -72,19 +72,19 @@ struct MonitorConfig {
   /// escalates (the paper's reactive strategy uses 1).
   std::uint32_t escalate_after = 1;
   EpochOrderPolicy order_policy = EpochOrderPolicy::kThrow;
-  /// Detector-side parallelism for the per-epoch lattice expansion and
-  /// critical-cluster extraction (the pool/shards arguments of expand_fold
-  /// and find_critical_clusters).  workers <= 1 runs serial.  Excluded from
-  /// the checkpoint fingerprint like the expansion kernel: the parallel
-  /// kernels are bit-identical to the serial ones by construction, so any
-  /// workers x shards setting yields the same incident stream
-  /// (differential-tested at {1,4} x {1,4}).
+  /// Detector-side parallelism of the incremental lattice's per-leaf sweep
+  /// (IncrementalLattice::advance); nothing else reads them, because the
+  /// rebuild path (EpochAnalyzer) is serial.  workers <= 1 runs serial.
+  /// Excluded from the checkpoint fingerprint: the sharded sweep is
+  /// bit-identical to the serial one by construction, so any workers x
+  /// shards setting yields the same incident stream (differential-tested
+  /// at {1,4} x {1,4}).
   std::uint32_t workers = 1;
   std::uint32_t shards = 1;
   /// Maintain the lattice across epochs with the incremental delta engine
   /// (src/core/incremental.h) instead of re-expanding every epoch.  The
   /// incident event stream is bit-identical either way (the engine's
-  /// differential contract), so — like the kernel and worker knobs — this
+  /// differential contract), so — like the worker knobs — this
   /// is excluded from the checkpoint fingerprint and may change across a
   /// save/restore.
   bool incremental = false;
@@ -145,9 +145,9 @@ class StreamingDetector {
  public:
   explicit StreamingDetector(const MonitorConfig& config)
       : config_(config), analyzer_(config.engine, config.cluster_params) {
-    if (config_.workers > 1) pool_.emplace(config_.workers);
     if (config_.incremental) {
       lattice_.emplace(config_.cluster_params, config_.engine.max_arity);
+      if (config_.workers > 1) pool_.emplace(config_.workers);
     }
   }
 
@@ -238,19 +238,19 @@ class StreamingDetector {
 
   /// Fingerprint of the result-affecting config fields (thresholds, cluster
   /// params, the engine's max_arity, escalate_after, order policy).  The
-  /// engine's expansion kernel, the incremental flag and the worker and
-  /// shard counts are excluded: the kernels, the incremental lattice and
-  /// any sharding give bit-identical analyses (differential-tested), so
-  /// they may differ across a save/restore without changing the event
-  /// stream.  max_arity bounds which clusters exist, so it is included.
+  /// incremental flag and the worker and shard counts are excluded: the
+  /// incremental lattice and any sharding give bit-identical analyses
+  /// (differential-tested), so they may differ across a save/restore
+  /// without changing the event stream.  max_arity bounds which clusters
+  /// exist, so it is included.
   [[nodiscard]] static std::uint64_t config_fingerprint(
       const MonitorConfig& config) noexcept;
 
  private:
   const MonitorConfig config_;  // immutable after construction: unguarded
-  /// Worker pool for the parallel expand/extract kernels; engaged only when
-  /// config_.workers > 1.  Used exclusively from inside ingest() (under
-  /// mutex_), so it needs no guarding of its own.
+  /// Worker pool of the incremental lattice's sweep; engaged only when
+  /// config_.incremental and config_.workers > 1.  Used exclusively from
+  /// inside ingest() (under mutex_), so it needs no guarding of its own.
   std::optional<ThreadPool> pool_;
   /// Cross-epoch lattice state; engaged only when config_.incremental.
   /// Used exclusively from inside ingest() (under mutex_).

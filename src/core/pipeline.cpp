@@ -78,9 +78,8 @@ struct EpochCounters {
 /// run_pipeline's per-thread epoch state: one fold and one analyzer per
 /// compute thread, each kept across the epochs it serves so its buffers'
 /// pages stay mapped.  An epoch task checks a slot out for its duration.
-/// A pool thread runs one epoch task at a time (a nested parallel_for only
-/// runs its own batch's iterations), so the pool's workers and the calling
-/// thread never need more slots than there are threads.
+/// A pool thread runs one epoch task at a time, so the pool's workers and
+/// the calling thread never need more slots than there are threads.
 class EpochSlots {
  public:
   struct Slot {
@@ -135,16 +134,6 @@ class EpochSlots {
   std::vector<Slot*> free_ VQ_GUARDED_BY(mutex_);
 };
 
-std::size_t resolve_shards(const PipelineConfig& config, std::size_t workers,
-                           std::size_t num_epochs) {
-  if (config.shards != 0) return config.shards;
-  if (workers <= 1 || num_epochs == 0) return 1;
-  // With epochs >= workers the epoch level saturates the pool by itself;
-  // below that, shard each epoch's expansion so every worker has a slice.
-  if (num_epochs >= workers) return 1;
-  return (workers + num_epochs - 1) / num_epochs;
-}
-
 }  // namespace
 
 PipelineResult run_pipeline(const SessionTable& table,
@@ -174,8 +163,6 @@ PipelineResult run_pipeline(const SessionTable& table,
   std::optional<ThreadPool> pool;
   if (workers > 1 && result.num_epochs > 0) pool.emplace(workers);
   ThreadPool* pool_ptr = pool ? &*pool : nullptr;
-  const std::size_t shards = resolve_shards(config, workers,
-                                            result.num_epochs);
 
   EpochCounters counters;
   EpochSlots slots{pool_ptr == nullptr ? 1 : pool_ptr->worker_count() + 1,
@@ -195,7 +182,7 @@ PipelineResult run_pipeline(const SessionTable& table,
     // The analyses publish problem_cluster_keys as a byproduct, so no
     // separate find_problem_clusters pass is needed per metric.
     std::array<CriticalAnalysis, kNumMetrics> analyses =
-        slot->analyzer.analyze(slot->fold, pool_ptr, shards);
+        slot->analyzer.analyze(slot->fold);
     counters.record(result, epoch, analyses, sessions.size());
   };
 
@@ -212,10 +199,8 @@ PipelineResult run_pipeline(const SessionTable& table,
                      [&](std::uint32_t a, std::uint32_t b) {
                        return table.epoch(a).size() > table.epoch(b).size();
                      });
-    // parallel_for is re-entrant, so the per-epoch workers can themselves
-    // fan the lattice expansion out across the same pool; a throwing epoch
-    // (e.g. an epoch mismatch in fold_sessions_into) surfaces here rather
-    // than terminating the process.
+    // A throwing epoch (e.g. an epoch mismatch in fold_sessions_into)
+    // surfaces here rather than terminating the process.
     pool_ptr->parallel_for(0, order.size(), [&](std::size_t i) {
       process_epoch(order[i]);
     });
@@ -230,27 +215,26 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
   result.num_epochs = source.num_epochs();
   for (auto& v : result.per_metric) v.resize(result.num_epochs);
 
-  const std::size_t workers =
-      config.workers == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : config.workers;
-  std::optional<ThreadPool> pool;
-  if (workers > 1 && result.num_epochs > 0) pool.emplace(workers);
-  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
-  // Epochs stream sequentially (that is the memory bound), so all
-  // parallelism lives inside the epoch: default shards to the pool width.
-  const std::size_t shards =
-      config.shards != 0 ? config.shards : std::max<std::size_t>(1, workers);
-
   EpochCounters counters;
   obs::Registry& reg = obs::Registry::global();
   // Largest batch ever held: the structural O(one epoch) memory witness.
   obs::Gauge& held_max = reg.gauge("pipeline.stream_epoch_sessions_max");
 
+  // Epochs stream sequentially (that is the memory bound) and the analyzer
+  // is serial, so only the incremental lattice's sweep takes the workers.
   std::optional<IncrementalLattice> incremental;
+  std::optional<ThreadPool> pool;
+  std::size_t shards = 1;
   if (config.incremental) {
     incremental.emplace(config.cluster_params, config.engine.max_arity);
+    const std::size_t workers =
+        config.workers == 0
+            ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
+            : config.workers;
+    if (workers > 1 && result.num_epochs > 0) pool.emplace(workers);
+    shards = config.shards != 0 ? config.shards : workers;
   }
+  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
 
   // Reused across epochs, capacity retained: the column batch, the fold
   // and the analyzer's table and buffers.
@@ -277,7 +261,7 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
 
     std::array<CriticalAnalysis, kNumMetrics> analyses =
         incremental ? incremental->advance(fold, pool_ptr, shards)
-                    : analyzer.analyze(fold, pool_ptr, shards);
+                    : analyzer.analyze(fold);
     counters.record(result, epoch, analyses, columns.size());
   }
   return result;

@@ -6,8 +6,8 @@
 //
 // parallel_for is re-entrant: the calling thread participates in the loop
 // and only ever waits on iterations that are already running on some thread,
-// so a worker may itself call parallel_for (epoch-level x shard-level
-// nesting in run_pipeline) without risking queue-starvation deadlock.
+// so an iteration may itself call parallel_for without risking
+// queue-starvation deadlock.
 // Exceptions thrown by iterations are captured (first wins), remaining
 // unclaimed iterations are cancelled, and the exception is rethrown on the
 // calling thread once in-flight iterations drain.

@@ -83,11 +83,9 @@ inline void expect_cells_match(const EpochClusterTable& table,
 }
 
 /// The leaf index's shape: one group number per leaf, groups numbered in
-/// the order their first leaf appears (so each has a leaf), and bounds in
-/// the layout the index holds.  kGroupRows: num_groups() + 1 monotone row
-/// bounds ending at cell_rows.size().  kCellMembers: one member list per
-/// cell, the lists tiling cell_rows exactly, each strictly ascending over
-/// existing groups.
+/// the order their first leaf appears (so each has a leaf), and one member
+/// list per cell, the lists tiling cell_rows exactly, each strictly
+/// ascending over existing groups.
 inline void expect_index_shape(const EpochClusterTable& table) {
   const LeafCellIndex& index = table.leaf_index;
   ASSERT_EQ(index.leaf_group.size(), index.num_leaves());
@@ -99,16 +97,6 @@ inline void expect_index_shape(const EpochClusterTable& table) {
   }
   EXPECT_EQ(misnumbered, 0u);
   EXPECT_EQ(next, index.num_groups());
-  if (index.layout == LeafCellIndex::Layout::kGroupRows) {
-    EXPECT_TRUE(index.member_bounds.empty());
-    ASSERT_EQ(index.row_offsets.size(), index.num_groups() + 1);
-    EXPECT_EQ(index.row_offsets.front(), 0u);
-    EXPECT_EQ(index.row_offsets.back(), index.cell_rows.size());
-    EXPECT_TRUE(
-        std::is_sorted(index.row_offsets.begin(), index.row_offsets.end()));
-    return;
-  }
-  EXPECT_TRUE(index.row_offsets.empty());
   ASSERT_EQ(index.member_bounds.size(), table.clusters.size());
   std::vector<std::pair<std::size_t, std::size_t>> bounds =
       index.member_bounds;
@@ -134,11 +122,10 @@ inline void expect_index_shape(const EpochClusterTable& table) {
 }
 
 /// The leaf index against the sessions: its shape, one leaf per distinct
-/// attribute tuple with its counts, and the membership relation in the
-/// layout the index holds.  kGroupRows: each leaf's row names, in
-/// ascending subset order, the leaf's clusters with sessions >=
-/// table.floor.  kCellMembers: each cell's member groups, expanded to
-/// their leaves, are exactly the leaves the oracle puts in that cluster.
+/// attribute tuple with its counts, and the membership relation: each
+/// cell's member groups, expanded to their leaves, are exactly the leaves
+/// the oracle puts in that cluster, and every cluster with sessions >=
+/// table.floor has a cell.
 inline void expect_index_matches(const EpochClusterTable& table,
                                  std::span<const Session> sessions,
                                  const oracle::Lattice& lattice,
@@ -151,13 +138,9 @@ inline void expect_index_matches(const EpochClusterTable& table,
   expect_index_shape(table);
   const std::vector<oracle::Subset> subsets =
       oracle::cluster_subsets(max_arity);
-  EXPECT_EQ(std::vector<oracle::Subset>(index.masks.begin(),
-                                        index.masks.end()),
-            subsets);
-  const bool rows = index.layout == LeafCellIndex::Layout::kGroupRows;
   std::set<oracle::Tuple> seen;
-  // kCellMembers: the oracle's member leaves of every cluster that reaches
-  // the floor, by leaf index.
+  // The oracle's member leaves of every cluster that reaches the floor, by
+  // leaf index.
   std::map<oracle::Cluster, std::vector<std::uint32_t>> member_leaves;
   std::size_t mismatched = 0;
   for (std::uint32_t i = 0; i < index.num_leaves(); ++i) {
@@ -169,23 +152,15 @@ inline void expect_index_matches(const EpochClusterTable& table,
       ++mismatched;
       continue;
     }
-    std::vector<oracle::Cluster> want;
     for (const oracle::Subset s : subsets) {
       const oracle::Tuple values = oracle::values_over(leaf.values, s);
       if (lattice.clusters[s].at(values).sessions >= table.floor) {
-        want.push_back({s, values});
-        member_leaves[want.back()].push_back(i);
+        member_leaves[{s, values}].push_back(i);
       }
     }
-    if (!rows) continue;
-    std::vector<oracle::Cluster> got;
-    for (const std::uint32_t id : index.group_row(index.leaf_group[i])) {
-      got.push_back(decode(table.clusters.key(id)));
-    }
-    mismatched += got == want ? 0 : 1;
   }
   EXPECT_EQ(mismatched, 0u);
-  if (rows || mismatched != 0) return;
+  if (mismatched != 0) return;
 
   std::vector<std::vector<std::uint32_t>> group_leaves(index.num_groups());
   for (std::uint32_t i = 0; i < index.num_leaves(); ++i) {

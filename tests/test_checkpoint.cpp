@@ -242,18 +242,16 @@ TEST(Checkpoint, ConfigFingerprintTracksResultAffectingFieldsOnly) {
               StreamingDetector::config_fingerprint(changed));
   }
 
-  // The expansion kernel, the incremental engine and the worker and shard
-  // counts are differential-tested bit-identical, so they may legitimately
-  // change across a save/restore.
-  MonitorConfig kernel = base;
-  kernel.engine.expand_kernel = BatchKernel::kScalar;
+  // The incremental engine and the worker and shard counts are
+  // differential-tested bit-identical, so they may legitimately change
+  // across a save/restore.
   MonitorConfig workers = base;
   workers.workers = base.workers + 3;
   MonitorConfig incremental = base;
   incremental.incremental = !incremental.incremental;
   MonitorConfig shards = base;
   shards.shards = base.shards + 3;
-  for (const MonitorConfig& same : {kernel, workers, incremental, shards}) {
+  for (const MonitorConfig& same : {workers, incremental, shards}) {
     EXPECT_EQ(StreamingDetector::config_fingerprint(base),
               StreamingDetector::config_fingerprint(same));
   }

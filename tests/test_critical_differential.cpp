@@ -1,8 +1,8 @@
 // Invariance tests for the fused critical-cluster sweep: the four-metric
-// call, the single-metric call and every shard count must give the same
-// analysis bit for bit — criticals (same order), attribution doubles,
-// problem_cluster_keys and problem_sessions_in_pc — whichever expansion
-// (full or pruned lattice, SIMD or scalar kernel) built the table.  Whether
+// call and the single-metric call must give the same analysis bit for bit
+// — criticals (same order), attribution doubles, problem_cluster_keys and
+// problem_sessions_in_pc — whether the table is the full lattice or the
+// one pruned at the analysis floor.  Whether
 // that analysis is right is checked against the brute-force oracle in
 // tests/test_oracle.cpp.  Also covers the sweep's refusal of a table that
 // has cells but no leaf index, and the mask-set transform it uses for
@@ -20,7 +20,6 @@
 #include "src/core/mask_bits.h"
 #include "src/gen/tracegen.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 #include "tests/test_support.h"
 
 namespace vq {
@@ -117,18 +116,14 @@ TEST(MaskBits, StrictSubsetOrMatchesBruteForce) {
 }
 
 TEST(CriticalDifferential, IndexedPathAgreesAcrossExpansionEngines) {
-  // One baseline analysis — the serial four-metric call on the full
-  // lattice — must come back bit for bit from the single-metric call, from
-  // every shard count, and from tables built by the scalar kernel and by
-  // the pruned engine at the analysis floor.
+  // One baseline analysis — the four-metric call on the full lattice —
+  // must come back bit for bit from the single-metric call and from the
+  // table pruned at the analysis floor.
   static const SessionTable trace = big_trace();
   const ProblemClusterParams params{.ratio_multiplier = 1.5,
                                     .min_sessions = 150};
   const LeafFold fold = fold_sessions(trace.epoch(0), ProblemThresholds{}, 0);
   const EpochClusterTable full = expand_fold(fold, {});
-  ClusterEngineConfig scalar;
-  scalar.expand_kernel = BatchKernel::kScalar;
-  const EpochClusterTable full_scalar = expand_fold(fold, scalar);
   const EpochClusterTable pruned =
       expand_fold(fold, {}, nullptr, 1, params.min_sessions);
   ASSERT_EQ(pruned.floor, params.min_sessions);
@@ -136,19 +131,15 @@ TEST(CriticalDifferential, IndexedPathAgreesAcrossExpansionEngines) {
 
   const std::array<CriticalAnalysis, kNumMetrics> baseline =
       find_critical_clusters(fold, full, params);
-  ThreadPool pool{4};
   std::size_t criticals = 0;
-  for (const EpochClusterTable* table : {&full, &full_scalar, &pruned}) {
-    for (const std::size_t shards : {1u, 4u}) {
-      const std::array<CriticalAnalysis, kNumMetrics> all =
-          find_critical_clusters(fold, *table, params, &pool, shards);
-      for (const Metric m : kAllMetrics) {
-        const auto mi = static_cast<std::uint8_t>(m);
-        expect_bit_identical(baseline[mi], all[mi]);
-        expect_bit_identical(
-            baseline[mi],
-            find_critical_clusters(fold, *table, params, m, &pool, shards));
-      }
+  for (const EpochClusterTable* table : {&full, &pruned}) {
+    const std::array<CriticalAnalysis, kNumMetrics> all =
+        find_critical_clusters(fold, *table, params);
+    for (const Metric m : kAllMetrics) {
+      const auto mi = static_cast<std::uint8_t>(m);
+      expect_bit_identical(baseline[mi], all[mi]);
+      expect_bit_identical(baseline[mi],
+                           find_critical_clusters(fold, *table, params, m));
     }
   }
   for (const CriticalAnalysis& a : baseline) criticals += a.criticals.size();

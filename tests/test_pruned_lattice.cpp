@@ -6,7 +6,10 @@
 // every CriticalAnalysis equal to the
 // full lattice's field by field, doubles by bit pattern — over randomized
 // folds with planted events, floors {2, 3, median cell size, root sessions,
-// root sessions + 1}, arity caps {2, 7} and shard counts {1, 4}.  Also
+// root sessions + 1}, arity caps {2, 7} and shard counts {1, 4} (passed to
+// the pool and shard arguments of expand_fold and the single-metric
+// find_critical_clusters, which ignore them).  Floors 0 and 1 must build
+// every non-empty cell.  Also
 // covers the floor guard on every analysis entry point and that the
 // pipelines and the detector pass their floor and agree with the
 // brute-force oracle (tests/oracle.h).
@@ -136,19 +139,17 @@ std::size_t expect_pruned_matches_full(const LeafFold& fold,
     EXPECT_EQ(pruned.clusters.id_of(keys[id]), id);
   }
 
-  // Membership: the full table keeps one row per leaf, the pruned one a
-  // strictly ascending member list per cell (the index's shape).  Each
+  // Membership: both tables keep a strictly ascending member list per cell
+  // (the index's shape), the full one over one group per leaf.  Each
   // pruned leaf row rebuilt from the member lists is the full row's cells
   // with sessions >= floor, as pruned ids, in the full row's ascending mask
   // order.
   const LeafCellIndex& fi = full.leaf_index;
   const LeafCellIndex& pi = pruned.leaf_index;
-  EXPECT_EQ(fi.layout, LeafCellIndex::Layout::kGroupRows);
-  EXPECT_EQ(pi.layout, LeafCellIndex::Layout::kCellMembers);
-  EXPECT_EQ(pi.masks, fi.masks);
   EXPECT_EQ(pi.leaf_keys, fi.leaf_keys);
   EXPECT_EQ(pi.leaf_stats, fi.leaf_stats);
   EXPECT_EQ(fi.num_groups(), fi.num_leaves());
+  test::expect_index_shape(full);
   test::expect_index_shape(pruned);
   const std::vector<std::vector<std::uint32_t>> full_rows =
       test::leaf_rows(full);
@@ -227,7 +228,6 @@ TEST_P(PrunedLatticeFloors, MatchesFullLatticeFilteredToFloor) {
   config.max_arity = arity;
   std::size_t criticals = 0;
   for (const std::uint64_t seed : {11u, 29u}) {
-    // > 4 x 256 leaves, so shards = 4 really splits the critical sweep.
     const LeafFold fold = planted_fold(seed, 3000, 5);
     const EpochClusterTable full = expand_fold(fold, config, &pool, shards);
     const std::uint32_t floor = resolve_floor(kind, full);
@@ -294,16 +294,63 @@ TEST(PrunedLattice, NoCellReachesTheFloor) {
 }
 
 TEST(PrunedLattice, FullLatticeWhereNotPruned) {
-  // Floors <= 1 build the full lattice and record no floor.
+  // Floors <= 1 build the full lattice and record no floor: every
+  // non-empty cell, each leaf its own group and a member of each of its
+  // projections.
   const LeafFold fold = planted_fold(5, 500, 0);
-  const EpochClusterTable full = expand_fold(fold, {});
+  std::set<std::uint64_t> cells;
+  for (const FoldLeaf& leaf : fold.leaves) {
+    for (const std::uint8_t mask : lattice_masks(kNumDims)) {
+      cells.insert(ClusterKey::from_raw(leaf.key).project(mask).raw());
+    }
+  }
   for (const std::uint32_t floor : {0u, 1u}) {
     const EpochClusterTable t = expand_fold(fold, {}, nullptr, 1, floor);
     EXPECT_EQ(t.floor, 0u);
-    EXPECT_EQ(t.clusters.size(), full.clusters.size());
-    EXPECT_EQ(t.leaf_index.layout, LeafCellIndex::Layout::kGroupRows);
-    EXPECT_EQ(t.leaf_index.row_offsets, full.leaf_index.row_offsets);
-    EXPECT_EQ(t.leaf_index.cell_rows, full.leaf_index.cell_rows);
+    EXPECT_EQ(std::set<std::uint64_t>(t.clusters.keys().begin(),
+                                      t.clusters.keys().end()),
+              cells);
+    EXPECT_EQ(t.clusters.size(), cells.size());
+    EXPECT_EQ(t.leaf_index.num_groups(), fold.leaves.size());
+    EXPECT_EQ(t.leaf_index.cell_rows.size(),
+              fold.leaves.size() * lattice_masks(kNumDims).size());
+    test::expect_index_shape(t);
+  }
+}
+
+TEST(PrunedLattice, CandidateMasksMatchTheFullTable) {
+  // critical_candidate_masks (EngagementWhatIf's per-leaf test) reads the
+  // same candidates from the table pruned at the analysis floor as from
+  // the full one: a superset below the floor reads as empty, so it is
+  // insignificant there as in the full table, and every ancestor that
+  // condition (c) reads holds at least the flagged cell's sessions.
+  const LeafFold fold = planted_fold(13, 1000, 0);
+  const EpochClusterTable full = expand_fold(fold, {});
+  for (const std::uint32_t floor :
+       {1u, resolve_floor(FloorKind::kTwo, full),
+        resolve_floor(FloorKind::kMedianCell, full),
+        resolve_floor(FloorKind::kRoot, full)}) {
+    SCOPED_TRACE("floor " + std::to_string(floor));
+    const EpochClusterTable pruned =
+        expand_fold(fold, {}, nullptr, 1, floor);
+    const ProblemClusterParams params{.ratio_multiplier = 1.5,
+                                      .min_sessions = floor};
+    std::size_t candidates = 0;
+    std::size_t mismatched = 0;
+    for (const FoldLeaf& leaf : fold.leaves) {
+      const ClusterKey key = ClusterKey::from_raw(leaf.key);
+      for (const Metric m : kAllMetrics) {
+        const std::vector<std::uint8_t> want =
+            critical_candidate_masks(key, full, params, m);
+        candidates += want.size();
+        mismatched +=
+            critical_candidate_masks(key, pruned, params, m) == want ? 0 : 1;
+      }
+    }
+    EXPECT_EQ(mismatched, 0u);
+    if (floor <= 2) {
+      EXPECT_GT(candidates, 0u);
+    }
   }
 }
 

@@ -171,23 +171,16 @@ class FoldBuilder {
   return ::testing::AssertionSuccess();
 }
 
-/// Every leaf's row rebuilt from the table's LeafCellIndex in either
-/// layout: the ids of the cells holding the leaf, ascending (ids are
-/// mask-major, so that is ascending mask order).
+/// Every leaf's row rebuilt from the member lists of the table's
+/// LeafCellIndex: the ids of the cells holding the leaf, ascending (ids
+/// are mask-major, so that is ascending mask order).
 [[nodiscard]] inline std::vector<std::vector<std::uint32_t>> leaf_rows(
     const EpochClusterTable& table) {
   const LeafCellIndex& index = table.leaf_index;
   std::vector<std::vector<std::uint32_t>> group_rows(index.num_groups());
-  if (index.layout == LeafCellIndex::Layout::kGroupRows) {
-    for (std::size_t g = 0; g < group_rows.size(); ++g) {
-      const std::span<const std::uint32_t> row = index.group_row(g);
-      group_rows[g].assign(row.begin(), row.end());
-    }
-  } else {
-    for (std::uint32_t id = 0; id < table.clusters.size(); ++id) {
-      for (const std::uint32_t g : index.members(id)) {
-        group_rows[g].push_back(id);
-      }
+  for (std::uint32_t id = 0; id < table.clusters.size(); ++id) {
+    for (const std::uint32_t g : index.members(id)) {
+      group_rows[g].push_back(id);
     }
   }
   std::vector<std::vector<std::uint32_t>> rows;

@@ -62,7 +62,6 @@ std::optional<double> number_field(const std::string& json,
 /// Default tracked metrics — perf_critical's keys (higher is better).
 constexpr const char* kDefaultTracked[] = {
     "indexed_epochs_per_sec",
-    "indexed_sharded_epochs_per_sec",
 };
 
 }  // namespace

@@ -110,6 +110,10 @@ int usage() {
       "--incremental maintains the cluster lattice across epochs with\n"
       "per-leaf deltas instead of re-expanding every epoch; results are\n"
       "bit-identical, per-epoch cost proportional to leaf churn.\n"
+      "--shards reaches only --incremental's per-leaf sweep, and so does\n"
+      "--workers where epochs stream (monitor; analyze over .vqtc, with\n"
+      "--incremental or with --max-cells): each epoch is analysed serially.\n"
+      "Otherwise analyze runs epochs in parallel on --workers threads.\n"
       "--max-cells N bounds the lattice by sketch-based admission: only\n"
       "each epoch's heavy leaves (space-saving summary, N/127 leaf budget)\n"
       "enter the exact lattice; global ratios stay exact.\n");
