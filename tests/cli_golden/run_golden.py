@@ -10,8 +10,11 @@ manifest.txt lists the traces (`trace FILE ARGS...`, made in order with
 (`GROUP ID ARGS...`).  A group's cases run in a fresh directory holding
 the traces, with relative paths, so no output names a machine path.  A
 case's digest is the SHA-256 of its exit status, stdout, stderr and, when
-its arguments carry `--stats-out FILE`, that file.  digests.txt holds one
-`ID DIGEST` line per case.
+its arguments carry `--stats-out FILE` or `--checkpoint FILE`, that file
+as the case left it.  A stats file is removed before its case runs; a
+checkpoint file is not, so a later case of the same group resumes from
+the one an earlier case wrote.  digests.txt holds one `ID DIGEST` line
+per case.
 
 --update rewrites the digests of the cases run.  --snapshot writes each
 case's captured text to DIR/ID.txt, so two builds' snapshots can be
@@ -67,30 +70,38 @@ def write_digests(digests, order):
                 f.write(f"{case_id} {digests[case_id]}\n")
 
 
-def stats_path(args):
+def option_value(args, name):
     for i, word in enumerate(args[:-1]):
-        if word == "--stats-out":
+        if word == name:
             return args[i + 1]
     return None
 
 
+def file_part(label, path):
+    parts = [f"--- {label}\n".encode()]
+    if os.path.exists(path):
+        with open(path, "rb") as f:
+            parts.append(f.read())
+    else:
+        parts.append(b"(not written)\n")
+    return parts
+
+
 def capture(cli, args, cwd):
-    """The case's canonical text: exit status, stdout, stderr, stats."""
-    stats = stats_path(args)
+    """The case's canonical text: exit status, stdout, stderr, stats and
+    checkpoint."""
+    stats = option_value(args, "--stats-out")
     if stats is not None and os.path.exists(os.path.join(cwd, stats)):
         os.remove(os.path.join(cwd, stats))
+    checkpoint = option_value(args, "--checkpoint")
     proc = subprocess.run([cli] + args, cwd=cwd, capture_output=True,
                           timeout=300, check=False)
     parts = [f"exit: {proc.returncode}\n".encode(), b"--- stdout\n",
              proc.stdout, b"--- stderr\n", proc.stderr]
     if stats is not None:
-        parts.append(b"--- stats\n")
-        path = os.path.join(cwd, stats)
-        if os.path.exists(path):
-            with open(path, "rb") as f:
-                parts.append(f.read())
-        else:
-            parts.append(b"(not written)\n")
+        parts += file_part("stats", os.path.join(cwd, stats))
+    if checkpoint is not None:
+        parts += file_part("checkpoint", os.path.join(cwd, checkpoint))
     return b"".join(parts)
 
 
