@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  // The incremental side measures the long-lived monitor: one lattice,
+  // The incremental side measures a long-lived stream: one lattice,
   // warmed through a full period (all slots and cells materialised), then
   // timed in its reuse steady state.
   IncrementalLattice lattice{params, engine.max_arity};

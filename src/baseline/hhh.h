@@ -135,8 +135,8 @@ struct SketchAdmissionReport {
 /// space-saving summary (and the count-min cross-check) and accumulates the
 /// exact root; pass 2 folds only sessions whose leaf survived, through the
 /// exact fold's kernel (fold_codes), so the LeafFold is canonical, admitted
-/// leaves carry their exact stats and downstream analyses (incremental or
-/// from-scratch) see an exact sub-lattice.  The root is always exact —
+/// leaves carry their exact stats and the downstream analyses see an
+/// exact sub-lattice.  The root is always exact —
 /// global problem ratios, and therefore the flagging thresholds, are
 /// unaffected by the cut.
 /// Deterministic for a given input; not thread-safe (streaming epochs are

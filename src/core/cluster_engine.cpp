@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -10,15 +11,11 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/flat_hash_map.h"
 
 namespace vq {
 
-void CellStore::throw_sorted_mutation() {
-  throw std::logic_error{
-      "CellStore: mutation of a sorted (mask-major) store"};
-}
-
-std::uint32_t CellStore::sorted_id_of(std::uint64_t raw) const noexcept {
+std::uint32_t CellStore::id_of(std::uint64_t raw) const noexcept {
   const std::size_t mask = raw & kFullMask;
   const auto begin = keys_.begin() + mask_offsets_[mask];
   const auto end = keys_.begin() + mask_offsets_[mask + 1];
@@ -45,7 +42,6 @@ CellStore CellStore::from_mask_major(
     }
   }
   CellStore out;
-  out.sorted_ = true;
   out.keys_ = std::move(keys);
   out.stats_ = std::move(stats);
   out.mask_offsets_ = mask_offsets;

@@ -79,7 +79,6 @@
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -88,7 +87,6 @@
 
 #include "src/core/attributes.h"
 #include "src/core/session.h"
-#include "src/util/flat_hash_map.h"
 
 namespace vq {
 
@@ -122,65 +120,31 @@ struct ClusterStats {
 /// Dense-id cell store: raw ClusterKey -> uint32 id with the ClusterStats
 /// in one contiguous vector keyed by id.  Iteration order is id order.
 ///
-/// Two modes share this type:
-///  * sorted (from_mask_major; what expand_fold builds): keys laid out in
-///    canonical (mask-major, key-ascending) id order; lookups binary-search
-///    the key's mask group, so reads are hash-free, allocation-free, and
-///    safe from concurrent threads; every mutator throws std::logic_error.
-///  * mutable (default): ids assigned in first-touch order through a
-///    FlatMap64 — the incremental lattice (incremental.h) builds these.
+/// from_mask_major builds it (expand_fold does) with the keys laid out in
+/// canonical (mask-major, key-ascending) id order; a lookup binary-searches
+/// the key's mask group, so reads are hash-free, allocation-free, and safe
+/// from concurrent threads.  A store never changes once built.  A
+/// default-constructed store is empty and answers kNoCell (find: nullptr)
+/// for every key, which is what a default EpochClusterTable holds.
 class CellStore {
  public:
   /// Sentinel for "no cell" in id-typed contexts.
   static constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
 
-  /// Builds a sorted-mode store from canonical arrays: keys/stats in
-  /// (mask-major, key-ascending) dense-id order, with
-  /// `mask_offsets[m] .. mask_offsets[m + 1]` delimiting mask m's id range
-  /// (the final entry must equal keys.size()).  Throws
-  /// std::invalid_argument on inconsistent array shapes.
+  /// Builds a store from canonical arrays: keys/stats in (mask-major,
+  /// key-ascending) dense-id order, with `mask_offsets[m] ..
+  /// mask_offsets[m + 1]` delimiting mask m's id range (the final entry
+  /// must equal keys.size()).  Throws std::invalid_argument on inconsistent
+  /// array shapes.
   static CellStore from_mask_major(
       std::vector<std::uint64_t> keys, std::vector<ClusterStats> stats,
       const std::array<std::uint32_t, kFullMask + 2>& mask_offsets);
 
-  /// True for sorted-mode (immutable, binary-search) stores.
-  [[nodiscard]] bool sorted() const noexcept { return sorted_; }
-
   [[nodiscard]] std::size_t size() const noexcept { return stats_.size(); }
   [[nodiscard]] bool empty() const noexcept { return stats_.empty(); }
 
-  /// Dense id for `raw`, inserting a zero-stats cell on first touch.
-  /// Throws std::logic_error on a sorted-mode store.
-  std::uint32_t id_or_insert(std::uint64_t raw) {
-    if (sorted_) throw_sorted_mutation();
-    // The map stores id + 1 so the value-initialised 0 means "absent" and
-    // one probe serves both hit and miss.
-    std::uint32_t& slot = ids_[raw];
-    if (slot == 0) {
-      assert(keys_.size() < kNoCell);
-      keys_.push_back(raw);
-      stats_.emplace_back();
-      slot = static_cast<std::uint32_t>(keys_.size());
-    }
-    return slot - 1;
-  }
-
   /// Dense id for `raw`, or kNoCell when absent.
-  [[nodiscard]] std::uint32_t id_of(std::uint64_t raw) const noexcept {
-    if (sorted_) return sorted_id_of(raw);
-    const std::uint32_t* slot = ids_.find(raw);
-    return slot == nullptr ? kNoCell : *slot - 1;
-  }
-
-  /// Adds `s` to an existing cell by dense id — the incremental delta
-  /// engine's hash-free hot path (the id was resolved once when the leaf's
-  /// projection row was built).  Counter addition is over uint32, so
-  /// applying a wrapped-difference delta (new - old mod 2^32) lands exactly
-  /// on the new value.  Throws std::logic_error on a sorted-mode store.
-  void add_to(std::uint32_t id, const ClusterStats& s) {
-    if (sorted_) throw_sorted_mutation();
-    stats_[id] += s;
-  }
+  [[nodiscard]] std::uint32_t id_of(std::uint64_t raw) const noexcept;
 
   [[nodiscard]] const ClusterStats* find(std::uint64_t raw) const noexcept {
     const std::uint32_t id = id_of(raw);
@@ -213,15 +177,10 @@ class CellStore {
   }
 
  private:
-  [[noreturn]] static void throw_sorted_mutation();
-  [[nodiscard]] std::uint32_t sorted_id_of(std::uint64_t raw) const noexcept;
-
-  FlatMap64<std::uint32_t> ids_;  // raw key -> dense id + 1 (mutable mode)
   std::vector<std::uint64_t> keys_;
   std::vector<ClusterStats> stats_;
-  bool sorted_ = false;
-  /// Sorted mode: id range of mask m is [mask_offsets_[m],
-  /// mask_offsets_[m + 1]); keys_ ascend within each range.
+  /// The id range of mask m is [mask_offsets_[m], mask_offsets_[m + 1]);
+  /// keys_ ascend within each range.
   std::array<std::uint32_t, kFullMask + 2> mask_offsets_{};
 };
 

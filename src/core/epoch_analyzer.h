@@ -14,10 +14,10 @@
 // they stay mapped.  Output never depends on what an earlier epoch left
 // in the buffers.
 //
-// It is the only rebuild path: run_pipeline, run_pipeline_streaming and
-// StreamingDetector all analyse epochs through it.  The incremental lattice
-// (incremental.h) stays outside: callers that opt into it choose it before
-// reaching the analyzer.
+// It is the one engine of every production path: run_pipeline,
+// run_pipeline_streaming and StreamingDetector all analyse epochs through
+// it.  The incremental lattice (incremental.h) is a bench-only module that
+// none of them runs.
 
 #pragma once
 

@@ -6,7 +6,6 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/util/thread_pool.h"
 
 namespace vq {
 
@@ -84,9 +83,8 @@ void for_each_mask(const MaskBits& b, Fn&& fn) {
 
 }  // namespace
 
-/// Per-shard sweep scratch; mirrors the indexed strategy's LeafScratch.
-/// Only materialised masks are written before being read, so no per-leaf
-/// clearing is needed.
+/// Sweep scratch.  Only materialised masks are written before being read,
+/// so no per-leaf clearing is needed.
 struct IncrementalLattice::SweepScratch {
   std::array<const ClusterStats*, kFullMask + 1> stats_by_mask;
   std::array<std::uint32_t, kFullMask + 1> id_by_mask;
@@ -104,6 +102,18 @@ IncrementalLattice::IncrementalLattice(const ProblemClusterParams& params,
   for (std::size_t j = 0; j < masks_.size(); ++j) {
     mask_col_[masks_[j]] = static_cast<std::uint16_t>(j);
   }
+}
+
+std::uint32_t IncrementalLattice::cell_for(std::uint64_t raw) {
+  // The map stores id + 1 so the value-initialised 0 means "absent" and
+  // one probe serves both hit and miss.
+  std::uint32_t& entry = cell_ids_[raw];
+  if (entry == 0) {
+    cell_keys_.push_back(raw);
+    cell_stats_.emplace_back();
+    entry = static_cast<std::uint32_t>(cell_keys_.size());
+  }
+  return entry - 1;
 }
 
 std::uint32_t IncrementalLattice::slot_for(std::uint64_t leaf_key) {
@@ -130,9 +140,9 @@ std::uint32_t IncrementalLattice::slot_for(std::uint64_t leaf_key) {
   const std::size_t base = rows_.size();
   rows_.resize(base + masks_.size());
   for (std::size_t j = 0; j < masks_.size(); ++j) {
-    rows_[base + j] = cells_.id_or_insert(leaf.project(masks_[j]).raw());
+    rows_[base + j] = cell_for(leaf.project(masks_[j]).raw());
   }
-  cell_visit_seq_.resize(cells_.size(), 0);
+  cell_visit_seq_.resize(cell_stats_.size(), 0);
   return slot;
 }
 
@@ -143,9 +153,9 @@ void IncrementalLattice::apply_leaf_delta(std::uint32_t slot,
     if (cell_visit_seq_[id] != seq_) {
       cell_visit_seq_[id] = seq_;
       touched_cells_.push_back(id);
-      saved_cell_stats_.push_back(cells_.cell(id));
+      saved_cell_stats_.push_back(cell_stats_[id]);
     }
-    cells_.add_to(id, delta);
+    cell_stats_[id] += delta;
   }
   leaf_stats_[slot] = next;
 }
@@ -221,11 +231,11 @@ void IncrementalLattice::apply_deltas(const LeafFold& fold) {
   // function of (row cell stats, global, params).  The survivors raise
   // their bit in the per-epoch changed bitmap the sweep probes — a bitmap
   // rather than a seq compare so the probe stays cache-resident.
-  changed_bitmap_.assign((cells_.size() + 63) / 64, 0);
+  changed_bitmap_.assign((cell_stats_.size() + 63) / 64, 0);
   std::size_t num_changed = 0;
   for (std::size_t i = 0; i < touched_cells_.size(); ++i) {
     const std::uint32_t id = touched_cells_[i];
-    if (cells_.cell(id) == saved_cell_stats_[i]) continue;
+    if (cell_stats_[id] == saved_cell_stats_[i]) continue;
     changed_bitmap_[id >> 6] |= std::uint64_t{1} << (id & 63);
     touched_cells_[num_changed++] = id;
   }
@@ -233,13 +243,13 @@ void IncrementalLattice::apply_deltas(const LeafFold& fold) {
 }
 
 void IncrementalLattice::update_flags() {
-  const std::size_t words = (cells_.size() + 63) / 64;
+  const std::size_t words = (cell_stats_.size() + 63) / 64;
   significant_.resize(words, 0);
   for (auto& f : flagged_) f.resize(words, 0);
 
   // Significance depends only on the cell's own sessions: touched-only.
   for (const std::uint32_t id : touched_cells_) {
-    assign_bit(significant_, id, is_significant(cells_.cell(id), params_));
+    assign_bit(significant_, id, is_significant(cell_stats_[id], params_));
   }
 
   for (int m = 0; m < kNumMetrics; ++m) {
@@ -249,9 +259,9 @@ void IncrementalLattice::update_flags() {
     delta_.full_flag_pass[m] = full;
     if (full) {
       std::uint32_t count = 0;
-      const std::span<const ClusterStats> cells = cells_.cells();
-      for (std::uint32_t id = 0; id < cells.size(); ++id) {
-        const bool f = is_problem_cluster(cells[id], global, params_, metric);
+      for (std::uint32_t id = 0; id < cell_stats_.size(); ++id) {
+        const bool f =
+            is_problem_cluster(cell_stats_[id], global, params_, metric);
         assign_bit(flagged_[m], id, f);
         count += f ? 1u : 0u;
       }
@@ -259,7 +269,7 @@ void IncrementalLattice::update_flags() {
     } else {
       for (const std::uint32_t id : touched_cells_) {
         const bool f =
-            is_problem_cluster(cells_.cell(id), global, params_, metric);
+            is_problem_cluster(cell_stats_[id], global, params_, metric);
         if (f != test_bit(flagged_[m], id)) {
           assign_bit(flagged_[m], id, f);
           num_flagged_[m] += f ? 1 : -1;
@@ -280,7 +290,7 @@ bool IncrementalLattice::eval_leaf(std::uint32_t slot, Metric metric,
   for (std::size_t j = 0; j < masks_.size(); ++j) {
     const unsigned mask = masks_[j];
     const std::uint32_t id = cell_row[j];
-    scratch.stats_by_mask[mask] = &cells_.cell(id);
+    scratch.stats_by_mask[mask] = &cell_stats_[id];
     scratch.id_by_mask[mask] = id;
     if (test_bit(significant_, id)) {
       significant.set(mask);
@@ -317,8 +327,7 @@ bool IncrementalLattice::eval_leaf(std::uint32_t slot, Metric metric,
   return true;
 }
 
-CriticalAnalysis IncrementalLattice::extract(Metric metric, ThreadPool* pool,
-                                             std::size_t shards) {
+CriticalAnalysis IncrementalLattice::extract(Metric metric) {
   const auto mi = static_cast<std::uint8_t>(metric);
   CriticalAnalysis out;
   out.epoch = epoch_;
@@ -336,122 +345,82 @@ CriticalAnalysis IncrementalLattice::extract(Metric metric, ThreadPool* pool,
     for (std::uint64_t bits = flagged_[mi][w]; bits != 0; bits &= bits - 1) {
       const auto id =
           static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
-      out.problem_cluster_keys.push_back(cells_.key(id));
+      out.problem_cluster_keys.push_back(cell_keys_[id]);
     }
   }
   std::sort(out.problem_cluster_keys.begin(), out.problem_cluster_keys.end());
   out.num_problem_clusters = num_flagged_[mi];
 
-  const std::size_t num_active = active_slots_.size();
-
-  // Same shard gating as the fused critical sweep (CriticalSweep::run).
-  constexpr std::size_t kMinLeavesPerShard = 256;
-  std::size_t num_shards = 1;
-  if (pool != nullptr && shards > 1 && num_active >= 2 * kMinLeavesPerShard) {
-    num_shards = std::min(shards, num_active / kMinLeavesPerShard);
-  }
-
-  struct ShardOut {
-    std::vector<std::pair<std::uint32_t, double>> shares;  // (cell id, share)
-    std::uint64_t in_pc_problems = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-  };
-  std::vector<ShardOut> shard_out(num_shards);
-  std::vector<std::size_t> bounds(num_shards + 1);
-  for (std::size_t s = 0; s <= num_shards; ++s) {
-    bounds[s] = num_active * s / num_shards;
-  }
-
-  MetricCache& mc = cache_[mi];
-  const auto sweep_shard = [&](std::size_t shard) {
-    SweepScratch scratch;
-    ShardOut& so = shard_out[shard];
-    for (std::size_t i = bounds[shard]; i < bounds[shard + 1]; ++i) {
-      const std::uint32_t slot = active_slots_[i];
-      const std::uint32_t problems = leaf_stats_[slot].problems[mi];
-      if (problems == 0) continue;
-
-      // Did any row cell change value this advance?  Probed against the
-      // per-epoch changed bitmap (cache-resident, unlike the 8-byte-per-
-      // cell seq array it replaced) and memoised once per advance (metrics
-      // run back to back; writes are per-slot disjoint and the pool joins
-      // between sweeps, so the memo is race-free).
-      bool dirty;
-      if (row_dirty_seq_[slot] == seq_) {
-        dirty = row_dirty_[slot] != 0;
-      } else {
-        dirty = false;
-        for (const std::uint32_t id : row(slot)) {
-          if ((changed_bitmap_[id >> 6] >> (id & 63)) & 1u) {
-            dirty = true;
-            break;
-          }
-        }
-        row_dirty_[slot] = dirty ? 1 : 0;
-        row_dirty_seq_[slot] = seq_;
-      }
-
-      // The cached result is valid iff the leaf was swept on the previous
-      // advance (every active problems>0 leaf is, and a hit re-stamps, so
-      // validity is a single-advance question the bitmap answers), nothing
-      // in its row changed since, and the global ratio is bit-equal.
-      MaskBits candidates;
-      bool in_pc;
-      const bool hit = !dirty && mc.eval_seq[slot] + 1 == seq_ &&
-                       mc.eval_global[slot] == global;
-      if (hit) {
-        candidates = mc.candidates[slot];
-        in_pc = mc.in_pc[slot] != 0;
-        mc.eval_seq[slot] = seq_;
-        ++so.cache_hits;
-      } else {
-        in_pc = eval_leaf(slot, metric, global, scratch);
-        for (const std::uint8_t mask : scratch.masks) candidates.set(mask);
-        mc.eval_seq[slot] = seq_;
-        mc.eval_global[slot] = global;
-        mc.candidates[slot] = candidates;
-        mc.in_pc[slot] = in_pc ? 1 : 0;
-        ++so.cache_misses;
-      }
-
-      if (in_pc) so.in_pc_problems += problems;
-      const unsigned count = popcount128(candidates);
-      if (count == 0) continue;
-      const double share =
-          static_cast<double>(problems) / static_cast<double>(count);
-      const std::span<const std::uint32_t> cell_row = row(slot);
-      for_each_mask(candidates, [&](std::uint8_t mask) {
-        so.shares.emplace_back(cell_row[mask_col_[mask]], share);
-      });
-    }
-  };
-  if (num_shards == 1) {
-    sweep_shard(0);
-  } else {
-    pool->parallel_for(0, num_shards, sweep_shard);
-  }
-
-  // Deterministic merge — identical to the indexed strategy: shards cover
-  // contiguous ranges of the ascending active-leaf array, so replaying
-  // their share lists in shard order reproduces the serial floating-point
-  // accumulation sequence exactly.
-  attribution_.resize(cells_.size(), 0.0);
+  // One pass over the active leaves in ascending key order, adding each
+  // leaf's shares into attribution_ as it goes: the from-scratch sweep's
+  // floating-point accumulation sequence.
+  attribution_.resize(cell_stats_.size(), 0.0);
   touched_attr_.clear();
-  for (const ShardOut& so : shard_out) {
-    out.problem_sessions_in_pc += so.in_pc_problems;
-    delta_.cache_hits += so.cache_hits;
-    delta_.cache_misses += so.cache_misses;
-    for (const auto& [id, share] : so.shares) {
+  MetricCache& mc = cache_[mi];
+  SweepScratch scratch;
+  for (const std::uint32_t slot : active_slots_) {
+    const std::uint32_t problems = leaf_stats_[slot].problems[mi];
+    if (problems == 0) continue;
+
+    // Did any row cell change value this advance?  Probed against the
+    // per-epoch changed bitmap (cache-resident, unlike the 8-byte-per-cell
+    // seq array it replaced) and memoised once per advance, since the
+    // metrics run back to back.
+    bool dirty;
+    if (row_dirty_seq_[slot] == seq_) {
+      dirty = row_dirty_[slot] != 0;
+    } else {
+      dirty = false;
+      for (const std::uint32_t id : row(slot)) {
+        if ((changed_bitmap_[id >> 6] >> (id & 63)) & 1u) {
+          dirty = true;
+          break;
+        }
+      }
+      row_dirty_[slot] = dirty ? 1 : 0;
+      row_dirty_seq_[slot] = seq_;
+    }
+
+    // The cached result is valid iff the leaf was swept on the previous
+    // advance (every active problems>0 leaf is, and a hit re-stamps, so
+    // validity is a single-advance question the bitmap answers), nothing
+    // in its row changed since, and the global ratio is bit-equal.
+    MaskBits candidates;
+    bool in_pc;
+    const bool hit = !dirty && mc.eval_seq[slot] + 1 == seq_ &&
+                     mc.eval_global[slot] == global;
+    if (hit) {
+      candidates = mc.candidates[slot];
+      in_pc = mc.in_pc[slot] != 0;
+      mc.eval_seq[slot] = seq_;
+      ++delta_.cache_hits;
+    } else {
+      in_pc = eval_leaf(slot, metric, global, scratch);
+      for (const std::uint8_t mask : scratch.masks) candidates.set(mask);
+      mc.eval_seq[slot] = seq_;
+      mc.eval_global[slot] = global;
+      mc.candidates[slot] = candidates;
+      mc.in_pc[slot] = in_pc ? 1 : 0;
+      ++delta_.cache_misses;
+    }
+
+    if (in_pc) out.problem_sessions_in_pc += problems;
+    const unsigned count = popcount128(candidates);
+    if (count == 0) continue;
+    const double share =
+        static_cast<double>(problems) / static_cast<double>(count);
+    const std::span<const std::uint32_t> cell_row = row(slot);
+    for_each_mask(candidates, [&](std::uint8_t mask) {
+      const std::uint32_t id = cell_row[mask_col_[mask]];
       if (attribution_[id] == 0.0) touched_attr_.push_back(id);
       attribution_[id] += share;  // share > 0, so touched stays accurate
-    }
+    });
   }
 
   out.criticals.reserve(touched_attr_.size());
   for (const std::uint32_t id : touched_attr_) {
-    out.criticals.push_back({ClusterKey::from_raw(cells_.key(id)),
-                             attribution_[id], cells_.cell(id)});
+    out.criticals.push_back({ClusterKey::from_raw(cell_keys_[id]),
+                             attribution_[id], cell_stats_[id]});
     attribution_[id] = 0.0;  // buffer is reused across metrics/epochs
   }
   detail::finalize_critical_analysis(out);
@@ -459,7 +428,7 @@ CriticalAnalysis IncrementalLattice::extract(Metric metric, ThreadPool* pool,
 }
 
 std::array<CriticalAnalysis, kNumMetrics> IncrementalLattice::advance(
-    const LeafFold& fold, ThreadPool* pool, std::size_t shards) {
+    const LeafFold& fold, ThreadPool* /*unused*/, std::size_t /*unused*/) {
   VQ_SPAN_EPOCH("core.incremental_advance", fold.epoch);
   ++seq_;
   epoch_ = fold.epoch;
@@ -474,11 +443,11 @@ std::array<CriticalAnalysis, kNumMetrics> IncrementalLattice::advance(
 
   std::array<CriticalAnalysis, kNumMetrics> analyses;
   for (int m = 0; m < kNumMetrics; ++m) {
-    analyses[m] = extract(static_cast<Metric>(m), pool, shards);
+    analyses[m] = extract(static_cast<Metric>(m));
   }
 
   delta_.active_leaves = active_slots_.size();
-  delta_.cells = cells_.size();
+  delta_.cells = cell_stats_.size();
   IncrementalMetrics& metrics = IncrementalMetrics::get();
   metrics.epochs.add(1);
   metrics.leaves_changed.add(delta_.leaves_added + delta_.leaves_updated +

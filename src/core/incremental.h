@@ -1,20 +1,22 @@
 // Incremental epoch-table maintenance (DESIGN.md §4.13).
 //
-// run_pipeline_streaming and the StreamingDetector re-aggregate every epoch
-// from scratch: pass 2 re-expands every distinct leaf across its 127
-// projections even when the epoch barely changed.  A monitoring service's
-// workload is the opposite shape — most leaves persist epoch over epoch and
-// only a small frontier churns — so this engine keeps the lattice alive
-// across epochs and makes the per-epoch cost proportional to *change*:
+// A bench-only module: no pipeline, detector or CLI command runs it.  Every
+// production path analyses each epoch from its own sessions alone through
+// EpochAnalyzer (epoch_analyzer.h), as the paper does (§3.1–3.2).  This
+// engine instead keeps the lattice alive across epochs and makes the
+// per-epoch cost proportional to *change*; measured, it is slower than the
+// rebuild on every load (DESIGN.md §4.13).  Its callers are the end-to-end
+// benchmark's traced side pass (e2ebench/workloads.cpp), its differential
+// test (tests/test_incremental.cpp) and bench/perf_incremental.
 //
 //   * Delta application.  The per-epoch leaf fold (pass 1, unavoidable
 //     O(sessions)) is diffed against the retained per-leaf stats.  Each
 //     added/updated/retired leaf applies one wrapped-difference delta
 //     (new - old over uint32, exact under wraparound) to its precomputed
-//     projection row — 127 CellStore::add_to calls, no hashing, no
-//     re-expansion of unchanged leaves.  A leaf absent from the fold
-//     retires with a negative delta; its slot and row are retained and
-//     reused if the leaf reappears.  Invalidation is value-based: a cell
+//     projection row — 127 counter additions by dense cell id, no
+//     hashing, no re-expansion of unchanged leaves.  A leaf absent from
+//     the fold retires with a negative delta; its slot and row are
+//     retained and reused if the leaf reappears.  Invalidation is value-based: a cell
 //     whose deltas net to zero across the epoch (balanced churn — sessions
 //     migrating between sibling leaves sharing the projection) is compared
 //     equal to its pre-advance snapshot and treated as untouched, so broad
@@ -34,15 +36,16 @@
 //     iff the leaf was swept on the previous advance, the global is
 //     bit-equal, and no row cell's value changed this advance — probed
 //     against a per-epoch changed-cell bitmap, so the hot path never walks
-//     a per-cell sequence array.  Attribution shares are still *replayed* for every active
-//     leaf in ascending-key order — that replay is what reproduces the
-//     from-scratch floating-point accumulation sequence exactly.
+//     a per-cell sequence array.  Attribution shares are still added up
+//     for every active leaf in ascending-key order — that order is what
+//     reproduces the from-scratch floating-point accumulation sequence
+//     exactly.
 //
 // Bit-identity contract: advance() returns, for every metric, a
 // CriticalAnalysis bit-identical to find_critical_clusters over
 // expand_fold(fold) — same problem keys, same criticals, same attribution
-// doubles — at every epoch boundary, for any workers x shards setting.
-// tests/test_incremental.cpp enforces this differentially.  Why it holds:
+// doubles — at every epoch boundary.  tests/test_incremental.cpp enforces
+// this differentially.  Why it holds:
 //   * Cell content equals the from-scratch table's: deltas are exact over
 //     uint32, and a cell decays to zero sessions exactly when no active
 //     leaf projects onto it (i.e. when the from-scratch table would not
@@ -54,15 +57,16 @@
 //     the shared (mass desc, key asc) sort, and the attribution doubles
 //     come from the same per-leaf accumulation order.
 //
-// Not serialized: a resumed detector's first epoch is a full build (every
-// leaf is "added"), which lands on the identical state — so checkpoints
-// carry no lattice bytes (see monitor.h).
+// advance() lands on the current fold's exact cell content from any prior
+// state; the first advance, from an empty lattice, is a full build (every
+// leaf is "added").
 
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/cluster_engine.h"
@@ -76,8 +80,8 @@ namespace vq {
 class ThreadPool;
 
 /// Per-advance introspection: what the delta engine actually did.  Stable
-/// given the input stream (independent of workers/shards), so tests and the
-/// perf bench can assert on churn accounting.
+/// given the input stream, so tests and the perf bench can assert on churn
+/// accounting.
 struct IncrementalDeltaStats {
   std::uint32_t epoch = 0;
   std::size_t leaves_added = 0;    // newly active (incl. re-added)
@@ -104,24 +108,26 @@ class IncrementalLattice {
                               int max_arity = kNumDims);
 
   /// Applies the epoch's fold as a delta against the retained state and
-  /// extracts all four per-metric critical analyses.  With `pool` non-null
-  /// and `shards > 1` the per-leaf sweep shards exactly like the fused
-  /// critical sweep (contiguous ranges of the ascending active-leaf array,
-  /// replayed in shard order) — output is bit-identical for any shard
-  /// count.
-  std::array<CriticalAnalysis, kNumMetrics> advance(const LeafFold& fold,
-                                                    ThreadPool* pool = nullptr,
-                                                    std::size_t shards = 1);
+  /// extracts all four per-metric critical analyses.  The pool and shard
+  /// arguments are unused: the sweep is serial.
+  std::array<CriticalAnalysis, kNumMetrics> advance(
+      const LeafFold& fold, ThreadPool* /*unused*/ = nullptr,
+      std::size_t /*unused*/ = 1);
 
   [[nodiscard]] const IncrementalDeltaStats& last_delta() const noexcept {
     return delta_;
   }
   [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] const ClusterStats& root() const noexcept { return root_; }
-  /// Retained cell store (includes decayed-to-zero cells of retired
-  /// leaves; dense ids are first-touch order).  Exposed for differential
-  /// tests comparing content against a from-scratch table.
-  [[nodiscard]] const CellStore& cells() const noexcept { return cells_; }
+  /// Retained cells, keys and stats in parallel, in first-touch id order
+  /// (including cells of retired leaves, decayed to zero).  Exposed for
+  /// the content differential against a from-scratch table.
+  [[nodiscard]] std::span<const std::uint64_t> cell_keys() const noexcept {
+    return cell_keys_;
+  }
+  [[nodiscard]] std::span<const ClusterStats> cell_stats() const noexcept {
+    return cell_stats_;
+  }
   [[nodiscard]] std::size_t num_active_leaves() const noexcept {
     return active_slots_.size();
   }
@@ -132,9 +138,9 @@ class IncrementalLattice {
   void apply_deltas(const LeafFold& fold);
   void apply_leaf_delta(std::uint32_t slot, const ClusterStats& next);
   std::uint32_t slot_for(std::uint64_t leaf_key);
+  std::uint32_t cell_for(std::uint64_t raw);
   void update_flags();
-  CriticalAnalysis extract(Metric metric, ThreadPool* pool,
-                           std::size_t shards);
+  CriticalAnalysis extract(Metric metric);
   /// Evaluates one leaf's candidate masks + problem-cluster membership
   /// against the retained flags (the fused sweep's per-leaf math, applied
   /// to the incremental store).  Returns in_problem_cluster; minimal
@@ -156,9 +162,13 @@ class IncrementalLattice {
   std::uint32_t epoch_ = 0;
   bool primed_ = false;  // at least one advance happened
   ClusterStats root_;
-  CellStore cells_;
 
-  // Per-cell state, parallel to cells_ dense ids.
+  // Cells, by dense id in first-touch order.
+  FlatMap64<std::uint32_t> cell_ids_;  // raw key -> dense id + 1
+  std::vector<std::uint64_t> cell_keys_;
+  std::vector<ClusterStats> cell_stats_;
+
+  // Per-cell state, parallel to the dense ids.
   std::vector<std::uint64_t> cell_visit_seq_;  // seq of last delta (dedup)
   std::vector<std::uint64_t> changed_bitmap_;  // value changed this advance
   std::vector<std::uint64_t> significant_;     // 1 bit per cell

@@ -85,18 +85,10 @@ std::vector<IncidentEvent> StreamingDetector::ingest(
   has_ingested_ = true;
   epochs_observed_ += 1;
 
-  // One fold per ingested epoch, shared by the expansion (or the delta
-  // engine) and all metrics.
+  // One fold per ingested epoch, shared by the expansion and all metrics.
   fold_sessions_into(sessions, config_.thresholds, epoch, fold_);
-
-  // Incremental mode applies the fold as a per-leaf delta against the
-  // retained lattice; otherwise re-expand from scratch.  Both paths yield
-  // bit-identical analyses (tests/test_incremental.cpp), so the incident
-  // stream cannot depend on the mode.
   const std::array<CriticalAnalysis, kNumMetrics> analyses =
-      lattice_ ? lattice_->advance(fold_, pool_ ? &*pool_ : nullptr,
-                                   std::max<std::uint32_t>(1, config_.shards))
-               : analyzer_.analyze(fold_);
+      analyzer_.analyze(fold_);
 
   std::vector<IncidentEvent> events;
   for (const Metric metric : kAllMetrics) {

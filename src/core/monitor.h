@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <unordered_map>
@@ -47,12 +46,10 @@
 #include "src/core/cluster_engine.h"
 #include "src/core/critical_cluster.h"
 #include "src/core/epoch_analyzer.h"
-#include "src/core/incremental.h"
 #include "src/core/problem_cluster.h"
 #include "src/core/session.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
-#include "src/util/thread_pool.h"
 
 namespace vq {
 
@@ -72,22 +69,13 @@ struct MonitorConfig {
   /// escalates (the paper's reactive strategy uses 1).
   std::uint32_t escalate_after = 1;
   EpochOrderPolicy order_policy = EpochOrderPolicy::kThrow;
-  /// Detector-side parallelism of the incremental lattice's per-leaf sweep
-  /// (IncrementalLattice::advance); nothing else reads them, because the
-  /// rebuild path (EpochAnalyzer) is serial.  workers <= 1 runs serial.
-  /// Excluded from the checkpoint fingerprint: the sharded sweep is
-  /// bit-identical to the serial one by construction, so any workers x
-  /// shards setting yields the same incident stream (differential-tested
-  /// at {1,4} x {1,4}).
+  /// Nothing in src/ reads these two: the detector analyses each epoch
+  /// serially on the ingesting thread.  They remain only because the
+  /// end-to-end benchmark (e2ebench/inputs.cpp, e2ebench/serve_workload.cpp)
+  /// sets them.  Excluded from the checkpoint fingerprint, so they may
+  /// change across a save/restore.
   std::uint32_t workers = 1;
   std::uint32_t shards = 1;
-  /// Maintain the lattice across epochs with the incremental delta engine
-  /// (src/core/incremental.h) instead of re-expanding every epoch.  The
-  /// incident event stream is bit-identical either way (the engine's
-  /// differential contract), so — like the worker knobs — this
-  /// is excluded from the checkpoint fingerprint and may change across a
-  /// save/restore.
-  bool incremental = false;
 };
 
 /// One tracked incident: a critical cluster with a live streak.
@@ -128,7 +116,7 @@ struct EpochDataQuality {
 /// recurred on the next consecutive epoch) or restarts at 1.  Keys are never
 /// forgotten — prevalence is a whole-stream fraction.  Equivalence with the
 /// batch build_prevalence (src/core/prevalence.h) over a contiguous epoch
-/// stream is enforced by tests/test_incremental.cpp.
+/// stream is enforced by tests/test_monitor.cpp.
 struct ProblemStreak {
   ClusterKey key;
   std::uint32_t first_epoch = 0;  // first epoch the key was a problem cluster
@@ -144,12 +132,7 @@ struct ProblemStreak {
 class StreamingDetector {
  public:
   explicit StreamingDetector(const MonitorConfig& config)
-      : config_(config), analyzer_(config.engine, config.cluster_params) {
-    if (config_.incremental) {
-      lattice_.emplace(config_.cluster_params, config_.engine.max_arity);
-      if (config_.workers > 1) pool_.emplace(config_.workers);
-    }
-  }
+      : config_(config), analyzer_(config.engine, config.cluster_params) {}
 
   /// Processes one closed epoch. Epochs must be fed in increasing order
   /// (gaps allowed: a gap resets streaks); a non-increasing epoch follows
@@ -221,10 +204,8 @@ class StreamingDetector {
   // problem-streak registry sorted by key), and a trailing FNV-1a checksum
   // over the payload.  load_checkpoint throws std::runtime_error on bad
   // magic, unsupported version, checksum mismatch, truncation, or a
-  // fingerprint from a different configuration.  The incremental lattice is
-  // deliberately NOT serialised: advance() lands on the current fold's
-  // exact cell content from any prior state, so the first epoch after a
-  // restore is simply a full delta build with identical output.
+  // fingerprint from a different configuration.  No lattice state is
+  // serialised: every epoch is analysed from its own sessions alone.
 
   void save_checkpoint(std::ostream& out) const VQ_EXCLUDES(mutex_);
   /// Atomic file save: writes `path`.tmp, then renames over `path`, so an
@@ -238,26 +219,17 @@ class StreamingDetector {
 
   /// Fingerprint of the result-affecting config fields (thresholds, cluster
   /// params, the engine's max_arity, escalate_after, order policy).  The
-  /// incremental flag and the worker and shard counts are excluded: the
-  /// incremental lattice and any sharding give bit-identical analyses
-  /// (differential-tested), so they may differ across a save/restore
-  /// without changing the event stream.  max_arity bounds which clusters
-  /// exist, so it is included.
+  /// worker and shard counts are excluded: nothing reads them, so they may
+  /// differ across a save/restore without changing the event stream.
+  /// max_arity bounds which clusters exist, so it is included.
   [[nodiscard]] static std::uint64_t config_fingerprint(
       const MonitorConfig& config) noexcept;
 
  private:
   const MonitorConfig config_;  // immutable after construction: unguarded
-  /// Worker pool of the incremental lattice's sweep; engaged only when
-  /// config_.incremental and config_.workers > 1.  Used exclusively from
-  /// inside ingest() (under mutex_), so it needs no guarding of its own.
-  std::optional<ThreadPool> pool_;
-  /// Cross-epoch lattice state; engaged only when config_.incremental.
-  /// Used exclusively from inside ingest() (under mutex_).
-  std::optional<IncrementalLattice> lattice_;
-  /// The epoch's leaf fold and the rebuild path's table and buffers, kept
+  /// The epoch's leaf fold and the analyzer's table and buffers, kept
   /// across epochs (epoch_analyzer.h).  Used exclusively from inside
-  /// ingest() (under mutex_).
+  /// ingest() (under mutex_), so they need no guarding of their own.
   LeafFold fold_;
   EpochAnalyzer analyzer_;
 

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "src/core/epoch_analyzer.h"
-#include "src/core/incremental.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/mutex.h"
@@ -50,7 +49,7 @@ namespace {
 
 /// Moves one epoch's analyses into the result and counts them.  The
 /// counts are properties of the analysis, not the schedule, so they are
-/// kStable: totals match for any workers/shards setting.
+/// kStable: totals match for any workers setting.
 struct EpochCounters {
   obs::Counter& epochs = obs::Registry::global().counter("pipeline.epochs");
   obs::Counter& sessions =
@@ -139,13 +138,12 @@ class EpochSlots {
 PipelineResult run_pipeline(const SessionTable& table,
                             const PipelineConfig& config,
                             std::span<const std::uint32_t> degraded) {
-  PipelineResult result = run_pipeline(table, config);
-  result.degraded_epochs.assign(degraded.begin(), degraded.end());
-  if (!std::is_sorted(result.degraded_epochs.begin(),
-                      result.degraded_epochs.end())) {
+  if (!std::is_sorted(degraded.begin(), degraded.end())) {
     throw std::invalid_argument{
         "run_pipeline: degraded epochs must be sorted ascending"};
   }
+  PipelineResult result = run_pipeline(table, config);
+  result.degraded_epochs.assign(degraded.begin(), degraded.end());
   return result;
 }
 
@@ -220,24 +218,9 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
   // Largest batch ever held: the structural O(one epoch) memory witness.
   obs::Gauge& held_max = reg.gauge("pipeline.stream_epoch_sessions_max");
 
-  // Epochs stream sequentially (that is the memory bound) and the analyzer
-  // is serial, so only the incremental lattice's sweep takes the workers.
-  std::optional<IncrementalLattice> incremental;
-  std::optional<ThreadPool> pool;
-  std::size_t shards = 1;
-  if (config.incremental) {
-    incremental.emplace(config.cluster_params, config.engine.max_arity);
-    const std::size_t workers =
-        config.workers == 0
-            ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-            : config.workers;
-    if (workers > 1 && result.num_epochs > 0) pool.emplace(workers);
-    shards = config.shards != 0 ? config.shards : workers;
-  }
-  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
-
-  // Reused across epochs, capacity retained: the column batch, the fold
-  // and the analyzer's table and buffers.
+  // Epochs stream sequentially (that is the memory bound).  Reused across
+  // epochs, capacity retained: the column batch, the fold and the
+  // analyzer's table and buffers.
   SessionColumns columns;
   LeafFold fold;
   EpochAnalyzer analyzer{config.engine, config.cluster_params};
@@ -260,8 +243,7 @@ PipelineResult run_pipeline_streaming(EpochColumnsSource& source,
     }
 
     std::array<CriticalAnalysis, kNumMetrics> analyses =
-        incremental ? incremental->advance(fold, pool_ptr, shards)
-                    : analyzer.analyze(fold);
+        analyzer.analyze(fold);
     counters.record(result, epoch, analyses, columns.size());
   }
   return result;

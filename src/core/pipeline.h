@@ -6,14 +6,12 @@
 // (epoch_analyzer.h), keeps only what the longitudinal analyses need from
 // each epoch's lattice table, and returns a PipelineResult the §4/§5
 // analytics (prevalence, persistence, overlap, what-if) consume.  The
-// analyzer is the only rebuild engine; ClusterEngineConfig selects just the
-// arity cap, and the streaming pipeline's `incremental` flag swaps in the
-// incremental lattice (incremental.h).
+// analyzer is the one engine both pipelines run; ClusterEngineConfig
+// selects just the arity cap.
 //
 // Batch run_pipeline spreads epochs across a pool of workers, largest
 // first; each epoch is analysed serially.  The streaming pipeline reads
-// epochs in order and analyses each serially, so there `workers` and
-// `shards` reach only the incremental lattice's per-leaf sweep.
+// epochs in order and analyses each serially on the calling thread.
 
 #pragma once
 
@@ -37,21 +35,10 @@ struct PipelineConfig {
   ProblemClusterParams cluster_params{.ratio_multiplier = 1.5,
                                       .min_sessions = 1000};
   ClusterEngineConfig engine;
-  /// Worker threads; 0 = hardware concurrency.  run_pipeline analyses
-  /// epochs on them in parallel; the streaming pipeline uses them only for
-  /// the incremental lattice.
+  /// Worker threads of run_pipeline, which analyses epochs on them in
+  /// parallel; 0 = hardware concurrency.  The streaming pipeline does not
+  /// read it.  Any value yields identical results.
   std::size_t workers = 1;
-  /// Streaming `incremental` only: shards of the incremental lattice's
-  /// per-leaf sweep, 0 = one per worker.  Nothing else reads it.  Any value
-  /// yields identical results.
-  std::size_t shards = 0;
-  /// Streaming only: maintain the lattice across epochs with the
-  /// incremental delta engine (src/core/incremental.h) instead of
-  /// re-expanding every epoch from scratch.  Results are bit-identical
-  /// (tests/test_incremental.cpp); per-epoch cost becomes proportional to
-  /// leaf churn.  Ignored by run_pipeline (epoch-parallel batch analysis
-  /// has no epoch order to exploit).
-  bool incremental = false;
   /// Streaming only: optional replacement for the pass-1 fold, e.g. the
   /// sketch-bounded admission tier (src/baseline/hhh.h) that folds only
   /// heavy leaves under a --max-cells budget.  The returned fold must carry
@@ -116,7 +103,8 @@ struct PipelineResult {
                                           const PipelineConfig& config);
 
 /// As above, carrying the ingest layer's degraded-epoch annotation through
-/// to the result (`degraded` must be sorted ascending).
+/// to the result.  `degraded` must be sorted ascending; otherwise throws
+/// std::invalid_argument before analysing any epoch.
 [[nodiscard]] PipelineResult run_pipeline(
     const SessionTable& table, const PipelineConfig& config,
     std::span<const std::uint32_t> degraded);
@@ -124,10 +112,9 @@ struct PipelineResult {
 /// Out-of-core variant: pulls epochs one at a time from `source` (e.g. a
 /// gen/columnar.h ColumnarReader) into one reused SessionColumns buffer, so
 /// peak memory is O(largest epoch) instead of O(whole trace).  Epochs run
-/// sequentially, each analysed serially; only the incremental lattice takes
-/// `config.workers` and `config.shards`.  The result is identical to
-/// run_pipeline over the same sessions — the column-batch fold is
-/// bit-identical to the row-wise fold, and neither knob affects results.
+/// sequentially on the calling thread, each read, folded and analysed in
+/// turn.  The result is identical to run_pipeline over the same sessions —
+/// the column-batch fold is bit-identical to the row-wise fold.
 /// Epochs whose read_epoch reported damage land in
 /// PipelineResult::degraded_epochs.  The pipeline.stream_epoch_sessions_max
 /// gauge records the largest batch held, making the memory claim

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/util/flat_hash_map.h"
+
 namespace vq {
 
 void require_floor(const EpochClusterTable& table,

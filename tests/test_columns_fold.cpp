@@ -3,7 +3,7 @@
 // pack_leaf_keys_columns / fold_sessions_columns must reproduce the
 // row-wise path bit for bit, with both the kAuto (SIMD) and kScalar
 // kernels — and run_pipeline_streaming must match run_pipeline at every
-// workers x shards combination.
+// workers setting.
 
 #include <gtest/gtest.h>
 
@@ -310,36 +310,31 @@ TEST(StreamingPipeline, MatchesInMemoryPipelineAtEveryWorkersShards) {
   config.cluster_params.min_sessions = 40;
 
   config.workers = 1;
-  config.shards = 1;
   const PipelineResult baseline = run_pipeline(trace, config);
 
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    for (const std::size_t shards : {0u, 1u, 2u, 5u}) {
-      config.workers = workers;
-      config.shards = shards;
-      TableColumnsSource source{trace};
-      const PipelineResult streamed = run_pipeline_streaming(source, config);
-      ASSERT_EQ(streamed.num_epochs, baseline.num_epochs);
-      EXPECT_TRUE(streamed.degraded_epochs.empty());
-      for (const Metric m : kAllMetrics) {
-        for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
-          SCOPED_TRACE("workers=" + std::to_string(workers) +
-                       " shards=" + std::to_string(shards));
-          expect_analyses_identical(baseline.at(m, e).analysis,
-                                    streamed.at(m, e).analysis);
-          EXPECT_EQ(test::check_analysis(streamed.at(m, e).analysis,
-                                         config.cluster_params.min_sessions),
-                    "");
-        }
+    config.workers = workers;
+    TableColumnsSource source{trace};
+    const PipelineResult streamed = run_pipeline_streaming(source, config);
+    ASSERT_EQ(streamed.num_epochs, baseline.num_epochs);
+    EXPECT_TRUE(streamed.degraded_epochs.empty());
+    for (const Metric m : kAllMetrics) {
+      for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        expect_analyses_identical(baseline.at(m, e).analysis,
+                                  streamed.at(m, e).analysis);
+        EXPECT_EQ(test::check_analysis(streamed.at(m, e).analysis,
+                                       config.cluster_params.min_sessions),
+                  "");
       }
-      // Cross-check the parallel in-memory pipeline at the same settings —
-      // three-way agreement pins both paths to the serial baseline.
-      const PipelineResult parallel = run_pipeline(trace, config);
-      for (const Metric m : kAllMetrics) {
-        for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
-          expect_analyses_identical(baseline.at(m, e).analysis,
-                                    parallel.at(m, e).analysis);
-        }
+    }
+    // Cross-check the parallel in-memory pipeline at the same setting —
+    // three-way agreement pins both paths to the serial baseline.
+    const PipelineResult parallel = run_pipeline(trace, config);
+    for (const Metric m : kAllMetrics) {
+      for (std::uint32_t e = 0; e < baseline.num_epochs; ++e) {
+        expect_analyses_identical(baseline.at(m, e).analysis,
+                                  parallel.at(m, e).analysis);
       }
     }
   }

@@ -7,6 +7,7 @@
 #include <bit>
 
 #include "src/core/critical_cluster.h"
+#include "src/util/flat_hash_map.h"
 #include "src/util/rng.h"
 #include "tests/test_support.h"
 

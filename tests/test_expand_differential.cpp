@@ -6,7 +6,7 @@
 // sets: masks in both 64-bit words, keys that differ only in the most or
 // the least significant field, and an epoch in which every radix digit
 // varies.  Also unit-covers the canonical radix sort against
-// std::stable_sort and the sorted-mode CellStore contract.
+// std::stable_sort and the CellStore contract.
 
 #include <gtest/gtest.h>
 
@@ -48,7 +48,6 @@ void add_leaf(std::vector<Session>& out, const AttrVec& attrs, std::size_t n,
 
 /// The mask-major dense-id contract: ids ascend by (mask value, raw key).
 void expect_canonical_layout(const CellStore& store) {
-  ASSERT_TRUE(store.sorted());
   const std::span<const std::uint64_t> keys = store.keys();
   for (std::size_t id = 1; id < keys.size(); ++id) {
     const std::uint64_t prev_mask = keys[id - 1] & kFullMask;
@@ -314,7 +313,6 @@ TEST(CellStoreSorted, LookupsAndAccessors) {
       fold_sessions(trace.epoch(0), ProblemThresholds{}, 0);
   const EpochClusterTable table = expand_fold(fold, {});
   const CellStore& store = table.clusters;
-  ASSERT_TRUE(store.sorted());
   ASSERT_GT(store.size(), 0u);
 
   // Every stored key resolves to its own id through the binary search.
@@ -331,17 +329,21 @@ TEST(CellStoreSorted, LookupsAndAccessors) {
   EXPECT_FALSE(store.contains(0));
 }
 
-TEST(CellStoreSorted, MutatorsThrow) {
-  const EpochClusterTable table = expand_fold(LeafFold{}, {});
-  CellStore store = table.clusters;  // copy keeps sorted mode
-  ASSERT_TRUE(store.sorted());
-  EXPECT_THROW((void)store.id_or_insert(0x81), std::logic_error);
-  EXPECT_THROW(store.add_to(0, ClusterStats{}), std::logic_error);
-  // A mutable store takes both.
-  CellStore mutable_store;
-  const std::uint32_t id = mutable_store.id_or_insert(0x81);
-  mutable_store.add_to(id, ClusterStats{.sessions = 3, .problems = {}});
-  EXPECT_EQ(mutable_store.find(0x81)->sessions, 3u);
+TEST(CellStoreSorted, DefaultConstructedFindsNoKey) {
+  // A default EpochClusterTable holds a default store; every lookup on it
+  // must miss rather than read past its empty arrays.
+  const CellStore store;
+  EXPECT_TRUE(store.empty());
+  for (const std::uint64_t raw :
+       {std::uint64_t{0}, std::uint64_t{0x81}, std::uint64_t{kFullMask},
+        ~std::uint64_t{0}}) {
+    EXPECT_EQ(store.id_of(raw), CellStore::kNoCell) << raw;
+    EXPECT_EQ(store.find(raw), nullptr) << raw;
+    EXPECT_FALSE(store.contains(raw)) << raw;
+  }
+  const EpochClusterTable table;
+  EXPECT_EQ(table.clusters.find(0x81), nullptr);
+  EXPECT_EQ(table.stats(ClusterKey::from_raw(0x81)), ClusterStats{});
 }
 
 TEST(CellStoreSorted, FromMaskMajorValidatesShapes) {

@@ -2,15 +2,13 @@
 // IncrementalLattice one fold per epoch must reproduce the from-scratch
 // expand_fold + find_critical_clusters path bit for bit — criticals (same
 // order), attribution doubles, problem_cluster_keys, problem_sessions_in_pc
-// — at every epoch boundary, for workers x shards in {1,4}^2, under churn,
-// retirement, re-addition, gaps, and empty epochs.
+// — at every epoch boundary, under churn, retirement, re-addition, gaps,
+// and empty epochs.
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "src/core/cluster_engine.h"
@@ -19,7 +17,6 @@
 #include "src/gen/events.h"
 #include "src/gen/tracegen.h"
 #include "src/gen/world.h"
-#include "src/util/thread_pool.h"
 #include "tests/test_support.h"
 
 namespace vq {
@@ -49,50 +46,48 @@ void expect_analyses_identical(const CriticalAnalysis& expected,
 
 /// Runs the incremental engine against the from-scratch path over a stream
 /// of epochs and asserts bit-identity at every boundary.  Also checks that
-/// the retained cell content matches the from-scratch table exactly (every
-/// from-scratch cell present with equal stats; every extra retained cell
-/// decayed to zero).
+/// the retained cell content matches the from-scratch table exactly: every
+/// live retained cell is a from-scratch cell with equal stats, there are as
+/// many of them as from-scratch cells (the retained keys are distinct, so
+/// that covers every from-scratch cell), and every other retained cell has
+/// decayed to zero.
 void run_differential(const std::vector<std::vector<Session>>& epochs,
-                      const ProblemClusterParams& params,
-                      std::size_t workers, std::size_t shards) {
+                      const ProblemClusterParams& params) {
   const ProblemThresholds thresholds;
   const ClusterEngineConfig config;
-  std::optional<ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
-  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
 
   IncrementalLattice lattice{params};
   for (std::uint32_t e = 0; e < epochs.size(); ++e) {
     SCOPED_TRACE("epoch " + std::to_string(e));
     const LeafFold fold = fold_sessions(epochs[e], thresholds, e);
-    const EpochClusterTable table =
-        expand_fold(fold, config, pool_ptr, shards);
+    const EpochClusterTable table = expand_fold(fold, config);
     const std::array<CriticalAnalysis, kNumMetrics> actual =
-        lattice.advance(fold, pool_ptr, shards);
+        lattice.advance(fold);
     for (const Metric m : kAllMetrics) {
       const CriticalAnalysis expected =
-          find_critical_clusters(fold, table, params, m, pool_ptr, shards);
+          find_critical_clusters(fold, table, params, m);
       expect_analyses_identical(expected,
                                 actual[static_cast<std::uint8_t>(m)]);
     }
 
-    // Content differential: retained cells agree with the from-scratch
-    // table; cells only the incremental store knows are decayed to zero.
+    // Content differential.
+    const std::span<const std::uint64_t> keys = lattice.cell_keys();
+    const std::span<const ClusterStats> stats = lattice.cell_stats();
+    ASSERT_EQ(keys.size(), stats.size());
     std::size_t live_cells = 0;
-    table.clusters.for_each([&](std::uint64_t raw, const ClusterStats& s) {
-      const ClusterStats* kept = lattice.cells().find(raw);
-      ASSERT_NE(kept, nullptr);
-      EXPECT_EQ(*kept, s);
-    });
-    lattice.cells().for_each([&](std::uint64_t raw, const ClusterStats& s) {
-      if (s.sessions != 0) {
+    for (std::size_t id = 0; id < keys.size(); ++id) {
+      const ClusterStats* scratch = table.clusters.find(keys[id]);
+      if (stats[id].sessions != 0) {
         ++live_cells;
+        ASSERT_NE(scratch, nullptr) << "live cell absent from scratch: "
+                                    << keys[id];
+        EXPECT_EQ(stats[id], *scratch);
       } else {
-        EXPECT_EQ(table.clusters.find(raw), nullptr)
-            << "cell decayed to zero but alive from scratch: " << raw;
-        EXPECT_EQ(s, ClusterStats{});
+        EXPECT_EQ(scratch, nullptr)
+            << "cell decayed to zero but alive from scratch: " << keys[id];
+        EXPECT_EQ(stats[id], ClusterStats{});
       }
-    });
+    }
     EXPECT_EQ(live_cells, table.clusters.size());
   }
 }
@@ -117,31 +112,15 @@ std::vector<std::vector<Session>> generated_epochs(std::uint32_t num_epochs) {
   return epochs;
 }
 
-class IncrementalDifferential
-    : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(IncrementalDifferential, MatchesFromScratchAtEveryEpoch) {
-  static const std::vector<std::vector<Session>> epochs = generated_epochs(10);
-  const auto [workers, shards] = GetParam();
+TEST(IncrementalDifferential, MatchesFromScratchAtEveryEpoch) {
   const ProblemClusterParams params{.ratio_multiplier = 1.5,
                                     .min_sessions = 60};
-  run_differential(epochs, params,
-                   static_cast<std::size_t>(workers),
-                   static_cast<std::size_t>(shards));
+  run_differential(generated_epochs(10), params);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    WorkersByShards, IncrementalDifferential,
-    ::testing::Values(std::pair{1, 1}, std::pair{1, 4}, std::pair{4, 1},
-                      std::pair{4, 4}),
-    [](const auto& info) {
-      return "w" + std::to_string(info.param.first) + "s" +
-             std::to_string(info.param.second);
-    });
 
 /// Hand-built churn scenario: update / steady / retire / add / re-add /
 /// identical epoch / empty epoch / rebuild — every delta path in one
-/// stream, serial and sharded.
+/// stream.
 std::vector<std::vector<Session>> churn_epochs() {
   using test::Attrs;
   const Attrs a{.site = 1, .cdn = 1, .asn = 1};
@@ -185,8 +164,7 @@ std::vector<std::vector<Session>> churn_epochs() {
 TEST(IncrementalScenarios, ChurnRetireReAddEmptyRebuild) {
   const ProblemClusterParams params{.ratio_multiplier = 1.5,
                                     .min_sessions = 100};
-  run_differential(churn_epochs(), params, 1, 1);
-  run_differential(churn_epochs(), params, 4, 4);
+  run_differential(churn_epochs(), params);
 }
 
 TEST(IncrementalScenarios, MinSessionsZeroPathological) {
@@ -195,7 +173,7 @@ TEST(IncrementalScenarios, MinSessionsZeroPathological) {
   // invisible to every output.
   const ProblemClusterParams params{.ratio_multiplier = 1.5,
                                     .min_sessions = 0};
-  run_differential(churn_epochs(), params, 1, 1);
+  run_differential(churn_epochs(), params);
 }
 
 TEST(IncrementalScenarios, DeltaStatsAccountChurn) {

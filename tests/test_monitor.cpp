@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
+#include "src/core/pipeline.h"
+#include "src/core/prevalence.h"
+#include "src/gen/tracegen.h"
 #include "tests/test_support.h"
 
 namespace vq {
@@ -193,6 +198,63 @@ TEST(StreamingDetector, ActiveListsMatchRegistry) {
   EXPECT_GE(active[0].stats.sessions, 50u);
   // Unrelated metrics stay quiet.
   EXPECT_TRUE(detector.active(Metric::kJoinFailure).empty());
+}
+
+TEST(ProblemStreaks, MatchBatchPrevalenceAnalytics) {
+  // The rolling streak registry must agree with the offline §4.1 analytics:
+  // epochs_seen/prevalence with build_prevalence's timeline, max_streak
+  // with max_persistence, first/last epoch with the timeline endpoints.
+  WorldConfig world_config;
+  world_config.num_sites = 10;
+  world_config.num_cdns = 3;
+  world_config.num_asns = 20;
+  const World world = World::build(world_config);
+  EventScheduleConfig event_config;
+  event_config.num_epochs = 12;
+  const EventSchedule events = EventSchedule::generate(world, event_config);
+  TraceConfig trace_config;
+  trace_config.num_epochs = 12;
+  trace_config.sessions_per_epoch = 8000;
+  const SessionTable trace = generate_trace(world, events, trace_config);
+
+  PipelineConfig pipeline_config;
+  pipeline_config.cluster_params.min_sessions = 60;
+  const PipelineResult result = run_pipeline(trace, pipeline_config);
+
+  MonitorConfig config = small_monitor();
+  config.cluster_params.min_sessions = 60;
+  StreamingDetector detector{config};
+  for (std::uint32_t e = 0; e < trace.num_epochs(); ++e) {
+    (void)detector.ingest(trace.epoch(e), e);
+  }
+  EXPECT_EQ(detector.epochs_observed(), trace.num_epochs());
+
+  for (const Metric m : kAllMetrics) {
+    const PrevalenceReport report = build_prevalence(
+        problem_cluster_keys(result, m), trace.num_epochs());
+    const std::vector<ProblemStreak> streaks = detector.problem_streaks(m);
+    ASSERT_EQ(streaks.size(), report.timelines.size());
+    // Both sides sorted by key: timelines come from per-epoch key lists.
+    std::vector<const ClusterTimeline*> timelines;
+    timelines.reserve(report.timelines.size());
+    for (const ClusterTimeline& t : report.timelines) {
+      timelines.push_back(&t);
+    }
+    std::sort(timelines.begin(), timelines.end(),
+              [](const ClusterTimeline* a, const ClusterTimeline* b) {
+                return a->key.raw() < b->key.raw();
+              });
+    for (std::size_t i = 0; i < streaks.size(); ++i) {
+      const ProblemStreak& streak = streaks[i];
+      const ClusterTimeline& timeline = *timelines[i];
+      EXPECT_EQ(streak.key.raw(), timeline.key.raw());
+      EXPECT_EQ(streak.epochs_seen, timeline.epochs.size());
+      EXPECT_EQ(streak.first_epoch, timeline.epochs.front());
+      EXPECT_EQ(streak.last_epoch, timeline.epochs.back());
+      EXPECT_EQ(streak.max_streak, timeline.max_persistence);
+      EXPECT_DOUBLE_EQ(streak.prevalence, timeline.prevalence);
+    }
+  }
 }
 
 TEST(IncidentUpdateName, Labels) {

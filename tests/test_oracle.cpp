@@ -7,9 +7,8 @@
 // run_pipeline, run_pipeline_streaming and StreamingDetector's open
 // incidents.  The grid covers analysis floors {1, 2, median cell size,
 // root sessions} x max_arity {2, 7} x shards {1, 4}; the shard count is
-// the pipelines' and the detector's worker and shard count, and reaches
-// the pool and shard arguments that expand_fold and the single-metric
-// find_critical_clusters ignore.  Cell counts, the index, integer fields,
+// run_pipeline's worker count, and reaches the pool and shard arguments
+// that expand_fold and the single-metric find_critical_clusters ignore.  Cell counts, the index, integer fields,
 // problem-cluster sets and critical-cluster sets must match exactly;
 // masses match within the bound of test::mass_bound
 // (tests/oracle_match.h), where engine keys are decoded to (subset,
@@ -343,12 +342,11 @@ TEST_P(OracleDifferential, EveryEntryPointMatchesTheOracle) {
       EXPECT_GT(found.criticals, 0u);
     }
 
-    // The pipelines, at the grid's shards.
+    // The pipelines, with as many workers as the grid's shards.
     PipelineConfig config;
     config.cluster_params = params;
     config.engine = engine;
     config.workers = shards;
-    config.shards = shards;
     const PipelineResult batch = run_pipeline(trace, config);
     TableSource source{trace};
     const PipelineResult streamed = run_pipeline_streaming(source, config);
@@ -366,8 +364,6 @@ TEST_P(OracleDifferential, EveryEntryPointMatchesTheOracle) {
     MonitorConfig mc;
     mc.cluster_params = params;
     mc.engine = engine;
-    mc.workers = static_cast<std::uint32_t>(shards);
-    mc.shards = static_cast<std::uint32_t>(shards);
     StreamingDetector detector{mc};
     for (std::uint32_t e = 0; e < kEpochs; ++e) {
       const bool degraded = e == world.degraded_epoch;

@@ -8,9 +8,11 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/core/prevalence.h"
 #include "src/gen/tracegen.h"
+#include "src/obs/metrics.h"
 #include "tests/check_analysis.h"
 #include "tests/test_support.h"
 
@@ -136,10 +138,13 @@ TEST_F(GeneratedFixture, ParallelPipelineMatchesSerial) {
   const PipelineResult parallel = run_pipeline(trace, parallel_config);
   for (const Metric m : kAllMetrics) {
     for (std::uint32_t e = 0; e < result.num_epochs; ++e) {
-      const auto& a = result.at(m, e).analysis;
-      const auto& b = parallel.at(m, e).analysis;
+      const CriticalAnalysis& a = result.at(m, e).analysis;
+      const CriticalAnalysis& b = parallel.at(m, e).analysis;
+      EXPECT_EQ(test::check_analysis(b, config.cluster_params.min_sessions),
+                "");
       EXPECT_EQ(a.problem_sessions, b.problem_sessions);
       EXPECT_EQ(a.num_problem_clusters, b.num_problem_clusters);
+      EXPECT_EQ(a.problem_cluster_keys, b.problem_cluster_keys);
       ASSERT_EQ(a.criticals.size(), b.criticals.size());
       for (std::size_t i = 0; i < a.criticals.size(); ++i) {
         EXPECT_EQ(a.criticals[i].key, b.criticals[i].key);
@@ -150,27 +155,20 @@ TEST_F(GeneratedFixture, ParallelPipelineMatchesSerial) {
   }
 }
 
-TEST_F(GeneratedFixture, ShardedExpansionMatchesSerial) {
-  // Force intra-epoch sharding (workers > epochs would also trigger it via
-  // the heuristic; pin it explicitly so the test exercises the knob).
-  PipelineConfig sharded_config = config;
-  sharded_config.workers = 4;
-  sharded_config.shards = 4;
-  const PipelineResult sharded = run_pipeline(trace, sharded_config);
-  for (const Metric m : kAllMetrics) {
-    for (std::uint32_t e = 0; e < result.num_epochs; ++e) {
-      const CriticalAnalysis& a = result.at(m, e).analysis;
-      const CriticalAnalysis& b = sharded.at(m, e).analysis;
-      EXPECT_EQ(test::check_analysis(b, config.cluster_params.min_sessions),
-                "");
-      EXPECT_EQ(a.problem_sessions, b.problem_sessions);
-      EXPECT_EQ(a.problem_cluster_keys, b.problem_cluster_keys);
-      ASSERT_EQ(a.criticals.size(), b.criticals.size());
-      for (std::size_t i = 0; i < a.criticals.size(); ++i) {
-        EXPECT_EQ(a.criticals[i].key, b.criticals[i].key);
-      }
-    }
-  }
+TEST_F(GeneratedFixture, UnsortedDegradedEpochsThrowBeforeAnyEpoch) {
+  // The order of `degraded` is checked before the first epoch is analysed,
+  // so a bad annotation costs no analysis.
+  obs::Counter& epochs = obs::Registry::global().counter("pipeline.epochs");
+  const std::uint64_t before = epochs.value();
+  const std::vector<std::uint32_t> unsorted{5, 2};
+  EXPECT_THROW((void)run_pipeline(trace, config, unsorted),
+               std::invalid_argument);
+  EXPECT_EQ(epochs.value(), before);
+
+  const std::vector<std::uint32_t> sorted{2, 5};
+  const PipelineResult annotated = run_pipeline(trace, config, sorted);
+  EXPECT_EQ(annotated.degraded_epochs, sorted);
+  EXPECT_EQ(epochs.value(), before + trace.num_epochs());
 }
 
 TEST_F(GeneratedFixture, EpochMismatchSurfacesAndTheNextCallMatches) {

@@ -118,7 +118,6 @@ std::size_t expect_pruned_matches_full(const LeafFold& fold,
   EXPECT_EQ(pruned.floor, floor);
   EXPECT_EQ(pruned.epoch, full.epoch);
   EXPECT_EQ(pruned.root, full.root);
-  EXPECT_TRUE(pruned.clusters.sorted());
 
   // Store: the full store filtered to sessions >= floor, in id order.
   std::vector<std::uint64_t> keys;

@@ -55,13 +55,10 @@ struct DemoTrace {
         }()) {}
 };
 
-MonitorConfig demo_monitor_config(std::uint32_t workers = 1,
-                                  std::uint32_t shards = 1) {
+MonitorConfig demo_monitor_config() {
   MonitorConfig config;
   config.cluster_params.min_sessions = 20;
   config.order_policy = EpochOrderPolicy::kSkipStale;
-  config.workers = workers;
-  config.shards = shards;
   return config;
 }
 
@@ -95,26 +92,20 @@ TEST(ServeServer, FileAndSocketReportsAreByteIdenticalAcrossWorkersShards) {
       file_path_events(demo, demo_monitor_config());
   ASSERT_FALSE(reference.empty());  // a vacuous diff pins nothing
 
-  for (const std::uint32_t workers : {1u, 4u}) {
-    for (const std::uint32_t shards : {1u, 4u}) {
-      ServeHarness harness{quick_config(),
-                           demo_monitor_config(workers, shards)};
-      {
-        Producer producer{harness.address()};
-        producer.send_hello(demo.world.schema());
-        producer.send_rows(demo.table.sessions());
-      }  // close -> watermark waived -> every epoch seals -> idle drain
-      EXPECT_EQ(harness.drain(), 0);
+  ServeHarness harness{quick_config(), demo_monitor_config()};
+  {
+    Producer producer{harness.address()};
+    producer.send_hello(demo.world.schema());
+    producer.send_rows(demo.table.sessions());
+  }  // close -> watermark waived -> every epoch seals -> idle drain
+  EXPECT_EQ(harness.drain(), 0);
 
-      const ServeStats stats = harness.stats();
-      EXPECT_TRUE(stats.accounting_exact());
-      EXPECT_EQ(stats.rows_received, demo.table.size());
-      EXPECT_EQ(stats.rows_admitted, demo.table.size());
-      EXPECT_EQ(stats.epochs_sealed, demo.table.num_epochs());
-      EXPECT_EQ(harness.events(), reference)
-          << "workers=" << workers << " shards=" << shards;
-    }
-  }
+  const ServeStats stats = harness.stats();
+  EXPECT_TRUE(stats.accounting_exact());
+  EXPECT_EQ(stats.rows_received, demo.table.size());
+  EXPECT_EQ(stats.rows_admitted, demo.table.size());
+  EXPECT_EQ(stats.epochs_sealed, demo.table.num_epochs());
+  EXPECT_EQ(harness.events(), reference);
 }
 
 TEST(ServeServer, DataBeforeHelloIsAProtocolViolation) {

@@ -301,51 +301,5 @@ TEST(SketchAdmissionDifferential, PlantedEventRecallAndPrecisionVsExact) {
   EXPECT_GE(precision, 0.80);
 }
 
-TEST(SketchAdmissionDifferential, BoundedFoldComposesWithIncrementalLattice) {
-  // The sketch tier feeds the *incremental* lattice the same way it feeds
-  // the from-scratch path: with an identical fold the two must stay
-  // bit-identical even though the fold itself is lossy.
-  const SessionTable trace = planted_trace(6);
-  SketchAdmission admission_a{
-      SketchAdmissionParams{.max_cells = 200 * std::size_t{kFullMask}}};
-  SketchAdmission admission_b{
-      SketchAdmissionParams{.max_cells = 200 * std::size_t{kFullMask}}};
-
-  PipelineConfig config;
-  config.cluster_params.min_sessions = 60;
-  config.fold_provider = [&](const SessionColumns& columns,
-                             const ProblemThresholds& thresholds,
-                             std::uint32_t epoch) {
-    return admission_a.fold(columns, thresholds, epoch);
-  };
-  TableColumnsSource source_a{trace};
-  const PipelineResult rebuild = run_pipeline_streaming(source_a, config);
-
-  PipelineConfig incremental_config = config;
-  incremental_config.incremental = true;
-  incremental_config.fold_provider = [&](const SessionColumns& columns,
-                                         const ProblemThresholds& thresholds,
-                                         std::uint32_t epoch) {
-    return admission_b.fold(columns, thresholds, epoch);
-  };
-  TableColumnsSource source_b{trace};
-  const PipelineResult incremental =
-      run_pipeline_streaming(source_b, incremental_config);
-
-  for (const Metric m : kAllMetrics) {
-    for (std::uint32_t e = 0; e < trace.num_epochs(); ++e) {
-      const auto& want = rebuild.at(m, e).analysis;
-      const auto& got = incremental.at(m, e).analysis;
-      EXPECT_EQ(want.problem_cluster_keys, got.problem_cluster_keys);
-      EXPECT_EQ(want.attributed_mass, got.attributed_mass);
-      ASSERT_EQ(want.criticals.size(), got.criticals.size());
-      for (std::size_t i = 0; i < want.criticals.size(); ++i) {
-        EXPECT_EQ(want.criticals[i].key.raw(), got.criticals[i].key.raw());
-        EXPECT_EQ(want.criticals[i].attributed, got.criticals[i].attributed);
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace vq

@@ -66,8 +66,7 @@ int usage() {
       "                   [--asns N=2000] [--no-events]\n"
       "  vidqual analyze  --in FILE [--min-sessions N=auto] [--top K=5]\n"
       "                   [--on-error strict|quarantine|best-effort]\n"
-      "                   [--workers N=auto] [--shards N=auto]\n"
-      "                   [--incremental] [--max-cells N]\n"
+      "                   [--workers N=auto] [--max-cells N]\n"
       "                   [--stats-out FILE] [--trace-out FILE]\n"
       "  vidqual convert  --in FILE --out FILE [--format csv|binary|"
       "columnar]\n"
@@ -79,7 +78,6 @@ int usage() {
       "  vidqual monitor  --in FILE [--delay H=1] [--min-sessions N=auto]\n"
       "                   [--checkpoint FILE] [--on-error strict|quarantine|"
       "best-effort]\n"
-      "                   [--workers N=1] [--shards N=1] [--incremental]\n"
       "                   [--stop-after N] [--stats-out FILE] "
       "[--trace-out FILE]\n"
       "  vidqual monitor  --serve ADDR [--delay H=1] [--min-sessions N=1000]\n"
@@ -90,7 +88,6 @@ int usage() {
       "N=30000]\n"
       "                   [--read-timeout-ms N=10000] [--max-frame-bytes N]\n"
       "                   [--max-conns N=64] [--serve-drain]\n"
-      "                   [--workers N=1] [--shards N=1] [--incremental]\n"
       "  vidqual feed     --in FILE --connect ADDR [--rows-per-frame N=4096]\n"
       "                   [--on-error strict|quarantine|best-effort]\n"
       "  vidqual timeline --in FILE [--min-sessions N=auto] [--z 3.0]\n"
@@ -105,15 +102,13 @@ int usage() {
       "for live producers (vidqual feed) instead of reading a file; SIGTERM\n"
       "or SIGINT drains: seal pending epochs, checkpoint, exit 0.\n"
       "--stats-out writes the deterministic metric snapshot (byte-identical\n"
-      "for any --workers/--shards); --trace-out writes per-stage spans as\n"
+      "for any --workers); --trace-out writes per-stage spans as\n"
       "chrome://tracing / Perfetto JSON.\n"
-      "--incremental maintains the cluster lattice across epochs with\n"
-      "per-leaf deltas instead of re-expanding every epoch; results are\n"
-      "bit-identical, per-epoch cost proportional to leaf churn.\n"
-      "--shards reaches only --incremental's per-leaf sweep, and so does\n"
-      "--workers where epochs stream (monitor; analyze over .vqtc, with\n"
-      "--incremental or with --max-cells): each epoch is analysed serially.\n"
-      "Otherwise analyze runs epochs in parallel on --workers threads.\n"
+      "analyze runs epochs in parallel on --workers threads, except where\n"
+      "epochs stream (.vqtc inputs, or --max-cells): there, as in monitor,\n"
+      "each epoch is analysed in order on one thread.\n"
+      "--incremental is accepted and ignored: every epoch is analysed from\n"
+      "its own sessions.\n"
       "--max-cells N bounds the lattice by sketch-based admission: only\n"
       "each epoch's heavy leaves (space-saving summary, N/127 leaf budget)\n"
       "enter the exact lattice; global ratios stay exact.\n");
@@ -192,6 +187,17 @@ std::optional<ErrorPolicy> on_error_policy(const ArgParser& args) {
   return policy;
 }
 
+/// --incremental is accepted on analyze and monitor and ignored, with one
+/// notice on stderr: every command analyses each epoch from its own
+/// sessions, and the incremental lattice (incremental.h) is bench-only.
+void note_ignored_incremental(const ArgParser& args) {
+  if (args.flag("incremental")) {
+    std::fprintf(stderr,
+                 "note: --incremental is ignored; every epoch is analysed "
+                 "from its own sessions\n");
+  }
+}
+
 /// Loads with the row-error policy and reports data quality on stderr.
 RobustLoadedTrace load_robust(std::string_view path, ErrorPolicy policy) {
   const std::filesystem::path p{std::string{path}};
@@ -233,7 +239,7 @@ ObsRequest obs_request(const ArgParser& args) {
 
 /// Writes the requested observability outputs; returns 0 on success. The
 /// stats snapshot contains deterministic (kStable) metrics only, so it is
-/// byte-identical across workers/shards settings on the same input.
+/// byte-identical across --workers settings on the same input.
 int write_obs_outputs(const ObsRequest& req) {
   if (req.stats_path.has_value()) {
     std::ofstream out{*req.stats_path, std::ios::trunc};
@@ -345,8 +351,8 @@ int cmd_convert(const ArgParser& args) {
   return 0;
 }
 
-/// In-memory EpochColumnsSource over a loaded SessionTable, so streaming-only
-/// modes (--incremental, --max-cells) also apply to csv/binary inputs.
+/// In-memory EpochColumnsSource over a loaded SessionTable, so the
+/// streaming-only --max-cells also applies to csv/binary inputs.
 class TableColumnsSource final : public EpochColumnsSource {
  public:
   TableColumnsSource(const SessionTable& table,
@@ -374,10 +380,9 @@ int cmd_analyze(const ArgParser& args) {
   const auto policy = on_error_policy(args);
   if (!policy.has_value()) return 2;
   const ObsRequest obs_req = obs_request(args);  // before ingest spans start
+  note_ignored_incremental(args);
   PipelineConfig config;
   config.workers = static_cast<std::size_t>(args.option_u64("workers", 0));
-  config.shards = static_cast<std::size_t>(args.option_u64("shards", 0));
-  config.incremental = args.flag("incremental");
 
   // --max-cells: sketch-bounded admission replaces the exact pass-1 fold.
   const auto max_cells =
@@ -391,9 +396,9 @@ int cmd_analyze(const ArgParser& args) {
       return sketch->fold(columns, thresholds, epoch);
     };
   }
-  // Both knobs are streaming-only (pipeline.h); non-columnar inputs go
-  // through the in-memory adapter above when either is set.
-  const bool force_streaming = config.incremental || max_cells > 0;
+  // fold_provider is streaming-only (pipeline.h); non-columnar inputs go
+  // through the in-memory adapter above when --max-cells is set.
+  const bool force_streaming = max_cells > 0;
 
   // Columnar inputs stream epoch-by-epoch (O(one epoch) memory); the other
   // formats materialize.  Both paths produce identical reports on the same
@@ -538,6 +543,7 @@ int cmd_monitor_serve(const ArgParser& args, std::string_view address) {
   const auto policy = on_error_policy(args);
   if (!policy.has_value()) return 2;
   const ObsRequest obs_req = obs_request(args);
+  note_ignored_incremental(args);
 
   MonitorConfig config;
   // No trace to auto-derive from on a live socket: --min-sessions or the
@@ -553,9 +559,6 @@ int cmd_monitor_serve(const ArgParser& args, std::string_view address) {
   // A live feed cannot take the kThrow arm; stale rows are counted and
   // dropped (server.h).
   config.order_policy = EpochOrderPolicy::kSkipStale;
-  config.workers = static_cast<std::uint32_t>(args.option_u64("workers", 1));
-  config.shards = static_cast<std::uint32_t>(args.option_u64("shards", 1));
-  config.incremental = args.flag("incremental");
   StreamingDetector detector{config};
 
   serve::ServeConfig serve_config;
@@ -654,6 +657,7 @@ int cmd_monitor(const ArgParser& args) {
   const auto policy = on_error_policy(args);
   if (!policy.has_value()) return 2;
   const ObsRequest obs_req = obs_request(args);  // before ingest spans start
+  note_ignored_incremental(args);
 
   // Columnar inputs stream: one epoch's rows are materialized per detector
   // ingest instead of the whole trace.
@@ -682,9 +686,6 @@ int cmd_monitor(const ArgParser& args) {
       auto_min_sessions_from(total_sessions, num_epochs, args);
   config.escalate_after =
       static_cast<std::uint32_t>(args.option_u64("delay", 1));
-  config.workers = static_cast<std::uint32_t>(args.option_u64("workers", 1));
-  config.shards = static_cast<std::uint32_t>(args.option_u64("shards", 1));
-  config.incremental = args.flag("incremental");
   StreamingDetector detector{config};
 
   // Resume: an existing checkpoint restores the registry/counters and skips
