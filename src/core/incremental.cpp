@@ -363,9 +363,8 @@ CriticalAnalysis IncrementalLattice::extract(Metric metric) {
     if (problems == 0) continue;
 
     // Did any row cell change value this advance?  Probed against the
-    // per-epoch changed bitmap (cache-resident, unlike the 8-byte-per-cell
-    // seq array it replaced) and memoised once per advance, since the
-    // metrics run back to back.
+    // per-epoch changed bitmap, which stays cache-resident, and memoised
+    // once per advance, since the metrics run back to back.
     bool dirty;
     if (row_dirty_seq_[slot] == seq_) {
       dirty = row_dirty_[slot] != 0;
