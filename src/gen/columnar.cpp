@@ -35,6 +35,7 @@ using detail::kColumnarMagic;
 using detail::kColumnarRowBytes;
 using detail::kColumnarTailBytes;
 using detail::kColumnarTailMagic;
+using detail::kColumnarFnvVersion;
 using detail::kColumnarVersion;
 using detail::fnv1a;
 using detail::load_pod;
@@ -66,20 +67,39 @@ template <typename T>
   return static_cast<bool>(in);
 }
 
+/// Running chunk checksum over (epoch, count, columns), in the order the
+/// chunk stores them: fnv1a in version-1 containers, word_hash64 chained
+/// field by field and column by column from version 2 on (trace_format.h).
+class ChunkChecksum {
+ public:
+  explicit ChunkChecksum(std::uint32_t version) noexcept
+      : fnv_{version == kColumnarFnvVersion},
+        h_{fnv_ ? detail::kFnvOffsetBasis : 0} {}
+
+  void add(const void* data, std::size_t bytes) noexcept {
+    h_ = fnv_ ? fnv1a(data, bytes, h_) : detail::word_hash64(data, bytes, h_);
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  bool fnv_;
+  std::uint64_t h_;
+};
+
 /// Writes one epoch chunk; returns its payload checksum.
 std::uint64_t write_chunk(std::ostream& out, std::uint32_t epoch,
                           const SessionColumns& columns) {
   const std::uint64_t count = columns.size();
-  std::uint64_t h = detail::kFnvOffsetBasis;
+  ChunkChecksum h{kColumnarVersion};
   out.write(kColumnarChunkMagic, sizeof kColumnarChunkMagic);
   write_pod(out, epoch);
-  h = fnv1a(&epoch, sizeof epoch, h);
+  h.add(&epoch, sizeof epoch);
   write_pod(out, count);
-  h = fnv1a(&count, sizeof count, h);
+  h.add(&count, sizeof count);
   const auto write_column = [&](const void* data, std::size_t bytes) {
     out.write(static_cast<const char*>(data),
               static_cast<std::streamsize>(bytes));
-    h = fnv1a(data, bytes, h);
+    h.add(data, bytes);
   };
   for (const auto& column : columns.attrs) {
     write_column(column.data(), count * sizeof(std::uint16_t));
@@ -88,8 +108,8 @@ std::uint64_t write_chunk(std::ostream& out, std::uint32_t epoch,
   write_column(columns.bitrate_kbps.data(), count * sizeof(float));
   write_column(columns.join_time_ms.data(), count * sizeof(float));
   write_column(columns.join_failed.data(), count);
-  write_pod(out, h);
-  return h;
+  write_pod(out, h.value());
+  return h.value();
 }
 
 [[nodiscard]] std::uint64_t chunk_bytes(std::uint64_t count) {
@@ -173,6 +193,7 @@ struct ColumnarReader::Impl {
   std::streamoff base = 0;      // container start position in the stream
   std::uint64_t file_end = 0;   // container length, relative to base
   std::uint64_t data_start = 0;  // first chunk offset, relative to base
+  std::uint32_t version = 0;     // header version: picks the chunk checksum
   std::vector<ChunkEntry> entries;
   std::vector<std::int64_t> by_epoch;  // epoch -> entries index, -1 if none
   std::uint32_t num_epochs = 0;
@@ -207,12 +228,11 @@ void ColumnarReader::Impl::init() {
       std::memcmp(magic, kColumnarMagic, sizeof magic) != 0) {
     throw std::runtime_error{"read_trace_columnar: bad magic at offset 0"};
   }
-  std::uint32_t version = 0;
   if (!try_read(s, version)) {
     throw std::runtime_error{
         "read_trace_columnar: truncated input at offset 4"};
   }
-  if (version != kColumnarVersion) {
+  if (version != kColumnarVersion && version != kColumnarFnvVersion) {
     throw std::runtime_error{"read_trace_columnar: unsupported version " +
                              std::to_string(version) + " at offset 4"};
   }
@@ -463,9 +483,9 @@ bool ColumnarReader::Impl::read_epoch(std::uint32_t e, SessionColumns& out) {
                           at_chunk(entry.epoch, entry.offset));
   }
 
-  std::uint64_t h = detail::kFnvOffsetBasis;
-  h = fnv1a(&chunk_epoch, sizeof chunk_epoch, h);
-  h = fnv1a(&count, sizeof count, h);
+  ChunkChecksum h{version};
+  h.add(&chunk_epoch, sizeof chunk_epoch);
+  h.add(&count, sizeof count);
   const std::size_t n = static_cast<std::size_t>(count);
   bool short_read = false;
   const auto read_column = [&](void* data, std::size_t bytes) {
@@ -474,7 +494,7 @@ bool ColumnarReader::Impl::read_epoch(std::uint32_t e, SessionColumns& out) {
       short_read = true;
       return;
     }
-    h = fnv1a(data, bytes, h);
+    h.add(data, bytes);
   };
   for (auto& column : out.attrs) {
     column.resize(n);
@@ -494,16 +514,27 @@ bool ColumnarReader::Impl::read_epoch(std::uint32_t e, SessionColumns& out) {
                               : RowErrorKind::kTruncated,
                       "truncated chunk" + at_chunk(entry.epoch, entry.offset));
   }
-  if (stored != h || stored != entry.checksum) {
+  if (stored != h.value() || stored != entry.checksum) {
     return chunk_fail(RowErrorKind::kBadChecksum,
                       "chunk checksum mismatch" +
                           at_chunk(entry.epoch, entry.offset));
   }
   obs::Registry::global().counter("ingest.columnar.chunks_read").add(1);
 
+  report.rows_read += count;
+  std::array<std::size_t, kNumDims> cardinality{};
+  for (int d = 0; d < kNumDims; ++d) {
+    cardinality[static_cast<std::size_t>(d)] =
+        schema.cardinality(static_cast<AttrDim>(d));
+  }
+  if (rows_within_policy(out, cardinality)) {
+    tally.kept(entry.epoch, count);
+    report.rows_kept += count;
+    return false;
+  }
+
   // Row-level validation, mirroring the binary reader's sequence: attribute
   // ids against the schema, then metric finiteness, then the join flag.
-  report.rows_read += count;
   const bool best_effort = options.policy == ErrorPolicy::kBestEffort;
   std::vector<std::uint8_t> bad(n, 0);
   std::uint64_t nbad = 0;
@@ -512,11 +543,6 @@ bool ColumnarReader::Impl::read_epoch(std::uint32_t e, SessionColumns& out) {
            std::to_string(entry.epoch) + " (offset " +
            std::to_string(entry.offset) + ")";
   };
-  std::array<std::size_t, kNumDims> cardinality{};
-  for (int d = 0; d < kNumDims; ++d) {
-    cardinality[static_cast<std::size_t>(d)] =
-        schema.cardinality(static_cast<AttrDim>(d));
-  }
   for (std::size_t r = 0; r < n; ++r) {
     bool rejected = false;
     for (int d = 0; d < kNumDims && !rejected; ++d) {

@@ -35,8 +35,9 @@ AttributeSchema demo_schema() {
 std::vector<Session> demo_rows(std::uint32_t epoch, std::size_t n) {
   std::vector<Session> rows;
   for (std::size_t i = 0; i < n; ++i) {
-    Session s = make_session(epoch, Attrs{.cdn = i % 2 == 0 ? 0u : 1u},
-                             test::good_quality());
+    Session s = make_session(
+        epoch, Attrs{.cdn = static_cast<std::uint16_t>(i % 2 == 0 ? 0 : 1)},
+        test::good_quality());
     s.quality.bitrate_kbps = 1000.0F + static_cast<float>(i);
     rows.push_back(s);
   }

@@ -191,7 +191,8 @@ TEST(SessionTable, EpochSpansPartitionAllSessions) {
   std::vector<Session> sessions;
   for (std::uint32_t e : {4u, 1u, 3u, 1u, 4u, 0u}) {
     sessions.push_back(
-        test::make_session(e, Attrs{.site = e}, test::good_quality()));
+        test::make_session(e, Attrs{.site = static_cast<std::uint16_t>(e)},
+                           test::good_quality()));
   }
   const SessionTable table{std::move(sessions)};
   std::size_t total = 0;
