@@ -23,7 +23,13 @@
 //   * Row-level damage inside an intact chunk (attribute id outside the
 //     schema, non-finite metric, join flag outside {0,1}) follows the
 //     policy row by row, exactly like the binary reader: quarantine under
-//     kQuarantine, clamp repairable fields under kBestEffort.
+//     kQuarantine, clamp repairable fields under kBestEffort.  One exact
+//     check per column (rows_within_policy, core/columns.h) first decides
+//     whether a chunk has any such row; only then does the per-row loop
+//     run.
+//
+// Version-1 containers (fnv1a chunk checksums) are read as well as the
+// version 2 the writer makes; trace_format.h has both layouts.
 
 #pragma once
 
