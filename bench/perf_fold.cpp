@@ -1,6 +1,5 @@
 // Standalone leaf-fold benchmark: times the row-wise fold_sessions hot
-// loop against the column-batch kernels (scalar fallback and the widest
-// SIMD path the build supports) on one realistic epoch and writes the
+// loop against the column-batch fold on one realistic epoch and writes the
 // numbers to BENCH_fold.json.
 //
 // Like perf_critical, this is a plain main() so CI can run it in smoke
@@ -100,43 +99,29 @@ int main(int argc, char** argv) {
     const LeafFold fold = fold_sessions(trace.epoch(0), thresholds, 0);
     if (fold.root.sessions != trace.size()) std::abort();
   });
-  const double scalar_s = time_reps(reps, [&] {
-    const LeafFold fold =
-        fold_sessions_columns(columns, thresholds, 0, BatchKernel::kScalar);
-    if (fold.root.sessions != trace.size()) std::abort();
-  });
-  const double simd_s = time_reps(reps, [&] {
-    const LeafFold fold =
-        fold_sessions_columns(columns, thresholds, 0, BatchKernel::kAuto);
+  const double columnar_s = time_reps(reps, [&] {
+    const LeafFold fold = fold_sessions_columns(columns, thresholds, 0);
     if (fold.root.sessions != trace.size()) std::abort();
   });
 
   // Bit-identity before the numbers mean anything (the full differential
   // lives in tests/test_columns_fold.cpp).
   const LeafFold row_fold = fold_sessions(trace.epoch(0), thresholds, 0);
-  const LeafFold scalar_fold =
-      fold_sessions_columns(columns, thresholds, 0, BatchKernel::kScalar);
-  const LeafFold simd_fold =
-      fold_sessions_columns(columns, thresholds, 0, BatchKernel::kAuto);
-  if (!folds_identical(row_fold, scalar_fold) ||
-      !folds_identical(row_fold, simd_fold)) {
+  const LeafFold columnar_fold = fold_sessions_columns(columns, thresholds, 0);
+  if (!folds_identical(row_fold, columnar_fold)) {
     std::fprintf(stderr, "FATAL: fold variants disagree\n");
     return 1;
   }
 
   const double n = static_cast<double>(reps);
   const double row_eps = n / row_s;
-  const double scalar_eps = n / scalar_s;
-  const double simd_eps = n / simd_s;
+  const double columnar_eps = n / columnar_s;
   const double sessions_per_sec =
-      simd_eps * static_cast<double>(trace.size());
+      columnar_eps * static_cast<double>(trace.size());
 
-  std::printf("  row-wise        : %8.2f folds/sec\n", row_eps);
-  std::printf("  columnar scalar : %8.2f folds/sec  (%.2fx)\n", scalar_eps,
-              scalar_eps / row_eps);
-  std::printf("  columnar %-6s : %8.2f folds/sec  (%.2fx, %.1fM sess/s)\n",
-              std::string{batch_kernel_name()}.c_str(), simd_eps,
-              simd_eps / row_eps, sessions_per_sec / 1e6);
+  std::printf("  row-wise : %8.2f folds/sec\n", row_eps);
+  std::printf("  columnar : %8.2f folds/sec  (%.2fx, %.1fM sess/s)\n",
+              columnar_eps, columnar_eps / row_eps, sessions_per_sec / 1e6);
 
   std::ofstream out{out_path};
   if (!out) {
@@ -151,10 +136,9 @@ int main(int argc, char** argv) {
       << "  \"distinct_leaves\": " << row_fold.leaves.size() << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"row_folds_per_sec\": " << row_eps << ",\n"
-      << "  \"columnar_scalar_folds_per_sec\": " << scalar_eps << ",\n"
-      << "  \"columnar_folds_per_sec\": " << simd_eps << ",\n"
+      << "  \"columnar_folds_per_sec\": " << columnar_eps << ",\n"
       << "  \"columnar_sessions_per_sec\": " << sessions_per_sec << ",\n"
-      << "  \"speedup_columnar_vs_row\": " << simd_eps / row_eps << "\n"
+      << "  \"speedup_columnar_vs_row\": " << columnar_eps / row_eps << "\n"
       << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

@@ -245,10 +245,8 @@ LeafFold SketchAdmission::fold(const SessionColumns& columns,
   }
   SketchMetrics& metrics = SketchMetrics::get();
   const std::size_t n = columns.size();
-  keys_.resize(n);
-  bits_.resize(n);
-  pack_leaf_keys_columns(columns, keys_);
-  problem_bits_columns(columns, thresholds, bits_);
+  codes_.resize(n);
+  fold_codes_columns(columns, thresholds, codes_);
 
   // Pass 1: exact root over every session; heavy-leaf identities into the
   // summary.  Admission is per epoch — the summary restarts so a leaf that
@@ -257,14 +255,15 @@ LeafFold SketchAdmission::fold(const SessionColumns& columns,
   counts_.clear();
   ClusterStats root;
   const std::uint64_t evictions_before = heavy_.evictions();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t b = bits_[i];
+  for (const std::uint64_t code : codes_) {
+    const std::uint64_t leaf_key = code | kFullMask;
+    const auto b = static_cast<std::uint8_t>(code & 15u);  // problem bits
     root.sessions += 1;
     for (int m = 0; m < kNumMetrics; ++m) {
       root.problems[m] += (b >> m) & 1u;
     }
-    heavy_.offer(keys_[i]);
-    counts_.add(keys_[i]);
+    heavy_.offer(leaf_key);
+    counts_.add(leaf_key);
   }
 
   // Pass 2: fold only the admitted sessions, through the exact fold's
@@ -276,10 +275,8 @@ LeafFold SketchAdmission::fold(const SessionColumns& columns,
   }
   LeafFold fold;
   fold.reset(epoch);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (admitted.contains(keys_[i])) {
-      fold.codes.push_back(fold_code(keys_[i], bits_[i]));
-    }
+  for (const std::uint64_t code : codes_) {
+    if (admitted.contains(code | kFullMask)) fold.codes.push_back(code);
   }
   const std::uint64_t admitted_sessions = fold.codes.size();
   fold_codes(fold);

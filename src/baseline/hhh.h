@@ -131,12 +131,13 @@ struct SketchAdmissionReport {
 
 /// Bounded-memory admission front end for the streaming pipeline: a
 /// PipelineConfig::fold_provider that folds only each epoch's heavy leaves.
-/// Per epoch: pass 1 streams every session's leaf key through the
-/// space-saving summary (and the count-min cross-check) and accumulates the
-/// exact root; pass 2 folds only sessions whose leaf survived, through the
-/// exact fold's kernel (fold_codes), so the LeafFold is canonical, admitted
-/// leaves carry their exact stats and the downstream analyses see an
-/// exact sub-lattice.  The root is always exact —
+/// Per epoch: the column fold's codes (fold_codes_columns) carry every
+/// session's leaf key and problem bits; pass 1 streams each leaf key
+/// through the space-saving summary (and the count-min cross-check) and
+/// accumulates the exact root; pass 2 folds only the codes whose leaf
+/// survived, through the exact fold's kernel (fold_codes), so the LeafFold
+/// is canonical, admitted leaves carry their exact stats and the
+/// downstream analyses see an exact sub-lattice.  The root is always exact —
 /// global problem ratios, and therefore the flagging thresholds, are
 /// unaffected by the cut.
 /// Deterministic for a given input; not thread-safe (streaming epochs are
@@ -161,8 +162,7 @@ class SketchAdmission {
   SpaceSaving heavy_;
   CountMinSketch counts_;
   SketchAdmissionReport report_;
-  std::vector<std::uint64_t> keys_;  // per-epoch scratch
-  std::vector<std::uint8_t> bits_;   // per-epoch scratch
+  std::vector<std::uint64_t> codes_;  // per-epoch scratch: fold codes
 };
 
 }  // namespace vq

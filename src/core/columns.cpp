@@ -4,14 +4,10 @@
 #include <bit>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "src/core/cluster_engine.h"
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#elif defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace vq {
 
@@ -96,125 +92,48 @@ SessionColumns SessionColumns::from_sessions(std::span<const Session> sessions,
 
 namespace {
 
-/// Threshold compares over one block.  The scalar body calls the exact
-/// per-session predicate; the SIMD bodies reproduce it with float compares
-/// (ordered, quiet — `>`/`<` semantics including the NaN-is-false case), so
-/// all paths are bit-identical for any input.
-// vq:hot
-void threshold_block_scalar(const SessionColumns& c, std::size_t base,
-                            std::size_t len, const ProblemThresholds& t,
-                            std::uint8_t* out) {
-  for (std::size_t i = 0; i < len; ++i) {
-    QualityMetrics q;
-    q.buffering_ratio = c.buffering_ratio[base + i];
-    q.bitrate_kbps = c.bitrate_kbps[base + i];
-    q.join_time_ms = c.join_time_ms[base + i];
-    q.join_failed = c.join_failed[base + i] != 0;
-    out[i] = t.problem_bits(q);
+/// Elements per block of the column loops.
+constexpr std::size_t kBlock = 64;
+
+/// Calls `block(base, len)` for the blocks of [0, n).  Every full block
+/// passes `len` as the constant kBlock, so a loop over it has a constant
+/// trip count and GCC vectorizes it at -O2 as well as -O3, where a plain
+/// loop over a whole column stays scalar at -O2; the tail passes its
+/// length at run time.
+template <typename Block>
+void for_each_block(std::size_t n, Block block) {
+  std::size_t base = 0;
+  for (; base + kBlock <= n; base += kBlock) {
+    block(base, std::integral_constant<std::size_t, kBlock>{});
   }
+  if (base < n) block(base, n - base);
 }
 
-#if defined(__AVX2__) || defined(__SSE2__)
-
-/// Assembles the per-lane bitmask from the three compare movemasks.  A
-/// failed join voids the quality metrics (session.cpp): its only bit is
-/// kJoinFailure.
-inline std::uint8_t lane_bits(int m0, int m1, int m2, int lane,
-                              std::uint8_t jf) {
-  if (jf != 0) return 1u << static_cast<int>(Metric::kJoinFailure);
-  return static_cast<std::uint8_t>(((m0 >> lane) & 1) |
-                                   (((m1 >> lane) & 1) << 1) |
-                                   (((m2 >> lane) & 1) << 2));
-}
-
-#endif
-
-// vq:hot
-void threshold_block_simd(const SessionColumns& c, std::size_t base,
-                          std::size_t len, const ProblemThresholds& t,
-                          std::uint8_t* out) {
-#if defined(__AVX2__)
-  const __m256 thr_br = _mm256_set1_ps(static_cast<float>(
-      t.max_buffering_ratio));
-  const __m256 thr_bit = _mm256_set1_ps(static_cast<float>(
-      t.min_bitrate_kbps));
-  const __m256 thr_jt = _mm256_set1_ps(static_cast<float>(t.max_join_time_ms));
-  std::size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    const int m0 = _mm256_movemask_ps(_mm256_cmp_ps(
-        _mm256_loadu_ps(c.buffering_ratio.data() + base + i), thr_br,
-        _CMP_GT_OQ));
-    const int m1 = _mm256_movemask_ps(_mm256_cmp_ps(
-        _mm256_loadu_ps(c.bitrate_kbps.data() + base + i), thr_bit,
-        _CMP_LT_OQ));
-    const int m2 = _mm256_movemask_ps(_mm256_cmp_ps(
-        _mm256_loadu_ps(c.join_time_ms.data() + base + i), thr_jt,
-        _CMP_GT_OQ));
-    for (int lane = 0; lane < 8; ++lane) {
-      out[i + static_cast<std::size_t>(lane)] =
-          lane_bits(m0, m1, m2, lane, c.join_failed[base + i + lane]);
-    }
-  }
-  threshold_block_scalar(c, base + i, len - i, t, out + i);
-#elif defined(__SSE2__)
-  const __m128 thr_br = _mm_set1_ps(static_cast<float>(t.max_buffering_ratio));
-  const __m128 thr_bit = _mm_set1_ps(static_cast<float>(t.min_bitrate_kbps));
-  const __m128 thr_jt = _mm_set1_ps(static_cast<float>(t.max_join_time_ms));
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const int m0 = _mm_movemask_ps(_mm_cmpgt_ps(
-        _mm_loadu_ps(c.buffering_ratio.data() + base + i), thr_br));
-    const int m1 = _mm_movemask_ps(_mm_cmplt_ps(
-        _mm_loadu_ps(c.bitrate_kbps.data() + base + i), thr_bit));
-    const int m2 = _mm_movemask_ps(_mm_cmpgt_ps(
-        _mm_loadu_ps(c.join_time_ms.data() + base + i), thr_jt));
-    for (int lane = 0; lane < 4; ++lane) {
-      out[i + static_cast<std::size_t>(lane)] =
-          lane_bits(m0, m1, m2, lane, c.join_failed[base + i + lane]);
-    }
-  }
-  threshold_block_scalar(c, base + i, len - i, t, out + i);
-#else
-  threshold_block_scalar(c, base, len, t, out);
-#endif
-}
-
-/// One range check per column (the row-wise path branches per session per
-/// dimension inside ClusterKey::pack).  Throws the same message pack does.
-void validate_attr_columns(const SessionColumns& c) {
-  for (int d = 0; d < kNumDims; ++d) {
-    const auto dim = static_cast<AttrDim>(d);
-    const std::uint16_t cap = dim_capacity(dim);
-    const auto& column = c.attrs[static_cast<std::size_t>(d)];
-    std::uint16_t max_value = 0;
-    for (const std::uint16_t v : column) max_value = std::max(max_value, v);
-    if (max_value > cap) {
-      throw std::out_of_range{"ClusterKey: value does not fit field for " +
-                              std::string{dim_name(dim)}};
-    }
-  }
-}
-
-/// Elements per block of fold_column.
-constexpr std::size_t kCheckBlock = 64;
-
-/// Folds `op` over `column` in blocks of kCheckBlock elements: a block's
-/// constant trip count lets GCC vectorize the fold at -O2 as well as -O3,
-/// where a plain loop over the column stays scalar at -O2.
+/// Folds `op` over `column`, block by block.
 // vq:hot
 template <typename Acc, typename T, typename Op>
 [[nodiscard]] Acc fold_column(const std::vector<T>& column, Acc acc,
                               Op op) noexcept {
   const T* values = column.data();
-  const std::size_t n = column.size();
-  std::size_t i = 0;
-  for (; i + kCheckBlock <= n; i += kCheckBlock) {
-    for (std::size_t k = 0; k < kCheckBlock; ++k) {
-      acc = op(acc, values[i + k]);
+  for_each_block(column.size(), [&](std::size_t base, auto len) {
+    // A local accumulator keeps the fold in registers even where the
+    // block is not inlined.
+    Acc block_acc = acc;
+    for (std::size_t k = 0; k < len; ++k) {
+      block_acc = op(block_acc, values[base + k]);
     }
-  }
-  for (; i < n; ++i) acc = op(acc, values[i]);
+    acc = block_acc;
+  });
   return acc;
+}
+
+// vq:hot
+[[nodiscard]] std::uint16_t column_max(
+    const std::vector<std::uint16_t>& ids) noexcept {
+  const auto max_of = [](std::uint16_t max, std::uint16_t id) {
+    return std::max(max, id);
+  };
+  return fold_column(ids, std::uint16_t{0}, max_of);
 }
 
 /// Float bits with every exponent bit set: the infinities and NaNs, exactly
@@ -231,57 +150,80 @@ constexpr std::uint32_t kFloatExponentBits = 0x7F800000U;
   return fold_column(column, std::uint32_t{0}, exponent_test) != 0;
 }
 
-/// Branch-free full-arity packing: one widen-shift-OR sweep per dimension
-/// over the block.  Equivalent to ClusterKey::pack(kFullMask, attrs).raw()
-/// element-wise (columns pre-validated by validate_attr_columns).
-// vq:hot
-void pack_block_scalar(const SessionColumns& c, std::size_t base,
-                       std::size_t len, std::uint64_t* out) {
-  std::fill(out, out + len, static_cast<std::uint64_t>(kFullMask));
+/// One range check per column (the row-wise path branches per session per
+/// dimension inside ClusterKey::pack).  Throws the same message pack does.
+void validate_attr_columns(const SessionColumns& c) {
   for (int d = 0; d < kNumDims; ++d) {
-    const int offset = dim_field(static_cast<AttrDim>(d)).offset;
-    const std::uint16_t* column =
-        c.attrs[static_cast<std::size_t>(d)].data() + base;
-    for (std::size_t i = 0; i < len; ++i) {
-      out[i] |= static_cast<std::uint64_t>(column[i]) << offset;
+    const auto dim = static_cast<AttrDim>(d);
+    if (column_max(c.attrs[static_cast<std::size_t>(d)]) > dim_capacity(dim)) {
+      throw std::out_of_range{"ClusterKey: value does not fit field for " +
+                              std::string{dim_name(dim)}};
     }
   }
 }
 
-// vq:hot
-void pack_block_simd(const SessionColumns& c, std::size_t base,
-                     std::size_t len, std::uint64_t* out) {
-#if defined(__AVX2__)
-  std::fill(out, out + len, static_cast<std::uint64_t>(kFullMask));
-  for (int d = 0; d < kNumDims; ++d) {
-    const int offset = dim_field(static_cast<AttrDim>(d)).offset;
-    const std::uint16_t* column =
-        c.attrs[static_cast<std::size_t>(d)].data() + base;
-    std::size_t i = 0;
-    for (; i + 4 <= len; i += 4) {
-      // 4 x u16 -> 4 x u64 lanes, shifted into this dimension's field.
-      const __m256i lanes = _mm256_cvtepu16_epi64(_mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(column + i)));
-      __m256i acc =
-          _mm256_loadu_si256(reinterpret_cast<__m256i*>(out + i));
-      acc = _mm256_or_si256(acc,
-                            _mm256_slli_epi64(lanes, offset));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), acc);
-    }
-    for (; i < len; ++i) {
-      out[i] |= static_cast<std::uint64_t>(column[i]) << offset;
-    }
-  }
-#else
-  // SSE2 u16 -> u64 widening needs a long unpack chain that measures no
-  // faster than the shift/OR sweep, which auto-vectorizes well; use it.
-  pack_block_scalar(c, base, len, out);
-#endif
+/// Positions of the metrics' bits in a session's problem bits.
+constexpr int kBufRatioBit = static_cast<int>(Metric::kBufRatio);
+constexpr int kBitrateBit = static_cast<int>(Metric::kBitrate);
+constexpr int kJoinTimeBit = static_cast<int>(Metric::kJoinTime);
+constexpr int kJoinFailureBit = static_cast<int>(Metric::kJoinFailure);
+
+/// Element k's leaf key value fields: every dimension's id shifted into its
+/// field.  A fold over the dimensions rather than a loop, so the loop over
+/// the block that calls it stays innermost and vectorizes at -O2.
+template <std::size_t... D>
+[[nodiscard]] inline std::uint64_t value_fields(
+    const std::array<const std::uint16_t*, kNumDims>& ids,
+    const std::array<int, kNumDims>& offsets, std::size_t k,
+    std::index_sequence<D...> /*dims*/) noexcept {
+  return ((std::uint64_t{ids[D][k]} << offsets[D]) | ...);
 }
 
-/// Block size of the fold's kernel sweeps: a block's codes and problem bits
-/// (~18 KB) stay L1/L2-resident for any epoch size.
-constexpr std::size_t kFoldBlock = 2048;
+/// Writes the fold code of every element of `c` to `codes` (columns
+/// pre-validated by validate_attr_columns).  Per block, one loop sets the
+/// problem bits and one packs the leaf key's value fields above them.  The
+/// bits wait in a local array: the join flags are bytes, which may alias
+/// any store to `codes`, and that doubt alone would keep GCC from
+/// vectorizing at -O2.
+// vq:hot
+void write_fold_codes(const SessionColumns& c, const ProblemThresholds& t,
+                      std::uint64_t* codes) noexcept {
+  // Compared in float with ordered compares, as
+  // ProblemThresholds::is_problem does: a NaN is never a problem.
+  const float max_buffering = static_cast<float>(t.max_buffering_ratio);
+  const float min_bitrate = static_cast<float>(t.min_bitrate_kbps);
+  const float max_join_time = static_cast<float>(t.max_join_time_ms);
+  std::array<int, kNumDims> offsets{};
+  for (std::size_t d = 0; d < offsets.size(); ++d) {
+    offsets[d] = dim_field(static_cast<AttrDim>(d)).offset;
+  }
+  for_each_block(c.size(), [&](std::size_t base, auto len) {
+    const float* buffering = c.buffering_ratio.data() + base;
+    const float* bitrate = c.bitrate_kbps.data() + base;
+    const float* join_time = c.join_time_ms.data() + base;
+    const std::uint8_t* failed = c.join_failed.data() + base;
+    std::array<std::uint64_t, kBlock> bits{};
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::uint64_t quality =
+          std::uint64_t{buffering[k] > max_buffering} << kBufRatioBit |
+          std::uint64_t{bitrate[k] < min_bitrate} << kBitrateBit |
+          std::uint64_t{join_time[k] > max_join_time} << kJoinTimeBit;
+      // A failed join voids the quality metrics: its only bit is
+      // kJoinFailure.
+      const std::uint64_t join_failed = failed[k] != 0;
+      bits[k] = (quality & (join_failed - 1)) | join_failed << kJoinFailureBit;
+    }
+    std::array<const std::uint16_t*, kNumDims> ids{};
+    for (std::size_t d = 0; d < ids.size(); ++d) {
+      ids[d] = c.attrs[d].data() + base;
+    }
+    std::uint64_t* out = codes + base;
+    for (std::size_t k = 0; k < len; ++k) {
+      out[k] = bits[k] | value_fields(ids, offsets, k,
+                                      std::make_index_sequence<kNumDims>{});
+    }
+  });
+}
 
 }  // namespace
 
@@ -289,13 +231,11 @@ constexpr std::size_t kFoldBlock = 2048;
 bool rows_within_policy(
     const SessionColumns& columns,
     const std::array<std::size_t, kNumDims>& cardinality) noexcept {
-  const auto max_of = [](std::uint16_t max, std::uint16_t id) {
-    return std::max(max, id);
-  };
   for (std::size_t d = 0; d < columns.attrs.size(); ++d) {
-    const std::uint16_t max_id =
-        fold_column(columns.attrs[d], std::uint16_t{0}, max_of);
-    if (!columns.attrs[d].empty() && max_id >= cardinality[d]) return false;
+    if (!columns.attrs[d].empty() &&
+        column_max(columns.attrs[d]) >= cardinality[d]) {
+      return false;
+    }
   }
   if (any_non_finite(columns.buffering_ratio) ||
       any_non_finite(columns.bitrate_kbps) ||
@@ -308,70 +248,31 @@ bool rows_within_policy(
   return fold_column(columns.join_failed, std::uint8_t{0}, or_of) <= 1;
 }
 
-void problem_bits_columns(const SessionColumns& columns,
-                          const ProblemThresholds& thresholds,
-                          std::span<std::uint8_t> out, BatchKernel kernel) {
-  if (out.size() != columns.size()) {
-    throw std::invalid_argument{
-        "problem_bits_columns: output size mismatch"};
-  }
-  if (kernel == BatchKernel::kScalar) {
-    threshold_block_scalar(columns, 0, columns.size(), thresholds,
-                           out.data());
-  } else {
-    threshold_block_simd(columns, 0, columns.size(), thresholds, out.data());
-  }
-}
-
-void pack_leaf_keys_columns(const SessionColumns& columns,
-                            std::span<std::uint64_t> out,
-                            BatchKernel kernel) {
-  if (out.size() != columns.size()) {
-    throw std::invalid_argument{
-        "pack_leaf_keys_columns: output size mismatch"};
+void fold_codes_columns(const SessionColumns& columns,
+                        const ProblemThresholds& thresholds,
+                        std::span<std::uint64_t> codes) {
+  if (codes.size() != columns.size()) {
+    throw std::invalid_argument{"fold_codes_columns: output size mismatch"};
   }
   validate_attr_columns(columns);
-  if (kernel == BatchKernel::kScalar) {
-    pack_block_scalar(columns, 0, columns.size(), out.data());
-  } else {
-    pack_block_simd(columns, 0, columns.size(), out.data());
-  }
+  write_fold_codes(columns, thresholds, codes.data());
 }
 
 LeafFold fold_sessions_columns(const SessionColumns& columns,
                                const ProblemThresholds& thresholds,
-                               std::uint32_t epoch, BatchKernel kernel) {
+                               std::uint32_t epoch) {
   LeafFold fold;
-  fold_sessions_columns_into(columns, thresholds, epoch, fold, kernel);
+  fold_sessions_columns_into(columns, thresholds, epoch, fold);
   fold.release_scratch();
   return fold;
 }
 
 void fold_sessions_columns_into(const SessionColumns& columns,
                                 const ProblemThresholds& thresholds,
-                                std::uint32_t epoch, LeafFold& fold,
-                                BatchKernel kernel) {
+                                std::uint32_t epoch, LeafFold& fold) {
   fold.reset(epoch);
-  validate_attr_columns(columns);
-
-  const bool scalar = kernel == BatchKernel::kScalar;
-  const std::size_t n = columns.size();
-  fold.codes.resize(n);
-  std::array<std::uint8_t, kFoldBlock> bits;
-  for (std::size_t base = 0; base < n; base += kFoldBlock) {
-    const std::size_t len = std::min(kFoldBlock, n - base);
-    std::uint64_t* codes = fold.codes.data() + base;
-    if (scalar) {
-      threshold_block_scalar(columns, base, len, thresholds, bits.data());
-      pack_block_scalar(columns, base, len, codes);
-    } else {
-      threshold_block_simd(columns, base, len, thresholds, bits.data());
-      pack_block_simd(columns, base, len, codes);
-    }
-    for (std::size_t i = 0; i < len; ++i) {
-      codes[i] = fold_code(codes[i], bits[i]);
-    }
-  }
+  fold.codes.resize(columns.size());
+  fold_codes_columns(columns, thresholds, fold.codes);
   fold_codes(fold);
 }
 

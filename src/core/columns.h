@@ -1,4 +1,4 @@
-// Structure-of-arrays session batches and the vectorized fold kernels.
+// Structure-of-arrays session batches and the column fold.
 //
 // The row-wise hot loop (fold_sessions in cluster_engine.h) walks an array
 // of Session structs: every session costs a strided 40-byte record touch, a
@@ -8,21 +8,18 @@
 // u16 attribute columns plus four metric columns, so the aggregation can
 // consume them directly:
 //
-//   * problem_bits_columns — the per-metric threshold compares run over the
-//     metric columns in SIMD batches (SSE2/AVX2 float compares; the scalar
-//     fallback calls ProblemThresholds::problem_bits per element).  Both
-//     paths are bit-identical: the scalar thresholds already compare in
-//     float (session.cpp), which is exactly what the vector compares do.
-//   * pack_leaf_keys_columns — full-arity ClusterKey packing as a
-//     branch-free shift/OR sweep over the attribute columns, with the
-//     per-dimension range check hoisted out of the inner loop (one column
-//     max-scan per dimension instead of one branch per session per
-//     dimension).
+//   * fold_codes_columns — each session's fold code (cluster_engine.h,
+//     fold_code) from the columns, in blocks of 64 sessions: one
+//     branch-free loop of threshold compares sets the problem bits, and one
+//     shift/OR loop packs every dimension's id into its leaf key field
+//     above them, with the per-dimension range check hoisted out (one
+//     column maximum per dimension instead of one branch per session per
+//     dimension).  The loops are plain C++; a block's constant trip count
+//     lets the compiler vectorize them for whatever instruction set the
+//     build targets, at -O2 as well as -O3.
 //   * fold_sessions_columns — pass 1 of the leaf-folded aggregation over a
-//     SessionColumns batch.  The two kernels above write each block's
-//     fold codes (cluster_engine.h, fold_code) straight into the fold's
-//     code array, and the epoch then ends in the same radix fold kernel
-//     (fold_codes) as the row path, so the LeafFold is identical to
+//     SessionColumns batch: the codes above, then the same radix fold
+//     kernel (fold_codes) as the row path, so the LeafFold is identical to
 //     fold_sessions over the same sessions (enforced by
 //     tests/test_columns_fold.cpp and tests/test_fold_differential.cpp).
 //
@@ -40,7 +37,6 @@
 #include <vector>
 
 #include "src/core/attributes.h"
-#include "src/core/batch_kernel.h"
 #include "src/core/session.h"
 
 namespace vq {
@@ -98,42 +94,35 @@ struct SessionColumns {
     const SessionColumns& columns,
     const std::array<std::size_t, kNumDims>& cardinality) noexcept;
 
-/// Problem bitmask per element: out[i] has bit m set iff element i is a
-/// problem session for metric m, exactly as ProblemThresholds::problem_bits
-/// computes it.  `out.size()` must equal `columns.size()`.
-void problem_bits_columns(const SessionColumns& columns,
-                          const ProblemThresholds& thresholds,
-                          std::span<std::uint8_t> out,
-                          BatchKernel kernel = BatchKernel::kAuto);
-
-/// Full-arity leaf key per element: out[i] ==
-/// ClusterKey::pack(kFullMask, row i attrs).raw().  Value ids must fit
-/// their field widths; throws std::out_of_range naming the offending
-/// dimension otherwise (checked per column, so the *dimension* reported for
-/// multi-error batches may differ from the row-wise path's first-session
-/// order — both always throw).  `out.size()` must equal `columns.size()`.
-void pack_leaf_keys_columns(const SessionColumns& columns,
-                            std::span<std::uint64_t> out,
-                            BatchKernel kernel = BatchKernel::kAuto);
+/// One fold code per element (cluster_engine.h, fold_code):
+/// codes[i] == fold_code(ClusterKey::pack(kFullMask, row i attrs).raw(),
+/// thresholds.problem_bits(row i quality)), so `codes[i] | kFullMask` is
+/// element i's leaf key and `codes[i] & 15` its problem bits.  Value ids
+/// must fit their field widths; throws std::out_of_range naming the
+/// offending dimension otherwise (checked per column, so the *dimension*
+/// reported for multi-error batches may differ from the row-wise path's
+/// first-session order — both always throw).  Throws std::invalid_argument
+/// unless `codes.size()` equals `columns.size()`.
+void fold_codes_columns(const SessionColumns& columns,
+                        const ProblemThresholds& thresholds,
+                        std::span<std::uint64_t> codes);
 
 /// Pass-1 leaf fold over a column batch; identical to
-/// fold_sessions(rows, thresholds, epoch) over the same sessions.  The two
-/// hot kernels above run over fixed-size blocks, so a block's bits stay
-/// cache-resident regardless of epoch size, and the returned fold holds no
-/// scratch.
+/// fold_sessions(rows, thresholds, epoch) over the same sessions.  The
+/// returned fold holds no scratch.
 [[nodiscard]] LeafFold fold_sessions_columns(
     const SessionColumns& columns, const ProblemThresholds& thresholds,
-    std::uint32_t epoch, BatchKernel kernel = BatchKernel::kAuto);
+    std::uint32_t epoch);
 
 /// fold_sessions_columns into `fold`, which is reset first (its capacity
 /// is kept).
 void fold_sessions_columns_into(const SessionColumns& columns,
                                 const ProblemThresholds& thresholds,
-                                std::uint32_t epoch, LeafFold& fold,
-                                BatchKernel kernel = BatchKernel::kAuto);
+                                std::uint32_t epoch, LeafFold& fold);
 
-/// Name of the widest kernel kAuto resolves to in this build ("avx2",
-/// "sse2", or "scalar") — benchmark/report labelling only.
+/// The widest x86 vector instruction set this build targets, which the
+/// compiler may use for the column loops: "avx2", "sse2", or "scalar" when
+/// it targets neither.  A label for benchmark and report records only.
 [[nodiscard]] std::string_view batch_kernel_name() noexcept;
 
 /// Abstract one-epoch-at-a-time session feed, the streaming counterpart of

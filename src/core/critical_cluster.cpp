@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -345,15 +346,6 @@ CriticalAnalysis find_critical_clusters(const LeafFold& /*fold*/,
                                         const ProblemClusterParams& params,
                                         Metric metric, ThreadPool* /*unused*/,
                                         std::size_t /*unused*/) {
-  return std::move(CriticalSweep{}.run(table, params, metric_set(metric))
-                       [static_cast<std::uint8_t>(metric)]);
-}
-
-CriticalAnalysis find_critical_clusters(std::span<const Session> /*sessions*/,
-                                        const EpochClusterTable& table,
-                                        const ProblemThresholds& /*thresholds*/,
-                                        const ProblemClusterParams& params,
-                                        Metric metric) {
   return std::move(CriticalSweep{}.run(table, params, metric_set(metric))
                        [static_cast<std::uint8_t>(metric)]);
 }

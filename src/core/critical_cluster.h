@@ -58,7 +58,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/core/cluster_engine.h"
@@ -205,14 +204,6 @@ class CriticalSweep {
     const LeafFold& fold, const EpochClusterTable& table,
     const ProblemClusterParams& params, Metric metric,
     ThreadPool* /*unused*/ = nullptr, std::size_t /*unused*/ = 1);
-
-/// Session-span convenience form for callers holding the sessions the
-/// `table` was aggregated from: the same sweep, which reads the table
-/// alone.
-[[nodiscard]] CriticalAnalysis find_critical_clusters(
-    std::span<const Session> sessions, const EpochClusterTable& table,
-    const ProblemThresholds& thresholds, const ProblemClusterParams& params,
-    Metric metric);
 
 /// Critical candidate masks for a single leaf, by one table.stats() lookup
 /// per lattice mask (for per-leaf consumers such as EngagementWhatIf; the

@@ -291,6 +291,8 @@ void Server::handle_hello(Connection& c, const std::string& payload) {
     return;
   }
   c.hello_done = true;
+  const MutexLock lock{impl_->stats_mutex};
+  impl_->conn_stats(c.id).hello_done = true;
 }
 
 void Server::handle_data(Connection& c, const std::string& payload) {

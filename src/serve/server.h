@@ -75,6 +75,7 @@ struct ConnectionStats {
   std::array<std::uint64_t, kNumFrameErrors> frame_errors{};
   std::uint64_t frames_decoded = 0;
   std::uint64_t bytes_skipped = 0;
+  bool hello_done = false;  // the hello was accepted; rows may follow
   bool open = true;
   bool closed_mid_frame = false;  // peer vanished with a partial frame
   std::string close_reason;       // empty while open

@@ -1,9 +1,8 @@
-// Differential tests for the vectorized column-batch kernels
-// (core/columns.h): on the same sessions, problem_bits_columns /
-// pack_leaf_keys_columns / fold_sessions_columns must reproduce the
-// row-wise path bit for bit, with both the kAuto (SIMD) and kScalar
-// kernels — and run_pipeline_streaming must match run_pipeline at every
-// workers setting.
+// Differential tests for the column-batch fold (core/columns.h): on the
+// same sessions, fold_codes_columns must reproduce the row-wise problem
+// bits and leaf keys bit for bit, fold_sessions_columns the row-wise fold —
+// and run_pipeline_streaming must match run_pipeline at every workers
+// setting.
 
 #include <gtest/gtest.h>
 
@@ -24,9 +23,6 @@
 
 namespace vq {
 namespace {
-
-constexpr BatchKernel kBothKernels[] = {BatchKernel::kAuto,
-                                        BatchKernel::kScalar};
 
 SessionTable medium_trace(std::uint32_t epochs = 3,
                           std::uint32_t per_epoch = 6'000) {
@@ -115,23 +111,22 @@ TEST(ColumnsBatch, ProblemBitsMatchRowWisePath) {
   const std::span<const Session> sessions = trace.epoch(0);
   const ProblemThresholds thresholds;
   const SessionColumns columns = SessionColumns::from_sessions(sessions, 0);
-  std::vector<std::uint8_t> bits(columns.size());
-  for (const BatchKernel kernel : kBothKernels) {
-    problem_bits_columns(columns, thresholds, bits, kernel);
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < sessions.size(); ++i) {
-      if (bits[i] != thresholds.problem_bits(sessions[i].quality)) {
-        ++mismatches;
-      }
+  std::vector<std::uint64_t> codes(columns.size());
+  fold_codes_columns(columns, thresholds, codes);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    if ((codes[i] & 15u) != thresholds.problem_bits(sessions[i].quality)) {
+      ++mismatches;
     }
-    EXPECT_EQ(mismatches, 0u) << batch_kernel_name();
   }
+  EXPECT_EQ(mismatches, 0u) << batch_kernel_name();
 }
 
 TEST(ColumnsBatch, ProblemBitsEdgeValuesMatchScalar) {
-  // Threshold-exact, NaN, infinity, and join-failure rows: the SIMD ordered
-  // compares must agree with the scalar float compares on every one.  Rows
-  // are repeated past one SIMD block so full vector lanes hit the edges too.
+  // Threshold-exact, NaN, infinity, and join-failure rows: the column
+  // compares must agree with the per-session float compares on every one.
+  // Rows are repeated past one 64-row block, so the block loops and the
+  // tail loop both meet every edge.
   const ProblemThresholds thresholds;
   const float at_buf = static_cast<float>(thresholds.max_buffering_ratio);
   const float at_bitrate = static_cast<float>(thresholds.min_bitrate_kbps);
@@ -156,13 +151,11 @@ TEST(ColumnsBatch, ProblemBitsEdgeValuesMatchScalar) {
     }
   }
   const SessionColumns columns = SessionColumns::from_sessions(sessions, 0);
-  std::vector<std::uint8_t> bits(columns.size());
-  for (const BatchKernel kernel : kBothKernels) {
-    problem_bits_columns(columns, thresholds, bits, kernel);
-    for (std::size_t i = 0; i < sessions.size(); ++i) {
-      EXPECT_EQ(bits[i], thresholds.problem_bits(sessions[i].quality))
-          << "row " << i;
-    }
+  std::vector<std::uint64_t> codes(columns.size());
+  fold_codes_columns(columns, thresholds, codes);
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    EXPECT_EQ(codes[i] & 15u, thresholds.problem_bits(sessions[i].quality))
+        << "row " << i;
   }
 }
 
@@ -170,17 +163,16 @@ TEST(ColumnsBatch, PackedLeafKeysMatchClusterKeyPack) {
   const SessionTable trace = medium_trace(1, 20'000);
   const std::span<const Session> sessions = trace.epoch(0);
   const SessionColumns columns = SessionColumns::from_sessions(sessions, 0);
-  std::vector<std::uint64_t> keys(columns.size());
-  for (const BatchKernel kernel : kBothKernels) {
-    pack_leaf_keys_columns(columns, keys, kernel);
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < sessions.size(); ++i) {
-      if (keys[i] != ClusterKey::pack(kFullMask, sessions[i].attrs).raw()) {
-        ++mismatches;
-      }
+  std::vector<std::uint64_t> codes(columns.size());
+  fold_codes_columns(columns, {}, codes);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    if ((codes[i] | kFullMask) !=
+        ClusterKey::pack(kFullMask, sessions[i].attrs).raw()) {
+      ++mismatches;
     }
-    EXPECT_EQ(mismatches, 0u);
   }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(ColumnsBatch, PackRejectsValuesThatOverflowTheirField) {
@@ -189,22 +181,20 @@ TEST(ColumnsBatch, PackRejectsValuesThatOverflowTheirField) {
   SessionColumns columns = SessionColumns::from_sessions(sessions, 0);
   // VodLive has a 2-bit field; 4 does not fit.
   columns.attrs[static_cast<int>(AttrDim::kVodLive)][1] = 4;
-  std::vector<std::uint64_t> keys(columns.size());
-  for (const BatchKernel kernel : kBothKernels) {
-    EXPECT_THROW(pack_leaf_keys_columns(columns, keys, kernel),
-                 std::out_of_range);
-  }
+  std::vector<std::uint64_t> codes(columns.size());
+  EXPECT_THROW(fold_codes_columns(columns, {}, codes), std::out_of_range);
 }
 
 TEST(ColumnsBatch, KernelEntryPointsRejectMisSizedSpans) {
   std::vector<Session> sessions;
   test::add_sessions(sessions, 0, test::Attrs{}, test::good_quality(), 5);
   const SessionColumns columns = SessionColumns::from_sessions(sessions, 0);
-  std::vector<std::uint8_t> bits(4);
-  std::vector<std::uint64_t> keys(6);
-  EXPECT_THROW(problem_bits_columns(columns, {}, bits),
+  std::vector<std::uint64_t> short_codes(4);
+  std::vector<std::uint64_t> long_codes(6);
+  EXPECT_THROW(fold_codes_columns(columns, {}, short_codes),
                std::invalid_argument);
-  EXPECT_THROW(pack_leaf_keys_columns(columns, keys), std::invalid_argument);
+  EXPECT_THROW(fold_codes_columns(columns, {}, long_codes),
+               std::invalid_argument);
 }
 
 TEST(ColumnsFold, MatchesRowWiseFoldOnGeneratedTrace) {
@@ -214,17 +204,15 @@ TEST(ColumnsFold, MatchesRowWiseFoldOnGeneratedTrace) {
     const std::span<const Session> sessions = trace.epoch(e);
     const LeafFold expected = fold_sessions(sessions, thresholds, e);
     const SessionColumns columns = SessionColumns::from_sessions(sessions, e);
-    for (const BatchKernel kernel : kBothKernels) {
-      EXPECT_TRUE(test::folds_equal(
-          expected, fold_sessions_columns(columns, thresholds, e, kernel)));
-    }
+    EXPECT_TRUE(test::folds_equal(
+        expected, fold_sessions_columns(columns, thresholds, e)));
   }
 }
 
 TEST(ColumnsFold, MatchesRowWiseFoldAcrossBlockBoundaries) {
-  // The column fold runs in fixed-size blocks; sweep sizes around likely
-  // block boundaries (powers of two +/- 1) so partial final blocks and
-  // exact multiples are both covered.
+  // The column fold runs in 64-session blocks; sweep sizes around block
+  // boundaries (powers of two +/- 1) so partial final blocks and exact
+  // multiples are both covered.
   const ProblemThresholds thresholds;
   WorldConfig world_config;
   world_config.num_sites = 14;
@@ -237,16 +225,16 @@ TEST(ColumnsFold, MatchesRowWiseFoldAcrossBlockBoundaries) {
       generate_trace(world, EventSchedule::none(1), trace_config);
   const std::span<const Session> all = trace.epoch(0);
   for (const std::size_t n :
-       {std::size_t{1}, std::size_t{7}, std::size_t{2047}, std::size_t{2048},
-        std::size_t{2049}, std::size_t{4096}, std::size_t{4101}}) {
+       {std::size_t{1}, std::size_t{7}, std::size_t{63}, std::size_t{64},
+        std::size_t{65}, std::size_t{2047}, std::size_t{2048},
+        std::size_t{2049}, std::size_t{2111}, std::size_t{4096},
+        std::size_t{4101}}) {
     ASSERT_LE(n, all.size());
     const std::span<const Session> sessions = all.subspan(0, n);
     const LeafFold expected = fold_sessions(sessions, thresholds, 0);
     const SessionColumns columns = SessionColumns::from_sessions(sessions, 0);
-    for (const BatchKernel kernel : kBothKernels) {
-      EXPECT_TRUE(test::folds_equal(
-          expected, fold_sessions_columns(columns, thresholds, 0, kernel)));
-    }
+    EXPECT_TRUE(test::folds_equal(
+        expected, fold_sessions_columns(columns, thresholds, 0)));
   }
 }
 
@@ -258,7 +246,7 @@ TEST(ColumnsFold, EmptyBatchFoldsToEmptyLeaves) {
   EXPECT_EQ(fold.leaves.size(), 0u);
 }
 
-TEST(ColumnsFold, BatchKernelNameIsKnown) {
+TEST(ColumnsFold, InstructionSetNameIsKnown) {
   const std::string_view name = batch_kernel_name();
   EXPECT_TRUE(name == "avx2" || name == "sse2" || name == "scalar") << name;
 }

@@ -32,8 +32,8 @@ struct Scenario {
 
   [[nodiscard]] CriticalAnalysis run() const {
     const auto table = aggregate_epoch(sessions, thresholds, {}, 0);
-    return find_critical_clusters(sessions, table, thresholds, params,
-                                  Metric::kBufRatio);
+    return find_critical_clusters(fold_sessions(sessions, thresholds, 0),
+                                  table, params, Metric::kBufRatio);
   }
 
   [[nodiscard]] const CriticalRecord* find(const CriticalAnalysis& analysis,
@@ -237,8 +237,9 @@ TEST(CriticalCluster, MetricsAnalysedIndependently) {
                                     .min_sessions = 50};
   const auto table = aggregate_epoch(sessions, thresholds, {}, 0);
 
-  const auto fails = find_critical_clusters(sessions, table, thresholds,
-                                            params, Metric::kJoinFailure);
+  const LeafFold fold = fold_sessions(sessions, thresholds, 0);
+  const auto fails =
+      find_critical_clusters(fold, table, params, Metric::kJoinFailure);
   ASSERT_FALSE(fails.criticals.empty());
   for (const auto& c : fails.criticals) {
     EXPECT_TRUE(c.key.has(AttrDim::kCdn) || c.key.has(AttrDim::kAsn));
@@ -247,8 +248,8 @@ TEST(CriticalCluster, MetricsAnalysedIndependently) {
     }
   }
 
-  const auto bitrate = find_critical_clusters(sessions, table, thresholds,
-                                              params, Metric::kBitrate);
+  const auto bitrate =
+      find_critical_clusters(fold, table, params, Metric::kBitrate);
   ASSERT_FALSE(bitrate.criticals.empty());
   for (const auto& c : bitrate.criticals) {
     if (c.key.has(AttrDim::kCdn)) {

@@ -134,8 +134,9 @@ TEST(CriticalReference, AttributionConservesMass) {
     const std::vector<Session> sessions = random_epoch(rng);
     const EpochClusterTable table =
         aggregate_epoch(sessions, thresholds, {}, 0);
-    const CriticalAnalysis analysis = find_critical_clusters(
-        sessions, table, thresholds, params, Metric::kBufRatio);
+    const CriticalAnalysis analysis =
+        find_critical_clusters(fold_sessions(sessions, thresholds, 0), table,
+                               params, Metric::kBufRatio);
 
     double expected = 0.0;
     for (const Session& s : sessions) {

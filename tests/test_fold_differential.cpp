@@ -1,5 +1,5 @@
 // Differential tests for the leaf-folded aggregation path.  The fold
-// itself — the row fold and both columnar kernels, all ending in the radix
+// itself — the row fold and the column fold, both ending in the radix
 // kernel fold_codes — must equal a std::map fold of the raw sessions
 // (test::map_fold), leaf for leaf and in canonical order, on generated
 // epochs and on the digit edge cases of the fold code.  On the same trace,
@@ -18,7 +18,6 @@
 
 #include "src/core/cluster_engine.h"
 #include "src/core/columns.h"
-#include "src/core/critical_cluster.h"
 #include "src/core/epoch_analyzer.h"
 #include "src/gen/tracegen.h"
 #include "src/util/thread_pool.h"
@@ -82,34 +81,6 @@ INSTANTIATE_TEST_SUITE_P(ArityCaps, FoldDifferential, ::testing::Values(2, 7),
                            return "arity" + std::to_string(info.param);
                          });
 
-TEST(FoldDifferential, CriticalAnalysisAgreesAcrossOverloads) {
-  // The fold-based and session-span find_critical_clusters overloads must
-  // produce the same analysis (both run the one sweep over the table).
-  static const SessionTable trace = big_trace();
-  const std::span<const Session> sessions = trace.epoch(0);
-  const ProblemThresholds thresholds;
-  const ProblemClusterParams params{.ratio_multiplier = 1.5,
-                                    .min_sessions = 150};
-
-  const LeafFold fold = fold_sessions(sessions, thresholds, 0);
-  const EpochClusterTable table = expand_fold(fold, {});
-  for (const Metric m : kAllMetrics) {
-    const CriticalAnalysis from_fold =
-        find_critical_clusters(fold, table, params, m);
-    const CriticalAnalysis from_span =
-        find_critical_clusters(sessions, table, thresholds, params, m);
-    EXPECT_EQ(from_fold.problem_sessions, from_span.problem_sessions);
-    EXPECT_EQ(from_fold.problem_sessions_in_pc,
-              from_span.problem_sessions_in_pc);
-    ASSERT_EQ(from_fold.criticals.size(), from_span.criticals.size());
-    for (std::size_t i = 0; i < from_fold.criticals.size(); ++i) {
-      EXPECT_EQ(from_fold.criticals[i].key, from_span.criticals[i].key);
-      EXPECT_DOUBLE_EQ(from_fold.criticals[i].attributed,
-                       from_span.criticals[i].attributed);
-    }
-  }
-}
-
 TEST(FoldDifferential, FoldAccumulatesPerLeafCounters) {
   std::vector<Session> sessions;
   const test::Attrs a{.site = 1, .cdn = 2};
@@ -137,8 +108,8 @@ TEST(FoldDifferential, FoldRejectsEpochMismatch) {
 // --- the fold kernel against a std::map fold ---------------------------------
 
 /// Every fold of `sessions` — fold_sessions, fold_sessions_into on a fold
-/// that held another epoch, and fold_sessions_columns with both kernels —
-/// equals the std::map fold.
+/// that held another epoch, and fold_sessions_columns — equals the std::map
+/// fold.
 void expect_folds_match_map(std::span<const Session> sessions,
                             std::uint32_t epoch) {
   const ProblemThresholds thresholds;
@@ -156,10 +127,8 @@ void expect_folds_match_map(std::span<const Session> sessions,
 
   const SessionColumns columns =
       SessionColumns::from_sessions(sessions, epoch);
-  for (const BatchKernel kernel : {BatchKernel::kAuto, BatchKernel::kScalar}) {
-    EXPECT_TRUE(test::folds_equal(
-        want, fold_sessions_columns(columns, thresholds, epoch, kernel)));
-  }
+  EXPECT_TRUE(test::folds_equal(
+      want, fold_sessions_columns(columns, thresholds, epoch)));
 }
 
 /// `n` sessions spread over `leaves` in a scrambled order, with a mix of
@@ -289,10 +258,7 @@ TEST(FoldKernel, FoldsRejectValuesThatOverflowTheirField) {
   sessions[1].attrs[AttrDim::kSite] = 4096;  // a 12-bit field
   EXPECT_THROW((void)fold_sessions(sessions, {}, 0), std::out_of_range);
   const SessionColumns columns = SessionColumns::from_sessions(sessions, 0);
-  for (const BatchKernel kernel : {BatchKernel::kAuto, BatchKernel::kScalar}) {
-    EXPECT_THROW((void)fold_sessions_columns(columns, {}, 0, kernel),
-                 std::out_of_range);
-  }
+  EXPECT_THROW((void)fold_sessions_columns(columns, {}, 0), std::out_of_range);
 }
 
 TEST(FoldKernel, ExpandRejectsFoldsThatAreNotCanonical) {

@@ -270,7 +270,8 @@ TEST(RowGroups, EventOnVodLiveSurfacesThroughTheHighMaskWord) {
       const ProblemClusterParams params{.ratio_multiplier = 1.5,
                                         .min_sessions = floor};
       const CriticalAnalysis buf = find_critical_clusters(
-          sessions, c.table, ProblemThresholds{}, params, Metric::kBufRatio);
+          fold_sessions(sessions, ProblemThresholds{}, 0), c.table, params,
+          Metric::kBufRatio);
       const ClusterKey live =
           ClusterKey::pack(dim_bit(AttrDim::kVodLive), Attrs{.vod = 1}.vec());
       EXPECT_TRUE(std::ranges::any_of(

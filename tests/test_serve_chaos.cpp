@@ -4,6 +4,8 @@
 // server, each ending on the same two assertions: exact accounting and a
 // server healthy enough to serve the next producer.
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -169,11 +171,25 @@ TEST(ServeChaos, InterleavedProducersConserveEveryRow) {
   constexpr std::uint32_t kEpochs = 4;
   constexpr std::size_t kRowsEach = 50;
 
+  // A connection holds the watermark down only once the server has
+  // processed its hello.  So neither producer sends rows before both
+  // hellos are processed: otherwise one producer's epochs could seal while
+  // the other's hello is still in flight, and the other's rows would
+  // rightly count as stale.
+  const auto both_hellos_done = [&] {
+    const ServeStats stats = harness.stats();
+    return std::ranges::count_if(stats.connections,
+                                 [](const ConnectionStats& c) {
+                                   return c.hello_done;
+                                 }) == 2;
+  };
+  std::atomic<int> released{0};
   // Two independent producers racing on real sockets is the scenario; the
   // pool's fork-join shape cannot express it.
   std::thread a{[&] {  // vq-lint: allow(naked-thread)
     Producer producer{harness.address()};
     producer.send_hello(tiny_schema());
+    if (wait_until(both_hellos_done, milliseconds{5000})) ++released;
     for (std::uint32_t e = 0; e < kEpochs; ++e) {
       producer.send_rows(rows_at(e, kRowsEach), 16);
       std::this_thread::sleep_for(milliseconds{5});
@@ -182,6 +198,7 @@ TEST(ServeChaos, InterleavedProducersConserveEveryRow) {
   std::thread b{[&] {  // vq-lint: allow(naked-thread)
     Producer producer{harness.address()};
     producer.send_hello(tiny_schema());
+    if (wait_until(both_hellos_done, milliseconds{5000})) ++released;
     for (std::uint32_t e = 0; e < kEpochs; ++e) {
       producer.send_rows(rows_at(e, kRowsEach), 7);
       std::this_thread::sleep_for(milliseconds{3});
@@ -189,6 +206,7 @@ TEST(ServeChaos, InterleavedProducersConserveEveryRow) {
   }};
   a.join();
   b.join();
+  ASSERT_EQ(released.load(), 2);
   ASSERT_TRUE(wait_until(
       [&] {
         return harness.stats().rows_admitted >= 2 * kEpochs * kRowsEach;
