@@ -137,7 +137,7 @@ template <typename Acc, typename T, typename Op>
 }
 
 /// Float bits with every exponent bit set: the infinities and NaNs, exactly
-/// the values std::isfinite rejects.
+/// the values the row policy's finiteness check rejects.
 constexpr std::uint32_t kFloatExponentBits = 0x7F800000U;
 
 // vq:hot

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -522,72 +521,36 @@ bool ColumnarReader::Impl::read_epoch(std::uint32_t e, SessionColumns& out) {
   obs::Registry::global().counter("ingest.columnar.chunks_read").add(1);
 
   report.rows_read += count;
-  std::array<std::size_t, kNumDims> cardinality{};
-  for (int d = 0; d < kNumDims; ++d) {
-    cardinality[static_cast<std::size_t>(d)] =
-        schema.cardinality(static_cast<AttrDim>(d));
-  }
-  if (rows_within_policy(out, cardinality)) {
+  const detail::RowPolicy policy{options.policy, options.max_epoch,
+                                 detail::id_bounds(schema)};
+  if (rows_within_policy(out, *policy.id_bound)) {
     tally.kept(entry.epoch, count);
     report.rows_kept += count;
     return false;
   }
 
-  // Row-level validation, mirroring the binary reader's sequence: attribute
-  // ids against the schema, then metric finiteness, then the join flag.
-  const bool best_effort = options.policy == ErrorPolicy::kBestEffort;
+  // Row by row through the shared row policy; adopt_entries already capped
+  // the chunk's epoch.  A clamped field is written back to its column.
   std::vector<std::uint8_t> bad(n, 0);
   std::uint64_t nbad = 0;
-  const auto row_pos = [&](std::size_t r) {
-    return " at record " + std::to_string(r + 1) + " in chunk for epoch " +
-           std::to_string(entry.epoch) + " (offset " +
-           std::to_string(entry.offset) + ")";
-  };
   for (std::size_t r = 0; r < n; ++r) {
-    bool rejected = false;
-    for (int d = 0; d < kNumDims && !rejected; ++d) {
-      const auto dim = static_cast<AttrDim>(d);
-      const std::uint16_t id = out.attrs[static_cast<std::size_t>(d)][r];
-      if (id >= cardinality[static_cast<std::size_t>(d)]) {
-        tally.quarantined(entry.epoch);
-        sink.reject(r + 1, entry.offset, RowErrorKind::kSchemaViolation,
-                    "attribute id outside schema (" +
-                        std::string{dim_name(dim)} + "=" +
-                        std::to_string(id) + ")" + row_pos(r));
-        rejected = true;
-      }
-    }
-    const auto check_metric = [&](float& value, std::string_view label) {
-      if (rejected || std::isfinite(value)) return;
-      if (best_effort) {
-        report.fields_clamped += 1;
-        value = 0.0F;
-        return;
-      }
+    detail::DecodedRow row{out.row(r, entry.epoch), out.join_failed[r]};
+    if (const auto fault =
+            detail::check_row(row, policy, report.fields_clamped)) {
       tally.quarantined(entry.epoch);
-      sink.reject(r + 1, entry.offset, RowErrorKind::kNonFinite,
-                  "non-finite " + std::string{label} + row_pos(r));
-      rejected = true;
-    };
-    check_metric(out.buffering_ratio[r], "buffering_ratio");
-    check_metric(out.bitrate_kbps[r], "bitrate_kbps");
-    check_metric(out.join_time_ms[r], "join_time_ms");
-    if (!rejected && out.join_failed[r] > 1) {
-      if (best_effort) {
-        report.fields_clamped += 1;
-        out.join_failed[r] = 1;
-      } else {
-        tally.quarantined(entry.epoch);
-        sink.reject(r + 1, entry.offset, RowErrorKind::kBadFlag,
-                    "join_failed byte must be 0 or 1, got " +
-                        std::to_string(out.join_failed[r]) + row_pos(r));
-        rejected = true;
-      }
-    }
-    if (rejected) {
+      sink.reject(r + 1, entry.offset, fault->kind,
+                  fault->reason(row, policy) + " at record " +
+                      std::to_string(r + 1) + " in chunk for epoch " +
+                      std::to_string(entry.epoch) + " (offset " +
+                      std::to_string(entry.offset) + ")");
       bad[r] = 1;
       ++nbad;
+      continue;
     }
+    out.buffering_ratio[r] = row.session.quality.buffering_ratio;
+    out.bitrate_kbps[r] = row.session.quality.bitrate_kbps;
+    out.join_time_ms[r] = row.session.quality.join_time_ms;
+    out.join_failed[r] = static_cast<std::uint8_t>(row.join_flag);
   }
 
   const std::uint64_t kept = count - nbad;

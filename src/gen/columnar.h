@@ -22,8 +22,9 @@
 //     the epoch is reported degraded.
 //   * Row-level damage inside an intact chunk (attribute id outside the
 //     schema, non-finite metric, join flag outside {0,1}) follows the
-//     policy row by row, exactly like the binary reader: quarantine under
-//     kQuarantine, clamp repairable fields under kBestEffort.  One exact
+//     policy row by row through the row check every reader shares
+//     (ingest_sink.h, check_row): quarantine under kQuarantine, clamp
+//     repairable fields under kBestEffort.  One exact
 //     check per column (rows_within_policy, core/columns.h) first decides
 //     whether a chunk has any such row; only then does the per-row loop
 //     run.

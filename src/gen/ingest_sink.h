@@ -1,21 +1,124 @@
-// Internal ingest plumbing shared by the policy-driven readers
-// (robust_io.cpp, columnar.cpp): the rejection sink, the per-epoch damage
-// tally, and the positioned-message helpers.  Not installed as public API:
-// include only from src/gen/*.cpp.
+// Internal ingest plumbing: DESIGN.md §4.3's row policy (check_row), which
+// every ingest path applies to every row — the CSV and VQTR readers
+// (robust_io.cpp), the VQTC per-row fallback (columnar.cpp) and the serve
+// data frames (src/serve/server.cpp) — plus the readers' rejection sink,
+// per-epoch damage tally and positioned-message helpers.  Not installed as
+// public API: include only from src/gen and src/serve implementation files.
 
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/gen/robust_io.h"
+#include "src/gen/trace_format.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
 namespace vq::detail {
+
+/// The row policy as one reader or connection applies it.
+struct RowPolicy {
+  ErrorPolicy on_error = ErrorPolicy::kStrict;
+  std::uint32_t max_epoch = kDefaultMaxEpoch;
+  /// Per dimension, the ids the schema holds: a row's id must be below.
+  /// nullopt for CSV rows, which carry names that are interned only after
+  /// the check, so that a rejected row cannot grow the schema.
+  std::optional<std::array<std::size_t, kNumDims>> id_bound;
+};
+
+/// Per dimension, the ids `schema` holds: a RowPolicy's id_bound.
+[[nodiscard]] inline std::array<std::size_t, kNumDims> id_bounds(
+    const AttributeSchema& schema) {
+  std::array<std::size_t, kNumDims> bound{};
+  for (int d = 0; d < kNumDims; ++d) {
+    bound[static_cast<std::size_t>(d)] =
+        schema.cardinality(static_cast<AttrDim>(d));
+  }
+  return bound;
+}
+
+/// The metrics check_row tests, in its order.
+inline constexpr std::array<std::string_view, 3> kMetricNames = {
+    "buffering_ratio", "bitrate_kbps", "join_time_ms"};
+
+/// The first fault check_row finds in a row.
+struct RowFault {
+  RowErrorKind kind = RowErrorKind::kBadNumber;
+  /// The dimension of an id fault, the kMetricNames index of a non-finite
+  /// metric.
+  int index = 0;
+
+  /// False when the epoch itself is the fault: such a row must not be
+  /// tallied by its epoch (a poisoned epoch is a dense-index bomb).
+  [[nodiscard]] bool epoch_valid() const noexcept {
+    return kind != RowErrorKind::kBadNumber;
+  }
+
+  /// Why `row` was rejected, without a position: each caller appends its
+  /// own.  Built only for a rejected row, so check_row stays small.
+  [[nodiscard]] std::string reason(const DecodedRow& row,
+                                   const RowPolicy& policy) const {
+    const Session& s = row.session;
+    switch (kind) {
+      case RowErrorKind::kSchemaViolation:
+        return "attribute id outside schema (" +
+               std::string{dim_name(static_cast<AttrDim>(index))} + "=" +
+               std::to_string(s.attrs.v[index]) + ")";
+      case RowErrorKind::kNonFinite:
+        return "non-finite " + std::string{kMetricNames[index]};
+      case RowErrorKind::kBadFlag:
+        return "join_failed byte must be 0 or 1, got " +
+               std::to_string(row.join_flag);
+      default:
+        return "epoch " + std::to_string(s.epoch) + " out of range (max " +
+               std::to_string(policy.max_epoch) + ")";
+    }
+  }
+};
+
+/// Applies the row policy to one decoded row, in this order: the epoch cap,
+/// the attribute ids, the metrics finite (kMetricNames' order), the join
+/// flag 0 or 1.  Returns the first fault.  Under best-effort a non-finite
+/// metric is clamped to 0 and a bad flag to 1, each clamp counted in
+/// `clamped`, and the row is kept.  A kept row's session carries the flag
+/// in quality.join_failed.
+[[nodiscard]] inline std::optional<RowFault> check_row(
+    DecodedRow& row, const RowPolicy& policy,
+    std::uint64_t& clamped) noexcept {
+  Session& s = row.session;
+  if (s.epoch > policy.max_epoch) return RowFault{RowErrorKind::kBadNumber};
+  if (policy.id_bound.has_value()) {
+    for (int d = 0; d < kNumDims; ++d) {
+      if (s.attrs.v[d] >= (*policy.id_bound)[static_cast<std::size_t>(d)]) {
+        return RowFault{RowErrorKind::kSchemaViolation, d};
+      }
+    }
+  }
+  const bool best_effort = policy.on_error == ErrorPolicy::kBestEffort;
+  float* const metrics[] = {&s.quality.buffering_ratio,
+                            &s.quality.bitrate_kbps, &s.quality.join_time_ms};
+  for (int k = 0; k < 3; ++k) {
+    if (std::isfinite(*metrics[k])) continue;
+    if (!best_effort) return RowFault{RowErrorKind::kNonFinite, k};
+    *metrics[k] = 0.0F;
+    ++clamped;
+  }
+  if (row.join_flag < 0 || row.join_flag > 1) {
+    if (!best_effort) return RowFault{RowErrorKind::kBadFlag};
+    row.join_flag = 1;
+    ++clamped;
+  }
+  s.quality.join_failed = row.join_flag != 0;
+  return std::nullopt;
+}
 
 /// Shared rejection path: counts the event, keeps a bounded sample, and in
 /// strict mode throws instead of diverting.  `context` is the public

@@ -1,13 +1,10 @@
 #include "src/gen/robust_io.h"
 
 #include <algorithm>
-#include <array>
 #include <charconv>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -186,6 +183,8 @@ RobustLoadedTrace read_trace_csv_robust(std::istream& in,
   std::vector<Session> sessions;
   std::uint64_t line_no = 1;  // physical, 1-based; header is line 1
   const bool best_effort = options.policy == ErrorPolicy::kBestEffort;
+  const detail::RowPolicy policy{options.policy, options.max_epoch,
+                                 std::nullopt};
   while (std::getline(in, line)) {
     ++line_no;
     strip_cr(line);
@@ -200,7 +199,8 @@ RobustLoadedTrace read_trace_csv_robust(std::istream& in,
       continue;
     }
 
-    Session s;
+    detail::DecodedRow row;
+    Session& s = row.session;
     if (!try_parse(fields[0], s.epoch)) {
       // Without an epoch the row cannot be placed; unsalvageable even under
       // best-effort.
@@ -208,67 +208,44 @@ RobustLoadedTrace read_trace_csv_robust(std::istream& in,
                   "bad numeric field (epoch)" + at_line(line_no));
       continue;
     }
-    if (s.epoch > options.max_epoch) {
-      // Epochs index dense per-epoch structures; a poisoned value would make
-      // downstream code allocate proportionally to it.
+
+    // The metrics and the flag are parsed, and the row checked, before any
+    // attribute is interned, so a rejected row cannot grow the schema.  A
+    // field that does not parse reads 0: under best-effort that is one
+    // clamp, counted once the row passes the check; otherwise the parse
+    // stops and the row is rejected as a bad number unless the check finds
+    // an earlier fault (the epoch cap, or a non-finite metric before it).
+    std::string_view unparsed;
+    std::uint64_t parse_clamps = 0;
+    const auto parse_field = [&](std::size_t idx, std::string_view label,
+                                 auto& dst) {
+      if (!unparsed.empty() || try_parse(fields[idx], dst)) return;
+      dst = {};
+      if (best_effort) {
+        parse_clamps += 1;
+      } else {
+        unparsed = label;
+      }
+    };
+    parse_field(8, "buffering_ratio", s.quality.buffering_ratio);
+    parse_field(9, "bitrate_kbps", s.quality.bitrate_kbps);
+    parse_field(10, "join_time_ms", s.quality.join_time_ms);
+    parse_field(11, "join_failed", row.join_flag);
+    if (const auto fault =
+            detail::check_row(row, policy, report.fields_clamped)) {
+      if (fault->epoch_valid()) tally.quarantined(s.epoch);
+      sink.reject(line_no, 0, fault->kind,
+                  fault->reason(row, policy) + at_line(line_no));
+      continue;
+    }
+    if (!unparsed.empty()) {
+      tally.quarantined(s.epoch);
       sink.reject(line_no, 0, RowErrorKind::kBadNumber,
-                  "epoch " + std::to_string(s.epoch) + " out of range (max " +
-                      std::to_string(options.max_epoch) + ")" +
+                  "bad numeric field (" + std::string{unparsed} + ")" +
                       at_line(line_no));
       continue;
     }
-
-    // Metrics are validated before any attribute is interned so a rejected
-    // row cannot grow the schema.
-    bool rejected = false;
-    const auto metric_field = [&](std::size_t idx, std::string_view label,
-                                  float& dst) {
-      float v = 0.0F;
-      if (!try_parse(fields[idx], v)) {
-        if (best_effort) {
-          report.fields_clamped += 1;
-          dst = 0.0F;
-          return;
-        }
-        tally.quarantined(s.epoch);
-        sink.reject(line_no, 0, RowErrorKind::kBadNumber,
-                    "bad numeric field (" + std::string{label} + ")" +
-                        at_line(line_no));
-        rejected = true;
-      } else if (!std::isfinite(v)) {
-        if (best_effort) {
-          report.fields_clamped += 1;
-          dst = 0.0F;
-          return;
-        }
-        tally.quarantined(s.epoch);
-        sink.reject(line_no, 0, RowErrorKind::kNonFinite,
-                    "non-finite " + std::string{label} + at_line(line_no));
-        rejected = true;
-      } else {
-        dst = v;
-      }
-    };
-    metric_field(8, "buffering_ratio", s.quality.buffering_ratio);
-    if (rejected) continue;
-    metric_field(9, "bitrate_kbps", s.quality.bitrate_kbps);
-    if (rejected) continue;
-    metric_field(10, "join_time_ms", s.quality.join_time_ms);
-    if (rejected) continue;
-
-    int join_failed = 0;
-    if (!try_parse(fields[11], join_failed)) {
-      if (best_effort) {
-        report.fields_clamped += 1;
-        join_failed = 0;
-      } else {
-        tally.quarantined(s.epoch);
-        sink.reject(line_no, 0, RowErrorKind::kBadNumber,
-                    "bad numeric field (join_failed)" + at_line(line_no));
-        continue;
-      }
-    }
-    s.quality.join_failed = join_failed != 0;
+    report.fields_clamped += parse_clamps;
 
     try {
       for (std::size_t d = 0; d < kCsvColumnDims.size(); ++d) {
@@ -370,14 +347,9 @@ RobustLoadedTrace read_trace_binary_robust(std::istream& in,
       count, bytes.has_value() ? *bytes / kBinaryRecordSize
                                : kMaxInitialReserve)));
 
-  const bool best_effort = options.policy == ErrorPolicy::kBestEffort;
-  // The schema is fixed once its section is read: look each dimension's
-  // cardinality up once, not once per record.
-  std::array<std::size_t, kNumDims> cardinality{};
-  for (int d = 0; d < kNumDims; ++d) {
-    cardinality[static_cast<std::size_t>(d)] =
-        out.schema.cardinality(static_cast<AttrDim>(d));
-  }
+  // The schema is fixed once its section is read.
+  const detail::RowPolicy policy{options.policy, options.max_epoch,
+                                 detail::id_bounds(out.schema)};
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t ordinal = i + 1;  // 1-based, mirrors CSV lines
     char record[kBinaryRecordSize];
@@ -398,85 +370,17 @@ RobustLoadedTrace read_trace_binary_robust(std::istream& in,
     }
     report.rows_read += 1;
 
-    Session s;
-    for (int d = 0; d < kNumDims; ++d) {
-      s.attrs.v[d] = detail::load_pod<std::uint16_t>(record + 2 * d);
+    detail::DecodedRow row = detail::decode_record(record);
+    if (const auto fault =
+            detail::check_row(row, policy, report.fields_clamped)) {
+      if (fault->epoch_valid()) tally.quarantined(row.session.epoch);
+      sink.reject(ordinal, offset, fault->kind,
+                  fault->reason(row, policy) + at_record(ordinal, offset));
+    } else {
+      tally.kept(row.session.epoch);
+      report.rows_kept += 1;
+      sessions.push_back(row.session);
     }
-    s.epoch = detail::load_pod<std::uint32_t>(record + 14);
-    s.quality.buffering_ratio = detail::load_pod<float>(record + 18);
-    s.quality.bitrate_kbps = detail::load_pod<float>(record + 22);
-    s.quality.join_time_ms = detail::load_pod<float>(record + 26);
-    const auto join_byte = detail::load_pod<std::uint8_t>(record + 30);
-
-    if (s.epoch > options.max_epoch) {
-      // Checked before anything tallies by epoch: a poisoned epoch is a
-      // dense-index bomb downstream and must not enter the report either.
-      sink.reject(ordinal, offset, RowErrorKind::kBadNumber,
-                  "epoch " + std::to_string(s.epoch) + " out of range (max " +
-                      std::to_string(options.max_epoch) + ")" +
-                      at_record(ordinal, offset));
-      offset += kBinaryRecordSize;
-      continue;
-    }
-
-    bool rejected = false;
-    for (int d = 0; d < kNumDims && !rejected; ++d) {
-      const auto dim = static_cast<AttrDim>(d);
-      if (s.attrs.v[d] >= cardinality[static_cast<std::size_t>(d)]) {
-        // An unknown attribute id has no salvageable interpretation.
-        tally.quarantined(s.epoch);
-        sink.reject(ordinal, offset, RowErrorKind::kSchemaViolation,
-                    "attribute id outside schema (" +
-                        std::string{dim_name(dim)} + "=" +
-                        std::to_string(s.attrs.v[d]) +
-                        ")" + at_record(ordinal, offset));
-        rejected = true;
-      }
-    }
-    if (rejected) {
-      offset += kBinaryRecordSize;
-      continue;
-    }
-
-    const auto check_metric = [&](float& value, std::string_view label) {
-      if (std::isfinite(value)) return;
-      if (best_effort) {
-        report.fields_clamped += 1;
-        value = 0.0F;
-        return;
-      }
-      tally.quarantined(s.epoch);
-      sink.reject(ordinal, offset, RowErrorKind::kNonFinite,
-                  "non-finite " + std::string{label} +
-                      at_record(ordinal, offset));
-      rejected = true;
-    };
-    check_metric(s.quality.buffering_ratio, "buffering_ratio");
-    if (!rejected) check_metric(s.quality.bitrate_kbps, "bitrate_kbps");
-    if (!rejected) check_metric(s.quality.join_time_ms, "join_time_ms");
-    if (rejected) {
-      offset += kBinaryRecordSize;
-      continue;
-    }
-
-    if (join_byte > 1) {
-      if (best_effort) {
-        report.fields_clamped += 1;
-      } else {
-        tally.quarantined(s.epoch);
-        sink.reject(ordinal, offset, RowErrorKind::kBadFlag,
-                    "join_failed byte must be 0 or 1, got " +
-                        std::to_string(join_byte) +
-                        at_record(ordinal, offset));
-        offset += kBinaryRecordSize;
-        continue;
-      }
-    }
-    s.quality.join_failed = join_byte != 0;
-
-    tally.kept(s.epoch);
-    report.rows_kept += 1;
-    sessions.push_back(s);
     offset += kBinaryRecordSize;
   }
 

@@ -1,8 +1,11 @@
 // Internal wire-format constants shared by the trace writers (trace_io.cpp),
 // the policy-driven readers (robust_io.cpp), and the live ingest framing
 // (src/serve/framing.cpp, which reuses the record layout and schema section
-// on the wire).  Not installed as public API: include only from src/gen and
-// src/serve implementation files.
+// on the wire).  The 31-byte session record has one codec here,
+// encode_record / decode_record, which every VQTR writer and reader and the
+// serve framing go through.  The checksum fnv1a is FNV-1a 64 with a
+// nonstandard offset basis (kFnvOffsetBasis below).  Not installed as
+// public API: include only from src/gen and src/serve implementation files.
 
 #pragma once
 
@@ -17,6 +20,7 @@
 #include <string_view>
 
 #include "src/core/attributes.h"
+#include "src/core/session.h"
 
 namespace vq::detail {
 
@@ -61,7 +65,8 @@ inline constexpr std::size_t kMaxAttrNameLen = 4096;
 // epoch field, the count field and then each column in file order, every
 // call seeded with the previous result (the first with 0).  Version 1
 // folds the same bytes through one running fnv1a; such files are still
-// read.  The footer's own checksum is fnv1a in both versions.
+// read.  The footer's own checksum is fnv1a in both versions.  fnv1a
+// starts from kFnvOffsetBasis, which is not FNV-1a's standard basis.
 //
 // Chunks are readable without the footer (magic + count make them
 // self-delimiting), so a damaged footer degrades to a sequential scan under
@@ -104,12 +109,19 @@ inline constexpr std::size_t kColumnarFooterFixedBytes = 4 + 4 + 4 + 8;
 /// Trailing tail: u64 footer_offset + tail magic.
 inline constexpr std::size_t kColumnarTailBytes = 8 + 4;
 
+/// The offset basis of every fnv1a checksum in the formats:
+/// 1469598103934665603, FNV-1a 64's standard basis (14695981039346656037)
+/// with its last digit dropped.  Every VQTC footer, version-1 chunk and
+/// serve frame checksum depends on it, so it stays, and a producer must use
+/// it: fnv1a("a") is 0x44bd8ad473cd9906, where standard FNV-1a gives
+/// 0xaf63dc4c8601ec8c (tests/test_trace_binary.cpp pins known answers).
 inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
-/// Incremental FNV-1a 64: fold `n` bytes into hash `h`.  Chosen over CRC32
-/// for zero dependencies and branch-free bytewise folding; this is an
-/// integrity check against bit rot and truncation, not an adversary.
+/// Incremental FNV-1a 64 with the offset basis above: fold `n` bytes into
+/// hash `h`.  Chosen over CRC32 for zero dependencies and branch-free
+/// bytewise folding; this is an integrity check against bit rot and
+/// truncation, not an adversary.
 [[nodiscard]] inline std::uint64_t fnv1a(const void* data, std::size_t n,
                                          std::uint64_t h = kFnvOffsetBasis)
     noexcept {
@@ -121,13 +133,57 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
   return h;
 }
 
-/// Fixed size of one session record in the binary container:
-/// 7 x u16 attrs + u32 epoch + 3 x f32 metrics + u8 join_failed.
+/// Fixed size of one session record in the binary container and in a serve
+/// data frame: 7 x u16 attrs + u32 epoch + 3 x f32 metrics + u8 join_failed.
 inline constexpr std::size_t kBinaryRecordSize = 7 * 2 + 4 + 3 * 4 + 1;
 static_assert(kBinaryRecordSize == 31);
 
 static_assert(std::endian::native == std::endian::little,
               "binary trace format assumes a little-endian host");
+
+/// One row as decoded, before the row policy (ingest_sink.h, check_row):
+/// the session plus its join flag as written, which the session's bool
+/// cannot hold when it is neither 0 nor 1.
+struct DecodedRow {
+  Session session;
+  int join_flag = 0;
+};
+
+/// Writes `s` as one record into out[0, kBinaryRecordSize), fields in the
+/// order decode_record reads them.
+inline void encode_record(const Session& s, char* out) noexcept {
+  const auto put = [&out](auto value) {
+    std::memcpy(out, &value, sizeof value);
+    out += sizeof value;
+  };
+  for (const std::uint16_t id : s.attrs.v) put(id);
+  put(s.epoch);
+  put(s.quality.buffering_ratio);
+  put(s.quality.bitrate_kbps);
+  put(s.quality.join_time_ms);
+  put(static_cast<std::uint8_t>(s.quality.join_failed ? 1 : 0));
+}
+
+/// Reads the record at in[0, kBinaryRecordSize); no validation beyond the
+/// fixed layout.  The session's join_failed is the flag byte != 0.
+[[nodiscard]] inline DecodedRow decode_record(const char* in) noexcept {
+  const auto get = [&in](auto& value) {
+    std::memcpy(&value, in, sizeof value);
+    in += sizeof value;
+  };
+  DecodedRow row;
+  Session& s = row.session;
+  for (std::uint16_t& id : s.attrs.v) get(id);
+  get(s.epoch);
+  get(s.quality.buffering_ratio);
+  get(s.quality.bitrate_kbps);
+  get(s.quality.join_time_ms);
+  std::uint8_t flag = 0;
+  get(flag);
+  row.join_flag = flag;
+  s.quality.join_failed = flag != 0;
+  return row;
+}
 
 template <typename T>
 void write_pod(std::ostream& out, T value) {

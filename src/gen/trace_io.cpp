@@ -108,18 +108,10 @@ void write_trace_binary(std::ostream& out, const SessionTable& table,
   // schema block for every id after it.
   detail::write_schema_section(out, schema, "write_trace_binary");
   write_pod(out, static_cast<std::uint64_t>(table.size()));
-  // The per-session field writes below must stay in lockstep with the
-  // record size the reader (robust_io.cpp) slices by.
-  static_assert(detail::kBinaryRecordSize ==
-                kNumDims * sizeof(std::uint16_t) + sizeof(std::uint32_t) +
-                    3 * sizeof(float) + sizeof(std::uint8_t));
   for (const Session& s : table.sessions()) {
-    for (int d = 0; d < kNumDims; ++d) write_pod(out, s.attrs.v[d]);
-    write_pod(out, s.epoch);
-    write_pod(out, s.quality.buffering_ratio);
-    write_pod(out, s.quality.bitrate_kbps);
-    write_pod(out, s.quality.join_time_ms);
-    write_pod(out, static_cast<std::uint8_t>(s.quality.join_failed ? 1 : 0));
+    char record[detail::kBinaryRecordSize];
+    detail::encode_record(s, record);
+    out.write(record, sizeof record);
   }
   // Write-side failure on a caller-owned stream; there is no input
   // position, and the path (if any) is known only to the overload below.

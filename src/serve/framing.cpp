@@ -145,12 +145,9 @@ bool FrameDecoder::next(Frame& out) {
 }
 
 void append_record(std::string& out, const Session& s) {
-  for (int d = 0; d < kNumDims; ++d) append_pod(out, s.attrs.v[d]);
-  append_pod(out, s.epoch);
-  append_pod(out, s.quality.buffering_ratio);
-  append_pod(out, s.quality.bitrate_kbps);
-  append_pod(out, s.quality.join_time_ms);
-  append_pod(out, static_cast<std::uint8_t>(s.quality.join_failed ? 1 : 0));
+  char record[kRecordBytes];
+  detail::encode_record(s, record);
+  out.append(record, sizeof record);
 }
 
 // The frame record layout is the VQTR container's record layout verbatim;
@@ -158,17 +155,7 @@ void append_record(std::string& out, const Session& s) {
 static_assert(kRecordBytes == detail::kBinaryRecordSize);
 
 Session parse_record(const char* record) noexcept {
-  Session s;
-  for (int d = 0; d < kNumDims; ++d) {
-    s.attrs.v[d] = load_pod<std::uint16_t>(record + 2 * d);
-  }
-  s.epoch = load_pod<std::uint32_t>(record + kRecordEpochOffset);
-  s.quality.buffering_ratio = load_pod<float>(record + kRecordBufferingOffset);
-  s.quality.bitrate_kbps = load_pod<float>(record + kRecordBitrateOffset);
-  s.quality.join_time_ms = load_pod<float>(record + kRecordJoinTimeOffset);
-  s.quality.join_failed =
-      load_pod<std::uint8_t>(record + kRecordJoinFailedOffset) != 0;
-  return s;
+  return detail::decode_record(record).session;
 }
 
 std::string encode_frame(const char magic[4], std::string_view payload) {

@@ -5,6 +5,10 @@
 //
 //   envelope: magic[4]  u32 payload_len  payload  u64 fnv1a(payload)
 //
+// fnv1a is trace_format.h's: FNV-1a 64 with the offset basis
+// 1469598103934665603, not the standard 14695981039346656037, so a
+// producer written against the standard constant fails every checksum.
+//
 //   "VQHS" (hello) — must be the first frame on every connection.  The
 //     payload is the same per-dimension name-table section the VQTR/VQTC
 //     containers carry (trace_format.h write_schema_section), so a producer
@@ -14,7 +18,9 @@
 //   "VQDR" (data) — the payload is N fixed-size session records in the VQTR
 //     record layout (7 x u16 attrs, u32 epoch, 3 x f32 metrics,
 //     u8 join_failed; 31 bytes).  payload_len must be a non-zero multiple
-//     of the record size and at most the server's max-frame cap.
+//     of the record size and at most the server's max-frame cap.  The
+//     server checks each row with the readers' row policy
+//     (src/gen/ingest_sink.h, check_row).
 //
 // The trailing checksum turns any in-flight byte flip into a whole-frame
 // quarantine with an exact row count (payload_len / 31 rows lost), and the
@@ -49,20 +55,11 @@ inline constexpr char kDataMagic[4] = {'V', 'Q', 'D', 'R'};
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 4;
 inline constexpr std::size_t kFrameTrailerBytes = 8;
 
-/// Bytes per session record in a data frame (the VQTR record layout).
+/// Bytes per session record in a data frame (the VQTR record layout, whose
+/// one codec is encode_record / decode_record in src/gen/trace_format.h;
+/// framing.cpp asserts the two sizes agree and docs/wire_contracts.json
+/// pins both).
 inline constexpr std::size_t kRecordBytes = 31;
-
-/// Field offsets inside one record: 7 x u16 attrs, then epoch, the three
-/// quality metrics, and the join_failed byte.  Kept next to kRecordBytes
-/// so a layout change moves the size and every accessor together
-/// (framing.cpp asserts the layout against the VQTR container's record
-/// size; docs/wire_contracts.json pins both).
-inline constexpr std::size_t kRecordEpochOffset = kNumDims * sizeof(std::uint16_t);
-inline constexpr std::size_t kRecordBufferingOffset = kRecordEpochOffset + sizeof(std::uint32_t);
-inline constexpr std::size_t kRecordBitrateOffset = kRecordBufferingOffset + sizeof(float);
-inline constexpr std::size_t kRecordJoinTimeOffset = kRecordBitrateOffset + sizeof(float);
-inline constexpr std::size_t kRecordJoinFailedOffset = kRecordJoinTimeOffset + sizeof(float);
-static_assert(kRecordJoinFailedOffset + sizeof(std::uint8_t) == kRecordBytes);
 
 /// Default cap on one frame's payload.  Frames beyond the cap are framing
 /// errors (a corrupted length field must not demand a huge allocation);

@@ -12,14 +12,15 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>  // acceptor thread; see lint carve-out for src/serve
 #include <utility>
 
+#include "src/gen/ingest_sink.h"
 #include "src/gen/trace_format.h"
 #include "src/obs/metrics.h"
 
@@ -212,6 +213,9 @@ ServeStats Server::stats() const {
   {
     const MutexLock lock{impl_->stats_mutex};
     out = impl_->stats;
+    for (const auto& [epoch, rows] : impl_->epoch_quarantine) {
+      if (rows > 0) out.degraded_epochs.push_back(epoch);
+    }
   }
   out.watermark = impl_->watermark.load();
   out.queue_highwater =
@@ -298,7 +302,6 @@ void Server::handle_hello(Connection& c, const std::string& payload) {
 void Server::handle_data(Connection& c, const std::string& payload) {
   const std::size_t n = payload.size() / kRecordBytes;
   const bool strict = config_.row_policy == ErrorPolicy::kStrict;
-  const bool best_effort = config_.row_policy == ErrorPolicy::kBestEffort;
   const auto seal_floor =
       static_cast<std::int64_t>(impl_->next_seal_published.load());
 
@@ -331,66 +334,33 @@ void Server::handle_data(Connection& c, const std::string& payload) {
     return;
   }
 
+  // The shared row policy, with ids bounded by this producer's hello.
+  detail::RowPolicy policy{config_.row_policy, config_.max_epoch,
+                           std::array<std::size_t, kNumDims>{}};
+  for (std::size_t d = 0; d < kNumDims; ++d) {
+    (*policy.id_bound)[d] = c.remap[d].size();
+  }
   for (std::size_t i = 0; i < n && !strict_trip; ++i) {
-    const char* rec = payload.data() + i * kRecordBytes;
     received += 1;
-    Session s = parse_record(rec);
-    const auto join_byte =
-        detail::load_pod<std::uint8_t>(rec + kRecordJoinFailedOffset);
-
-    const auto reject = [&](RowErrorKind kind, bool epoch_valid) {
+    detail::DecodedRow row =
+        detail::decode_record(payload.data() + i * kRecordBytes);
+    Session& s = row.session;
+    const std::optional<detail::RowFault> fault =
+        detail::check_row(row, policy, clamped);
+    if (!fault.has_value() || fault->epoch_valid()) {
+      c.max_epoch_seen =
+          std::max(c.max_epoch_seen, static_cast<std::int64_t>(s.epoch));
+    }
+    if (fault.has_value()) {
       quarantined += 1;
-      reasons[static_cast<std::size_t>(kind)] += 1;
-      if (epoch_valid) epoch_quar[s.epoch] += 1;
+      reasons[static_cast<std::size_t>(fault->kind)] += 1;
+      if (fault->epoch_valid()) epoch_quar[s.epoch] += 1;
       if (strict) strict_trip = true;
-    };
-
-    // Validation order mirrors read_trace_binary_robust: epoch cap first
-    // (nothing may tally by a poisoned epoch), then schema, then metrics,
-    // then the flag byte.
-    if (s.epoch > config_.max_epoch) {
-      reject(RowErrorKind::kBadNumber, /*epoch_valid=*/false);
       continue;
     }
-    c.max_epoch_seen =
-        std::max(c.max_epoch_seen, static_cast<std::int64_t>(s.epoch));
-
-    bool rejected = false;
-    for (int d = 0; d < kNumDims && !rejected; ++d) {
-      const std::uint16_t pid = s.attrs.v[d];
-      if (pid >= c.remap[d].size()) {
-        reject(RowErrorKind::kSchemaViolation, /*epoch_valid=*/true);
-        rejected = true;
-      } else {
-        s.attrs.v[d] = c.remap[d][pid];
-      }
+    for (std::size_t d = 0; d < kNumDims; ++d) {
+      s.attrs.v[d] = c.remap[d][s.attrs.v[d]];
     }
-    if (rejected) continue;
-
-    const auto check_metric = [&](float& value) {
-      if (std::isfinite(value)) return;
-      if (best_effort) {
-        clamped += 1;
-        value = 0.0F;
-        return;
-      }
-      reject(RowErrorKind::kNonFinite, /*epoch_valid=*/true);
-      rejected = true;
-    };
-    check_metric(s.quality.buffering_ratio);
-    if (!rejected) check_metric(s.quality.bitrate_kbps);
-    if (!rejected) check_metric(s.quality.join_time_ms);
-    if (rejected) continue;
-
-    if (join_byte > 1) {
-      if (best_effort) {
-        clamped += 1;
-      } else {
-        reject(RowErrorKind::kBadFlag, /*epoch_valid=*/true);
-        continue;
-      }
-    }
-    s.quality.join_failed = join_byte != 0;
 
     if (static_cast<std::int64_t>(s.epoch) < seal_floor) {
       // The epoch is already sealed: the row is late, not malformed.

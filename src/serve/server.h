@@ -2,7 +2,8 @@
 //
 // Topology: one poll-driven acceptor/IO thread owns every socket — it
 // accepts producers, reads bytes, runs the frame decoder, validates rows
-// through the robust_io ErrorPolicy matrix, and pushes admitted rows into a
+// with the trace readers' row policy (src/gen/ingest_sink.h, check_row)
+// under the configured ErrorPolicy, and pushes admitted rows into a
 // bounded queue (bounded_queue.h).  The detector loop runs on the caller's
 // thread (Server::run()): it drains the queue, buffers rows per epoch,
 // seals epochs behind the producer watermark, and feeds each sealed epoch
@@ -98,6 +99,9 @@ struct ServeStats {
   std::uint64_t fields_clamped = 0;  // best-effort repairs
   std::array<std::uint64_t, kNumRowErrorKinds> row_reasons{};
   std::array<std::uint64_t, kNumFrameErrors> frame_errors{};
+  /// Epochs that lost a row to the row policy, ascending: the ones the
+  /// detector ingests as degraded.
+  std::vector<std::uint32_t> degraded_epochs;
 
   std::uint64_t epochs_sealed = 0;
   std::int64_t watermark = -1;  // highest published watermark

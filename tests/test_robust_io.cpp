@@ -156,6 +156,65 @@ TEST(RobustCsv, BestEffortClampsRepairableFields) {
   EXPECT_FALSE(loaded.table.sessions()[2].quality.join_failed);
 }
 
+TEST(RobustCsv, JoinFlagOutsideZeroOrOneFollowsThePolicy) {
+  // The same rule as the binary formats: a flag of 2 or -1 is thrown on,
+  // quarantined as bad-flag, or kept as a failed join with one clamp.
+  const std::string text = csv_of({
+      good_row(0),
+      "0,s0,c0,a0,dsl,flash,chrome,vod,0.01,3000,1500,2",
+      good_row(1),
+      "1,s0,c0,a0,dsl,flash,chrome,vod,0.01,3000,1500,-1",
+      "1,s0,c0,a0,dsl,flash,chrome,vod,0.01,3000,1500,1",
+  });
+
+  const RobustLoadedTrace quarantined =
+      parse(text, {.policy = ErrorPolicy::kQuarantine});
+  EXPECT_EQ(quarantined.report.rows_read, 5u);
+  EXPECT_EQ(quarantined.report.rows_kept, 3u);
+  EXPECT_EQ(quarantined.report.rows_quarantined, 2u);
+  EXPECT_EQ(count_of(quarantined.report, RowErrorKind::kBadFlag), 2u);
+  EXPECT_EQ(quarantined.report.fields_clamped, 0u);
+  ASSERT_EQ(quarantined.report.quarantine.size(), 2u);
+  EXPECT_EQ(quarantined.report.quarantine[0].line, 3u);
+  EXPECT_EQ(quarantined.report.quarantine[1].line, 5u);
+  EXPECT_EQ(quarantined.report.degraded_epochs(),
+            (std::vector<std::uint32_t>{0, 1}));
+  ASSERT_EQ(quarantined.table.size(), 3u);
+  EXPECT_TRUE(quarantined.table.sessions()[2].quality.join_failed);
+
+  const RobustLoadedTrace repaired =
+      parse(text, {.policy = ErrorPolicy::kBestEffort});
+  EXPECT_EQ(repaired.report.rows_kept, 5u);
+  EXPECT_EQ(repaired.report.rows_quarantined, 0u);
+  EXPECT_EQ(repaired.report.fields_clamped, 2u);
+  ASSERT_EQ(repaired.table.size(), 5u);
+  EXPECT_TRUE(repaired.table.sessions()[1].quality.join_failed);
+  EXPECT_TRUE(repaired.table.sessions()[3].quality.join_failed);
+
+  std::istringstream in{text};
+  try {
+    (void)read_trace_csv(in);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "read_trace_csv: join_failed byte must be 0 or 1, got 2 at "
+                 "line 3");
+  }
+  // The value as written, not as a byte: -1 reads -1, not 255.
+  std::istringstream negative{csv_of({
+      good_row(0),
+      "0,s0,c0,a0,dsl,flash,chrome,vod,0.01,3000,1500,-1",
+  })};
+  try {
+    (void)read_trace_csv(negative);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "read_trace_csv: join_failed byte must be 0 or 1, got -1 at "
+                 "line 3");
+  }
+}
+
 TEST(RobustCsv, RejectsEpochsAboveSanityCap) {
   // A poisoned epoch is a dense-index bomb: SessionTable and the per-epoch
   // summaries allocate proportionally to the max epoch, so one flipped high

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <streambuf>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/gen/robust_io.h"
@@ -283,6 +284,52 @@ TEST(TraceBinary, FileRoundTrip) {
   EXPECT_EQ(loaded.table.size(), original.table.size());
   std::filesystem::remove(path);
   EXPECT_THROW((void)read_trace_binary(path), std::runtime_error);
+}
+
+TEST(TraceBinary, RecordCodecPlacesEveryFieldAtItsDocumentedOffset) {
+  // The layout docs/wire_contracts.json and DESIGN.md describe: 7 x u16
+  // attribute ids, u32 epoch at 14, f32 metrics at 18, 22 and 26, the u8
+  // join flag at 30.  Every field holds a distinct value, so a shifted
+  // field in encode_record shows here as well as in a round trip.
+  Session s;
+  for (int d = 0; d < kNumDims; ++d) {
+    s.attrs.v[d] = static_cast<std::uint16_t>(0x0101 * (d + 1));
+  }
+  s.epoch = 0x0A0B0C0D;
+  s.quality.buffering_ratio = 0.25F;
+  s.quality.bitrate_kbps = 1234.5F;
+  s.quality.join_time_ms = 987.0F;
+  s.quality.join_failed = true;
+  char record[detail::kBinaryRecordSize];
+  detail::encode_record(s, record);
+  for (int d = 0; d < kNumDims; ++d) {
+    EXPECT_EQ(detail::load_pod<std::uint16_t>(record + 2 * d), s.attrs.v[d]);
+  }
+  EXPECT_EQ(detail::load_pod<std::uint32_t>(record + 14), s.epoch);
+  EXPECT_EQ(detail::load_pod<float>(record + 18), 0.25F);
+  EXPECT_EQ(detail::load_pod<float>(record + 22), 1234.5F);
+  EXPECT_EQ(detail::load_pod<float>(record + 26), 987.0F);
+  EXPECT_EQ(detail::load_pod<std::uint8_t>(record + 30), 1);
+
+  record[30] = 2;  // a flag byte the session's bool cannot hold
+  const detail::DecodedRow row = detail::decode_record(record);
+  EXPECT_EQ(row.session.attrs, s.attrs);
+  EXPECT_EQ(row.session.epoch, s.epoch);
+  EXPECT_EQ(row.session.quality, s.quality);
+  EXPECT_EQ(row.join_flag, 2);
+}
+
+TEST(TraceBinary, Fnv1aUsesTheFormatsOffsetBasis) {
+  // Not FNV-1a's standard basis 14695981039346656037 (which gives
+  // fnv1a("a") == 0xaf63dc4c8601ec8c): every VQTC footer, version-1 chunk
+  // and serve frame checksum is computed from this one.
+  EXPECT_EQ(detail::kFnvOffsetBasis, 1469598103934665603ULL);
+  const auto fnv = [](std::string_view text) {
+    return detail::fnv1a(text.data(), text.size());
+  };
+  EXPECT_EQ(fnv(""), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(fnv("a"), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(fnv("foobar"), 0x88fad7c0a8ff07f2ULL);
 }
 
 }  // namespace

@@ -168,16 +168,6 @@ void write_trace_as(TraceFormat format, const std::filesystem::path& path,
   }
 }
 
-LoadedTrace load(std::string_view path) {
-  const std::filesystem::path p{std::string{path}};
-  switch (format_for_path(path)) {
-    case TraceFormat::kBinary: return read_trace_binary(p);
-    case TraceFormat::kColumnar: return read_trace_columnar(p);
-    case TraceFormat::kCsv: break;
-  }
-  return read_trace_csv(p);
-}
-
 /// --on-error POLICY (default strict); exits via usage() on a bad name, so
 /// callers receive a valid policy or the process is already done.
 std::optional<ErrorPolicy> on_error_policy(const ArgParser& args) {
@@ -545,7 +535,7 @@ int cmd_whatif(const ArgParser& args) {
     return 2;
   }
 
-  const LoadedTrace loaded = load(*in);
+  const RobustLoadedTrace loaded = load_robust(*in, ErrorPolicy::kStrict);
   PipelineConfig config;
   config.cluster_params.min_sessions = auto_min_sessions(loaded.table, args);
   const PipelineResult result = run_pipeline(loaded.table, config);
@@ -855,7 +845,7 @@ int cmd_timeline(const ArgParser& args) {
   }
   const auto in = args.option("in");
   if (!in.has_value()) return usage();
-  const LoadedTrace loaded = load(*in);
+  const RobustLoadedTrace loaded = load_robust(*in, ErrorPolicy::kStrict);
   PipelineConfig config;
   config.cluster_params.min_sessions = auto_min_sessions(loaded.table, args);
   const PipelineResult result = run_pipeline(loaded.table, config);
@@ -927,7 +917,7 @@ int cmd_report(const ArgParser& args) {
   }
   const auto in = args.option("in");
   if (!in.has_value()) return usage();
-  const LoadedTrace loaded = load(*in);
+  const RobustLoadedTrace loaded = load_robust(*in, ErrorPolicy::kStrict);
   PipelineConfig config;
   config.cluster_params.min_sessions = auto_min_sessions(loaded.table, args);
   const PipelineResult result = run_pipeline(loaded.table, config);
