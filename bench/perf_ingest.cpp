@@ -1,6 +1,6 @@
-// Standalone VQTC ingest benchmark: times the columnar reader on two
-// generated traces held in memory (a std::stringstream), so the figures
-// are decode cost, not disk, and writes them to BENCH_ingest.json:
+// Standalone trace ingest benchmark: times the trace readers on generated
+// traces held in memory (a std::stringstream), so the figures are decode
+// cost, not disk, and writes them to BENCH_ingest.json:
 //
 //   paper  hourly epochs of the paper-scale world (379 sites, 19 CDNs,
 //          2000 ASNs, ~8K sessions each), read one epoch at a time through
@@ -9,18 +9,22 @@
 //   bench  the wide-epoch world (20 sites, 3 CDNs, 50 ASNs; e2ebench's
 //          bench world) loaded whole by read_trace_columnar_robust into a
 //          SessionTable, as the batch commands load it (MB/s of container)
+//   bench_vqtr  the same sessions as a row-wise VQTR container, loaded
+//          whole by read_trace_binary_robust (MB/s of container).  Reported
+//          only: no CI gate tracks it.
 //
-// Each repeat times both in turn, so a burst of host noise lands on both;
-// each figure is the median repeat, and the JSON records the spread
-// (interquartile range over median).  A plain main() like the other perf_*
-// gates, so CI runs it in smoke mode and diffs it against
+// Each repeat times the paper stream and the bench load in turn, so a
+// burst of host noise lands on both; the VQTR loads follow in a loop of
+// their own.  Each figure is the median repeat, and the JSON records the
+// spread (interquartile range over median).  A plain main() like the other
+// perf_* gates, so CI runs it in smoke mode and diffs it against
 // bench/baselines/ingest_smoke.json with tools/bench_check.
 //
 //   usage: perf_ingest [--smoke] [output.json]
 //
-// Smoke mode shrinks both traces and the repeat count so the binary
+// Smoke mode shrinks the traces and the repeat count so the binary
 // finishes in seconds.  Before it reports anything, every epoch read and
-// the whole load must equal the generated sessions, with a clean
+// both whole loads must equal the generated sessions, with a clean
 // IngestReport, or the binary exits 1 without writing numbers.
 
 #include <algorithm>
@@ -34,6 +38,7 @@
 #include <vector>
 
 #include "src/gen/columnar.h"
+#include "src/gen/trace_io.h"
 #include "src/gen/tracegen.h"
 
 namespace {
@@ -42,7 +47,8 @@ using Clock = std::chrono::steady_clock;
 
 struct Trace {
   vq::SessionTable table;
-  std::string bytes;  // the VQTC container
+  std::string bytes;       // the VQTC container
+  std::string vqtr_bytes;  // the same sessions as a VQTR container
 };
 
 Trace make_trace(std::uint32_t sites, std::uint32_t cdns, std::uint32_t asns,
@@ -67,6 +73,9 @@ Trace make_trace(std::uint32_t sites, std::uint32_t cdns, std::uint32_t asns,
   std::stringstream buffer{std::ios::in | std::ios::out | std::ios::binary};
   vq::write_trace_columnar(buffer, out.table, world.schema());
   out.bytes = buffer.str();
+  std::stringstream rows{std::ios::in | std::ios::out | std::ios::binary};
+  vq::write_trace_binary(rows, out.table, world.schema());
+  out.vqtr_bytes = rows.str();
   return out;
 }
 
@@ -148,9 +157,12 @@ int main(int argc, char** argv) {
   // Correctness before the numbers mean anything.
   bool ok = true;
   (void)stream_epochs(paper, true, ok);
-  {
-    std::stringstream in{bench.bytes, std::ios::in | std::ios::binary};
-    const vq::RobustLoadedTrace loaded = vq::read_trace_columnar_robust(in);
+  for (const bool vqtr : {false, true}) {
+    std::stringstream in{vqtr ? bench.vqtr_bytes : bench.bytes,
+                         std::ios::in | std::ios::binary};
+    const vq::RobustLoadedTrace loaded =
+        vqtr ? vq::read_trace_binary_robust(in)
+             : vq::read_trace_columnar_robust(in);
     ok = ok && !loaded.report.degraded() &&
          loaded.table.num_epochs() == bench.table.num_epochs() &&
          same_rows(loaded.table.sessions(), bench.table.sessions());
@@ -174,11 +186,24 @@ int main(int argc, char** argv) {
     if (loaded.table.size() != bench.table.size()) return 1;
     bench_s.push_back(std::chrono::duration<double>(stop - start).count());
   }
+  // The ungated VQTR load runs after the gated figures, so it changes
+  // nothing of the conditions they are measured under.
+  std::vector<double> vqtr_s;
+  for (std::size_t r = 0; r < reps; ++r) {
+    std::stringstream in{bench.vqtr_bytes, std::ios::in | std::ios::binary};
+    const auto start = Clock::now();
+    const vq::RobustLoadedTrace loaded = vq::read_trace_binary_robust(in);
+    const auto stop = Clock::now();
+    if (loaded.table.size() != bench.table.size()) return 1;
+    vqtr_s.push_back(std::chrono::duration<double>(stop - start).count());
+  }
 
   const Figure p = summarize(paper_s);
   const Figure b = summarize(bench_s);
+  const Figure v = summarize(vqtr_s);
   const double epochs = static_cast<double>(paper.table.num_epochs());
   const double bench_mb = static_cast<double>(bench.bytes.size()) / 1e6;
+  const double vqtr_mb = static_cast<double>(bench.vqtr_bytes.size()) / 1e6;
   std::printf("perf_ingest: %zu reps\n", reps);
   std::printf("  paper stream: %u epochs, %zu sessions: median %.1f us per "
               "epoch (%.0f epochs/s, spread %.1f %%)\n",
@@ -188,6 +213,9 @@ int main(int argc, char** argv) {
               "MB/s, spread %.1f %%)\n",
               bench.table.size(), bench_mb, b.median * 1e3,
               bench_mb / b.median, b.spread * 100.0);
+  std::printf("  bench .vqtr load: %.1f MB: median %.2f ms (%.0f MB/s, "
+              "spread %.1f %%)\n",
+              vqtr_mb, v.median * 1e3, vqtr_mb / v.median, v.spread * 100.0);
 
   std::ofstream out{out_path};
   if (!out) {
@@ -207,7 +235,11 @@ int main(int argc, char** argv) {
       << "  \"bench_mb\": " << bench_mb << ",\n"
       << "  \"bench_load_ms\": " << b.median * 1e3 << ",\n"
       << "  \"bench_spread\": " << b.spread << ",\n"
-      << "  \"bench_load_mb_per_sec\": " << bench_mb / b.median << "\n"
+      << "  \"bench_load_mb_per_sec\": " << bench_mb / b.median << ",\n"
+      << "  \"bench_vqtr_mb\": " << vqtr_mb << ",\n"
+      << "  \"bench_vqtr_load_ms\": " << v.median * 1e3 << ",\n"
+      << "  \"bench_vqtr_spread\": " << v.spread << ",\n"
+      << "  \"bench_vqtr_load_mb_per_sec\": " << vqtr_mb / v.median << "\n"
       << "}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

@@ -89,23 +89,23 @@ constexpr std::array<int, 6> kCodeShifts = {7, 15, 23, 31, 39, 47};
 static_assert(kCodeShifts.front() == kNumDims &&
               kCodeShifts.back() + 8 >= kLeafKeyBits);
 
-/// Stable LSD radix sort of codes[0, n) by their leaf key bits, through
-/// `scratch` (n entries).  One read pass gathers every digit's histogram,
-/// and a digit that is constant across the codes is skipped, as
-/// radix_sort_pairs skips one.  Returns the buffer holding the sorted
-/// codes.
+}  // namespace
+
+namespace detail {
+
 // vq:hot
-const std::uint64_t* sort_codes(std::uint64_t* codes, std::uint64_t* scratch,
-                                std::size_t n) noexcept {
-  if (n < 2) return codes;
+const std::uint64_t* radix_sort_keys(std::uint64_t* keys,
+                                     std::uint64_t* scratch,
+                                     std::size_t n) noexcept {
+  if (n < 2) return keys;
   std::array<std::array<std::uint32_t, 256>, kCodeShifts.size()> hist{};
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t c = codes[i];
+    const std::uint64_t k = keys[i];
     for (std::size_t d = 0; d < kCodeShifts.size(); ++d) {
-      ++hist[d][(c >> kCodeShifts[d]) & 0xFFu];
+      ++hist[d][(k >> kCodeShifts[d]) & 0xFFu];
     }
   }
-  std::uint64_t* src = codes;
+  std::uint64_t* src = keys;
   std::uint64_t* dst = scratch;
   for (std::size_t d = 0; d < kCodeShifts.size(); ++d) {
     std::array<std::uint32_t, 256>& h = hist[d];
@@ -118,13 +118,17 @@ const std::uint64_t* sort_codes(std::uint64_t* codes, std::uint64_t* scratch,
       sum += count;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t c = src[i];
-      dst[h[(c >> shift) & 0xFFu]++] = c;
+      const std::uint64_t k = src[i];
+      dst[h[(k >> shift) & 0xFFu]++] = k;
     }
     std::swap(src, dst);
   }
   return src;
 }
+
+}  // namespace detail
+
+namespace {
 
 /// Distinct leaves among sorted fold codes: codes of one leaf differ only
 /// in the mask bits.
@@ -205,7 +209,7 @@ void fold_codes(LeafFold& fold) {
   }
   if (fold.code_scratch.size() < n) fold.code_scratch.resize(n);
   const std::uint64_t* sorted =
-      sort_codes(fold.codes.data(), fold.code_scratch.data(), n);
+      detail::radix_sort_keys(fold.codes.data(), fold.code_scratch.data(), n);
   // Grown geometrically: resized to each new high of a stream's leaf
   // count, the array would move at every diurnal climb and leave behind
   // freed blocks too small for the next, which only grows the heap.

@@ -384,6 +384,17 @@ void expand_fold_into(const LeafFold& fold, const ClusterEngineConfig& config,
 
 namespace detail {
 
+/// Stable LSD radix sort of keys[0, n) by the key bits above the mask
+/// bits, through `scratch` (n entries): fold codes by their leaf key (the
+/// problem bits below are never sorted on), and cluster keys that arrive in
+/// ascending mask order into ascending raw order.  One read pass gathers
+/// every digit's histogram, and a digit that is constant across the keys is
+/// skipped, as radix_sort_pairs skips one.  Returns the buffer holding the
+/// sorted keys: `keys` or `scratch`.
+const std::uint64_t* radix_sort_keys(std::uint64_t* keys,
+                                     std::uint64_t* scratch,
+                                     std::size_t n) noexcept;
+
 /// Stable LSD radix sort of the pairs (keys[i], cells[i]), i < n, by the
 /// key bits above the mask bits: the canonical order of cells that share a
 /// mask, in which expand_fold_into sorts each mask's emitted cells.  It

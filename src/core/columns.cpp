@@ -55,24 +55,27 @@ void SessionColumns::append_rows(std::uint32_t epoch,
   // Grow geometrically: reserving exactly the new size on every call would
   // copy `out` once per appended batch, quadratic over a whole trace.
   const std::size_t n = size();
-  const std::size_t base = out.size();
-  const std::size_t need = base + n;
+  const std::size_t need = out.size() + n;
   if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
-  out.resize(need);
-  // One sequential write stream, fed by one read stream per column.  The
+  // One sequential write stream, fed by one read stream per column, and
+  // each row written once, into reserved room: resizing first would write
+  // (and first-touch) the whole batch before the loop overwrote it.  The
   // fields are stored directly: assigning each row from row() measured
   // ~30 % slower on a whole-trace load.
   std::array<const std::uint16_t*, kNumDims> ids{};
   for (std::size_t d = 0; d < ids.size(); ++d) ids[d] = attrs[d].data();
-  Session* rows = out.data() + base;
+  const float* const buffering = buffering_ratio.data();
+  const float* const bitrate = bitrate_kbps.data();
+  const float* const join_time = join_time_ms.data();
+  const std::uint8_t* const failed = join_failed.data();
   for (std::size_t i = 0; i < n; ++i) {
-    Session& s = rows[i];
+    Session& s = out.emplace_back();
     for (std::size_t d = 0; d < ids.size(); ++d) s.attrs.v[d] = ids[d][i];
     s.epoch = epoch;
-    s.quality.buffering_ratio = buffering_ratio[i];
-    s.quality.bitrate_kbps = bitrate_kbps[i];
-    s.quality.join_time_ms = join_time_ms[i];
-    s.quality.join_failed = join_failed[i] != 0;
+    s.quality.buffering_ratio = buffering[i];
+    s.quality.bitrate_kbps = bitrate[i];
+    s.quality.join_time_ms = join_time[i];
+    s.quality.join_failed = failed[i] != 0;
   }
 }
 

@@ -74,8 +74,8 @@ struct SessionColumns {
   /// Appends the batch as Session rows carrying `epoch` (the streaming
   /// monitor's per-epoch materialisation, and the whole-trace loaders').
   /// `out` grows geometrically, so appending a trace's batches one by one
-  /// reallocates O(log rows) times; each call resizes it once and writes
-  /// the rows in place.
+  /// reallocates O(log rows) times; each row is written once, into
+  /// reserved room.
   void append_rows(std::uint32_t epoch, std::vector<Session>& out) const;
 
   /// Builds the batch from row-wise sessions. Every session must carry

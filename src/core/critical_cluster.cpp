@@ -224,6 +224,24 @@ void CriticalSweep::attribute(std::uint32_t id, double share) {
   attribution_[id] += share;  // share > 0, so touched_ stays accurate
 }
 
+void CriticalSweep::sort_problem_keys(std::vector<std::uint64_t>& keys) {
+  // The keys come in cell id order: ascending by mask, the low key bits,
+  // and ascending within a mask.  A stable radix sort by the bits above the
+  // mask therefore leaves them in raw order, in a few linear passes; on a
+  // floor-1 lattice's lists it takes under half the time of std::sort.
+  // Lists below the measured crossover sort faster by comparison.
+  const std::size_t n = keys.size();
+  if (n < detail::kRadixMinProblemKeys) {
+    std::sort(keys.begin(), keys.end());
+    return;
+  }
+  if (key_scratch_.size() < n) key_scratch_.resize(n);
+  if (detail::radix_sort_keys(keys.data(), key_scratch_.data(), n) !=
+      keys.data()) {
+    std::copy_n(key_scratch_.data(), n, keys.data());
+  }
+}
+
 std::array<CriticalAnalysis, kNumMetrics> CriticalSweep::run(
     const EpochClusterTable& table, const ProblemClusterParams& params,
     MetricSet metrics) {
@@ -265,7 +283,7 @@ std::array<CriticalAnalysis, kNumMetrics> CriticalSweep::run(
     if (!((metrics >> m) & 1u)) continue;
     CriticalAnalysis& a = out[m];
     fill_header(a, table, metric);
-    std::sort(a.problem_cluster_keys.begin(), a.problem_cluster_keys.end());
+    sort_problem_keys(a.problem_cluster_keys);
     a.num_problem_clusters =
         static_cast<std::uint32_t>(a.problem_cluster_keys.size());
 

@@ -57,6 +57,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -175,6 +176,9 @@ class CriticalSweep {
                     CriticalAnalysis& out);
   /// Adds one share to cell `id`'s attribution.
   void attribute(std::uint32_t id, double share);
+  /// Puts one metric's problem-cluster keys, which arrive in ascending
+  /// mask order, in ascending raw order.
+  void sort_problem_keys(std::vector<std::uint64_t>& keys);
 
   std::vector<std::uint16_t> words_;  // per cell
   // Per metric, the ids of its flagged cells, ascending.
@@ -188,6 +192,7 @@ class CriticalSweep {
   std::vector<std::uint8_t> solved_;
   std::vector<double> attribution_;  // per cell; all zero between metrics
   std::vector<std::uint32_t> touched_;
+  std::vector<std::uint64_t> key_scratch_;  // the key sort's second buffer
 };
 
 /// All four analyses of one epoch in one sweep (CriticalSweep::run with
@@ -222,6 +227,12 @@ namespace detail {
 /// delta engine (src/core/incremental.cpp) finalizes with the exact same
 /// sort and floating-point summation sequence as the sweep.
 void finalize_critical_analysis(CriticalAnalysis& out);
+
+/// The shortest problem-cluster key list the sweep sorts by radix_sort_keys
+/// (cluster_engine.h); shorter lists take std::sort.  Measured: the radix
+/// sort's fixed cost (six 256-entry histograms) loses below ~2 000 keys and
+/// wins above (EXPERIMENTS.md, "Problem-cluster keys by radix sort").
+inline constexpr std::size_t kRadixMinProblemKeys = 2048;
 
 }  // namespace detail
 

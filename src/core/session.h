@@ -67,11 +67,28 @@ struct Session {
   QualityMetrics quality;
 };
 
+/// A table's rows counted per epoch as they were appended: what a
+/// whole-trace reader tallies while it builds its table
+/// (gen/ingest_sink.h, TableBuilder), so the table needs no counting pass.
+struct EpochCounts {
+  /// counts[e] rows carry epoch e.
+  std::vector<std::size_t> counts;
+  /// True when no row's epoch is below its predecessor's.
+  bool ordered = true;
+};
+
 /// Columnar access helpers over a session collection.
 class SessionTable {
  public:
   SessionTable() = default;
+  /// Counts the rows' epochs in one pass, then indexes them (finalize()).
   explicit SessionTable(std::vector<Session> sessions);
+  /// Indexes rows whose epochs were counted as they were appended, without
+  /// the counting pass.  The counts are checked in O(epochs): they must sum
+  /// to the row count, or std::invalid_argument is thrown.  Rows out of
+  /// epoch order are stably scattered, as finalize() does.  As with the
+  /// counting pass, epochs after the last one with a row are not indexed.
+  SessionTable(std::vector<Session> sessions, EpochCounts counts);
 
   [[nodiscard]] std::span<const Session> sessions() const noexcept {
     return sessions_;
@@ -96,6 +113,10 @@ class SessionTable {
   void finalize();
 
  private:
+  /// Turns epoch_offsets_ (slot e + 1 holding epoch e's count) into the
+  /// index, scattering the rows stably by epoch unless `ordered`.
+  void build_index(bool ordered);
+
   std::vector<Session> sessions_;
   std::vector<std::size_t> epoch_offsets_;  // size num_epochs_+1 once built
   std::uint32_t num_epochs_ = 0;

@@ -329,6 +329,14 @@ void ColumnarReader::Impl::load_index() {
           entry.offset + chunk_bytes(entry.count) > footer_offset) {
         return damaged("footer entry out of range", footer_offset);
       }
+      // Chunks lie one after another: an extent that runs past the next
+      // entry's offset is a forged count or offset, which would otherwise
+      // reach total_sessions() and the whole-trace reservation.
+      if (!found.empty() && found.back().offset +
+                                    chunk_bytes(found.back().count) >
+                                entry.offset) {
+        return damaged("footer entries overlap", footer_offset);
+      }
       found.push_back(entry);
     }
     return true;
@@ -634,21 +642,21 @@ namespace {
 
 RobustLoadedTrace materialize(ColumnarReader& reader) {
   RobustLoadedTrace out;
-  std::vector<Session> sessions;
-  // One allocation: the index counts every row an undamaged read yields.
-  // The counts are untrusted (forged chunks may overlap), so the reserve is
-  // capped by the rows the container's bytes can hold.
-  sessions.reserve(static_cast<std::size_t>(
+  detail::TableBuilder table;
+  // One allocation: the index counts every row an undamaged read yields,
+  // and a read keeps no more rows than a chunk's count.  The reserve is
+  // capped by the rows the container's bytes can hold all the same.
+  table.reserve(static_cast<std::size_t>(
       std::min(reader.total_sessions(), reader.max_rows())));
   SessionColumns columns;
   for (std::uint32_t e = 0; e < reader.num_epochs(); ++e) {
     reader.read_epoch(e, columns);
-    columns.append_rows(e, sessions);
+    table.append(e, columns);
   }
   out.report = reader.report();
   publish_ingest_metrics(out.report);
   out.schema = reader.take_schema();
-  out.table = SessionTable{std::move(sessions)};
+  out.table = std::move(table).finish();
   return out;
 }
 

@@ -2,23 +2,31 @@
 // every ingest path applies to every row — the CSV and VQTR readers
 // (robust_io.cpp), the VQTC per-row fallback (columnar.cpp) and the serve
 // data frames (src/serve/server.cpp) — plus the readers' rejection sink,
-// per-epoch damage tally and positioned-message helpers.  Not installed as
-// public API: include only from src/gen and src/serve implementation files.
+// per-epoch damage tally, positioned-message helpers, and the one path by
+// which the three whole-trace readers build their table (TableBuilder).
+// Not installed as public API: include only from src/gen and src/serve
+// implementation files.
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
+#include "src/core/columns.h"
 #include "src/gen/robust_io.h"
 #include "src/gen/trace_format.h"
+#include "src/util/huge_pages.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
@@ -174,6 +182,8 @@ class RowSink {
 };
 
 /// Per-epoch kept/quarantined tallies, folded into the report at the end.
+/// The row readers count kept rows in their TableBuilder, one array slot
+/// per epoch, and tally them here once per epoch when the load ends.
 class EpochTally {
  public:
   void kept(std::uint32_t epoch, std::uint64_t n = 1) {
@@ -181,6 +191,15 @@ class EpochTally {
   }
   void quarantined(std::uint32_t epoch, std::uint64_t n = 1) {
     counts_[epoch].second += n;
+  }
+
+  /// Tallies a TableBuilder's kept rows, once per epoch that kept any.
+  void kept(std::span<const std::size_t> epoch_counts) {
+    for (std::size_t e = 0; e < epoch_counts.size(); ++e) {
+      if (epoch_counts[e] != 0) {
+        kept(static_cast<std::uint32_t>(e), epoch_counts[e]);
+      }
+    }
   }
 
   void fold_into(IngestReport& report) const {
@@ -193,6 +212,81 @@ class EpochTally {
 
  private:
   std::map<std::uint32_t, std::pair<std::uint64_t, std::uint64_t>> counts_;
+};
+
+/// The one way a whole-trace reader builds its SessionTable (DESIGN.md
+/// §4.9).  The rows are reserved once where the reader knows a bound and
+/// grow geometrically where it does not; every reservation is advised for
+/// huge pages (util/huge_pages.h); each row is written once, into reserved
+/// room (push_back, or SessionColumns::append_rows for a chunk); and kept
+/// rows are counted per epoch as they are appended, so the table arrives
+/// indexed (SessionTable's EpochCounts constructor) without a counting
+/// pass over its rows.
+class TableBuilder {
+ public:
+  /// Room for `rows` rows in one allocation: the reader's bound on what it
+  /// keeps.  Appending past it grows the rows geometrically.
+  void reserve(std::size_t rows) {
+    if (rows <= rows_.capacity()) return;
+    // Advised before the rows kept so far move in: the copy is the first
+    // touch of the new buffer's front, which the advice must precede.
+    std::vector<Session> grown;
+    grown.reserve(rows);
+    advise_huge_pages(grown.data(), grown.capacity() * sizeof(Session));
+    grown.insert(grown.end(), rows_.begin(), rows_.end());
+    rows_ = std::move(grown);
+  }
+
+  void append(const Session& s) {
+    if (rows_.size() == rows_.capacity()) grow(1);
+    rows_.push_back(s);
+    count(s.epoch, 1);
+  }
+
+  /// Appends a batch whose rows all carry `epoch`.
+  void append(std::uint32_t epoch, const SessionColumns& batch) {
+    const std::size_t n = batch.size();
+    if (n == 0) return;
+    if (rows_.capacity() - rows_.size() < n) grow(n);
+    batch.append_rows(epoch, rows_);
+    count(epoch, n);
+  }
+
+  /// Kept rows per epoch so far (slot e counts epoch e), which the reader
+  /// passes to its EpochTally when the load ends.
+  [[nodiscard]] std::span<const std::size_t> epoch_counts() const noexcept {
+    return index_.counts;
+  }
+
+  /// The table, indexed by the counts.
+  [[nodiscard]] SessionTable finish() && {
+    return SessionTable{std::move(rows_), std::move(index_)};
+  }
+
+ private:
+  void grow(std::size_t more) {
+    reserve(std::max(rows_.size() + more, 2 * rows_.capacity()));
+  }
+
+  void count(std::uint32_t epoch, std::size_t n) {
+    if (epoch >= index_.counts.size()) {
+      // Epoch UINT32_MAX leaves no num_epochs(): refused as the counting
+      // constructor refuses it.  Only a caller that lifts the epoch cap,
+      // whose rejections are positioned, can get such a row this far.
+      if (epoch == std::numeric_limits<std::uint32_t>::max()) {
+        // vq-lint: allow(positioned-throw)
+        throw std::out_of_range{"SessionTable: epoch id out of range"};
+      }
+      index_.counts.resize(std::size_t{epoch} + 1, 0);
+    }
+    index_.counts[epoch] += n;
+    index_.ordered = index_.ordered && epoch >= last_epoch_;
+    last_epoch_ = epoch;
+  }
+
+  std::vector<Session> rows_;
+  EpochCounts index_;
+  std::uint32_t last_epoch_ = 0;
 };
 
 [[nodiscard]] inline std::string at_line(std::uint64_t line_no) {

@@ -180,7 +180,7 @@ RobustLoadedTrace read_trace_csv_robust(std::istream& in,
     throw std::runtime_error{"read_trace_csv: unexpected header at line 1"};
   }
 
-  std::vector<Session> sessions;
+  detail::TableBuilder table;  // no row bound: grows geometrically
   std::uint64_t line_no = 1;  // physical, 1-based; header is line 1
   const bool best_effort = options.policy == ErrorPolicy::kBestEffort;
   const detail::RowPolicy policy{options.policy, options.max_epoch,
@@ -259,9 +259,8 @@ RobustLoadedTrace read_trace_csv_robust(std::istream& in,
       continue;
     }
 
-    tally.kept(s.epoch);
     report.rows_kept += 1;
-    sessions.push_back(s);
+    table.append(s);
   }
   if (in.bad()) {
     // The stream died mid-read: treat the line being read as one lost row so
@@ -272,9 +271,10 @@ RobustLoadedTrace read_trace_csv_robust(std::istream& in,
                 "stream failure (I/O error)" + at_line(line_no + 1));
   }
 
+  tally.kept(table.epoch_counts());
   tally.fold_into(report);
   publish_ingest_metrics(report);
-  out.table = SessionTable{std::move(sessions)};
+  out.table = std::move(table).finish();
   return out;
 }
 
@@ -335,15 +335,15 @@ RobustLoadedTrace read_trace_binary_robust(std::istream& in,
   const auto count = detail::read_pod<std::uint64_t>(in);
   offset += 8;
 
-  std::vector<Session> sessions;
+  detail::TableBuilder table;
   // The count is untrusted: a corrupted header could demand a multi-GB
   // up-front allocation before the first truncated read fails. Reserve no
   // more rows than the remaining bytes hold; when the stream cannot report
-  // its size, reserve a bounded floor and let push_back's geometric growth
-  // cover honest large traces.
+  // its size, reserve a bounded floor and let the builder's geometric
+  // growth cover honest large traces.
   constexpr std::uint64_t kMaxInitialReserve = 1u << 16;
   const std::optional<std::uint64_t> bytes = remaining_bytes(in);
-  sessions.reserve(static_cast<std::size_t>(std::min(
+  table.reserve(static_cast<std::size_t>(std::min(
       count, bytes.has_value() ? *bytes / kBinaryRecordSize
                                : kMaxInitialReserve)));
 
@@ -377,16 +377,16 @@ RobustLoadedTrace read_trace_binary_robust(std::istream& in,
       sink.reject(ordinal, offset, fault->kind,
                   fault->reason(row, policy) + at_record(ordinal, offset));
     } else {
-      tally.kept(row.session.epoch);
       report.rows_kept += 1;
-      sessions.push_back(row.session);
+      table.append(row.session);
     }
     offset += kBinaryRecordSize;
   }
 
+  tally.kept(table.epoch_counts());
   tally.fold_into(report);
   publish_ingest_metrics(report);
-  out.table = SessionTable{std::move(sessions)};
+  out.table = std::move(table).finish();
   return out;
 }
 

@@ -4,7 +4,9 @@
 // and as a serve data frame, give the same kept rows, reason counts, clamp
 // counts and degraded epochs under every ErrorPolicy, and those are the
 // ones the policy table names.  The files are written byte by byte here,
-// not through the writers or the record codec under test.
+// not through the writers or the record codec under test.  Every table a
+// reader builds also passes the indexed-table differential
+// (test_support.h, expect_indexed_as_counted).
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 #include "src/serve/producer.h"
 #include "src/serve/server.h"
 #include "tests/socket_fault.h"
+#include "tests/test_support.h"
 #include "tests/vqtc_test_util.h"
 
 namespace vq {
@@ -226,6 +229,7 @@ Outcome read_file(Path path, const std::string& bytes, ErrorPolicy policy) {
         path == Path::kCsv    ? read_trace_csv_robust(in, options)
         : path == Path::kVqtr ? read_trace_binary_robust(in, options)
                               : read_trace_columnar_robust(in, options);
+    test::expect_indexed_as_counted(loaded.table);
     const IngestReport& report = loaded.report;
     out.kept_count = report.rows_kept;
     // A CSV reader numbers names in the order it meets them: compare ids

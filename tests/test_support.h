@@ -191,4 +191,28 @@ class FoldBuilder {
   return rows;
 }
 
+/// The indexed-table differential: `table`, as a trace reader indexed it
+/// from the epoch counts it tallied while appending rows, must equal the
+/// table the counting constructor builds from the same rows: the rows,
+/// num_epochs() and every epoch(e) span, by position and length.
+inline void expect_indexed_as_counted(const SessionTable& table) {
+  const std::span<const Session> rows = table.sessions();
+  const SessionTable counted{std::vector<Session>(rows.begin(), rows.end())};
+  const std::span<const Session> want = counted.sessions();
+  ASSERT_EQ(rows.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(rows[i].epoch, want[i].epoch) << "row " << i;
+    EXPECT_EQ(rows[i].attrs, want[i].attrs) << "row " << i;
+    EXPECT_EQ(rows[i].quality, want[i].quality) << "row " << i;
+  }
+  ASSERT_EQ(table.num_epochs(), counted.num_epochs());
+  for (std::uint32_t e = 0; e < counted.num_epochs(); ++e) {
+    EXPECT_EQ(table.epoch(e).data() - rows.data(),
+              counted.epoch(e).data() - want.data())
+        << "epoch " << e;
+    EXPECT_EQ(table.epoch(e).size(), counted.epoch(e).size())
+        << "epoch " << e;
+  }
+}
+
 }  // namespace vq::test

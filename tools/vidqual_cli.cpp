@@ -206,6 +206,15 @@ void note_ignored_incremental(const ArgParser& args) {
   }
 }
 
+/// Reports an ingest pass's data quality on stderr when it lost rows,
+/// was truncated, or repaired fields under best-effort.
+void print_ingest_line(const IngestReport& report, ErrorPolicy policy) {
+  if (!report.degraded() && report.fields_clamped == 0) return;
+  std::fprintf(stderr, "ingest (%s): %s\n",
+               std::string{error_policy_name(policy)}.c_str(),
+               report.summary().c_str());
+}
+
 /// Loads with the row-error policy and reports data quality on stderr.
 RobustLoadedTrace load_robust(std::string_view path, ErrorPolicy policy) {
   const std::filesystem::path p{std::string{path}};
@@ -219,11 +228,7 @@ RobustLoadedTrace load_robust(std::string_view path, ErrorPolicy policy) {
     }
     return read_trace_csv_robust(p, options);
   }();
-  if (loaded.report.degraded()) {
-    std::fprintf(stderr, "ingest (%s): %s\n",
-                 std::string{error_policy_name(policy)}.c_str(),
-                 loaded.report.summary().c_str());
-  }
+  print_ingest_line(loaded.report, policy);
   return loaded;
 }
 
@@ -440,11 +445,7 @@ int cmd_analyze(const ArgParser& args) {
     result = run_pipeline_streaming(reader, config);
     const IngestReport report = reader.report();
     publish_ingest_metrics(report);
-    if (report.degraded()) {
-      std::fprintf(stderr, "ingest (%s): %s\n",
-                   std::string{error_policy_name(*policy)}.c_str(),
-                   report.summary().c_str());
-    }
+    print_ingest_line(report, *policy);
     schema = reader.take_schema();
   } else {
     RobustLoadedTrace loaded = load_robust(*in, *policy);
@@ -793,11 +794,7 @@ int cmd_monitor(const ArgParser& args) {
   if (streaming) {
     const IngestReport report = reader->report();
     publish_ingest_metrics(report);
-    if (report.degraded()) {
-      std::fprintf(stderr, "ingest (%s): %s\n",
-                   std::string{error_policy_name(*policy)}.c_str(),
-                   report.summary().c_str());
-    }
+    print_ingest_line(report, *policy);
   }
   std::printf("total incidents opened:");
   for (const Metric m : kAllMetrics) {
