@@ -6,8 +6,8 @@
 // (ExpandWorkspace, CriticalSweep) and keeps them from one analyze() to the
 // next.  That matters to consumers that analyse many epochs in sequence —
 // run_pipeline_streaming and StreamingDetector each keep one analyzer for
-// their whole lifetime, and run_pipeline keeps one per compute thread,
-// which its epoch tasks check out in turn.  Freed and
+// their whole lifetime, and run_pipeline builds one per compute thread,
+// which that thread keeps across the epochs it claims.  Freed and
 // re-requested every epoch, the large buffers would be served by glibc
 // from fresh mmap'd (or trimmed) pages whenever they cross its dynamic
 // mmap and trim thresholds, and every page would fault in again; kept,

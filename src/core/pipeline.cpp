@@ -1,16 +1,14 @@
 #include "src/core/pipeline.h"
 
 #include <algorithm>
-#include <memory>
+#include <atomic>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "src/core/epoch_analyzer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/util/mutex.h"
 #include "src/util/thread_pool.h"
 
 namespace vq {
@@ -74,65 +72,6 @@ struct EpochCounters {
   }
 };
 
-/// run_pipeline's per-thread epoch state: one fold and one analyzer per
-/// compute thread, each kept across the epochs it serves so its buffers'
-/// pages stay mapped.  An epoch task checks a slot out for its duration.
-/// A pool thread runs one epoch task at a time, so the pool's workers and
-/// the calling thread never need more slots than there are threads.
-class EpochSlots {
- public:
-  struct Slot {
-    explicit Slot(const PipelineConfig& config)
-        : analyzer{config.engine, config.cluster_params} {}
-    LeafFold fold;
-    EpochAnalyzer analyzer;
-  };
-
-  /// A slot held by one epoch task, returned when the lease ends, also
-  /// when the task throws.
-  class Lease {
-   public:
-    explicit Lease(EpochSlots& slots) : slots_(slots), slot_(slots.take()) {}
-    ~Lease() { slots_.give_back(slot_); }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Slot* operator->() const noexcept { return slot_; }
-
-   private:
-    EpochSlots& slots_;
-    Slot* slot_;
-  };
-
-  EpochSlots(std::size_t threads, const PipelineConfig& config) {
-    slots_.reserve(threads);
-    const MutexLock lock{mutex_};
-    free_.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      slots_.push_back(std::make_unique<Slot>(config));
-      free_.push_back(slots_.back().get());
-    }
-  }
-
- private:
-  Slot* take() {
-    const MutexLock lock{mutex_};
-    if (free_.empty()) {
-      throw std::logic_error{"run_pipeline: more epoch tasks than threads"};
-    }
-    Slot* slot = free_.back();
-    free_.pop_back();
-    return slot;
-  }
-  void give_back(Slot* slot) noexcept {
-    const MutexLock lock{mutex_};
-    free_.push_back(slot);  // within the capacity reserved for every slot
-  }
-
-  std::vector<std::unique_ptr<Slot>> slots_;
-  Mutex mutex_;
-  std::vector<Slot*> free_ VQ_GUARDED_BY(mutex_);
-};
-
 }  // namespace
 
 PipelineResult run_pipeline(const SessionTable& table,
@@ -154,55 +93,50 @@ PipelineResult run_pipeline(const SessionTable& table,
   result.num_epochs = table.num_epochs();
   for (auto& v : result.per_metric) v.resize(result.num_epochs);
 
-  const std::size_t workers =
-      config.workers == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : config.workers;
-  std::optional<ThreadPool> pool;
-  if (workers > 1 && result.num_epochs > 0) pool.emplace(workers);
-  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
+  // Largest epochs first (ties by index): a large epoch never starts last
+  // and leaves the pass ending on one thread.  Results land in per-epoch
+  // slots and the counters are sums, so the order changes no output.
+  std::vector<std::uint32_t> order(result.num_epochs);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return table.epoch(a).size() > table.epoch(b).size();
+                   });
+  std::atomic<std::size_t> next{0};
 
   EpochCounters counters;
-  EpochSlots slots{pool_ptr == nullptr ? 1 : pool_ptr->worker_count() + 1,
-                   config};
-
-  const auto process_epoch = [&](std::size_t e) {
-    const auto epoch = static_cast<std::uint32_t>(e);
-    VQ_SPAN_EPOCH("pipeline.epoch", epoch);
-    const std::span<const Session> sessions = table.epoch(epoch);
-    const EpochSlots::Lease slot{slots};
-    // One leaf fold per epoch feeds both the lattice expansion and all four
-    // critical analyses.
-    {
-      VQ_SPAN_EPOCH("pipeline.fold_sessions", epoch);
-      fold_sessions_into(sessions, config.thresholds, epoch, slot->fold);
+  ThreadPool pool{config.workers};
+  // One index per compute thread.  Each builds its own fold and analyzer,
+  // keeps them across the epochs it claims so their buffers' pages stay
+  // mapped, and claims epochs until none is left.
+  pool.parallel_for(0, pool.worker_count() + 1, [&](std::size_t) {
+    LeafFold fold;
+    EpochAnalyzer analyzer{config.engine, config.cluster_params};
+    try {
+      for (std::size_t i = next.fetch_add(1); i < order.size();
+           i = next.fetch_add(1)) {
+        const std::uint32_t epoch = order[i];
+        VQ_SPAN_EPOCH("pipeline.epoch", epoch);
+        const std::span<const Session> sessions = table.epoch(epoch);
+        // One leaf fold per epoch feeds both the lattice expansion and all
+        // four critical analyses.
+        {
+          VQ_SPAN_EPOCH("pipeline.fold_sessions", epoch);
+          fold_sessions_into(sessions, config.thresholds, epoch, fold);
+        }
+        // The analyses publish problem_cluster_keys as a byproduct, so no
+        // separate find_problem_clusters pass is needed per metric.
+        std::array<CriticalAnalysis, kNumMetrics> analyses =
+            analyzer.analyze(fold);
+        counters.record(result, epoch, analyses, sessions.size());
+      }
+    } catch (...) {
+      // A throwing epoch (e.g. an epoch mismatch in fold_sessions_into)
+      // starts no further epoch and surfaces from parallel_for.
+      next.store(order.size());
+      throw;
     }
-    // The analyses publish problem_cluster_keys as a byproduct, so no
-    // separate find_problem_clusters pass is needed per metric.
-    std::array<CriticalAnalysis, kNumMetrics> analyses =
-        slot->analyzer.analyze(slot->fold);
-    counters.record(result, epoch, analyses, sessions.size());
-  };
-
-  if (pool_ptr == nullptr) {
-    for (std::uint32_t e = 0; e < result.num_epochs; ++e) process_epoch(e);
-  } else {
-    // Largest epochs first (ties by index): the pool hands out iterations
-    // in order, so a large epoch never starts last and leaves the pass
-    // ending on one thread.  Results land in per-epoch slots and the
-    // counters are sums, so the order changes no output.
-    std::vector<std::uint32_t> order(result.num_epochs);
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return table.epoch(a).size() > table.epoch(b).size();
-                     });
-    // A throwing epoch (e.g. an epoch mismatch in fold_sessions_into)
-    // surfaces here rather than terminating the process.
-    pool_ptr->parallel_for(0, order.size(), [&](std::size_t i) {
-      process_epoch(order[i]);
-    });
-  }
+  });
   return result;
 }
 

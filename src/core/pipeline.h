@@ -9,9 +9,11 @@
 // analyzer is the one engine both pipelines run; ClusterEngineConfig
 // selects just the arity cap.
 //
-// Batch run_pipeline spreads epochs across a pool of workers, largest
-// first; each epoch is analysed serially.  The streaming pipeline reads
-// epochs in order and analyses each serially on the calling thread.
+// Batch run_pipeline runs one ThreadPool::parallel_for index per compute
+// thread; each builds its own fold and analyzer and claims epochs, largest
+// first, from one shared cursor, analysing each serially.  The streaming
+// pipeline reads epochs in order and analyses each serially on the calling
+// thread.
 
 #pragma once
 
@@ -35,8 +37,9 @@ struct PipelineConfig {
   ProblemClusterParams cluster_params{.ratio_multiplier = 1.5,
                                       .min_sessions = 1000};
   ClusterEngineConfig engine;
-  /// Worker threads of run_pipeline, which analyses epochs on them in
-  /// parallel; 0 = hardware concurrency.  The streaming pipeline does not
+  /// Worker threads of run_pipeline's pool, which analyses epochs on them
+  /// and on the calling thread in parallel; 0 = hardware concurrency, 1 =
+  /// every epoch on the calling thread.  The streaming pipeline does not
   /// read it.  Any value yields identical results.
   std::size_t workers = 1;
   /// Streaming only: optional replacement for the pass-1 fold, e.g. the

@@ -3,15 +3,45 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/util/intern.h"
+#include "src/util/mutex.h"
 #include "src/util/thread_pool.h"
 
 namespace vq {
 namespace {
+
+/// A one-shot signal that a test waits on for at most ~10 s, so a pool that
+/// serialises two things that must overlap fails the test instead of
+/// hanging it.
+class Signal {
+ public:
+  void set() {
+    {
+      const MutexLock lock{mutex_};
+      set_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// True once set; false when the bound passes first.
+  bool wait() {
+    MutexLock lock{mutex_};
+    for (int i = 0; i < 100 && !set_; ++i) {
+      (void)cv_.wait_for(mutex_, std::chrono::milliseconds(100));
+    }
+    return set_;
+  }
+
+ private:
+  Mutex mutex_;
+  CondVar cv_;
+  bool set_ VQ_GUARDED_BY(mutex_) = false;
+};
 
 TEST(StringInterner, AssignsSequentialIds) {
   StringInterner interner;
@@ -57,16 +87,6 @@ TEST(StringInterner, ViewsStayValidAcrossGrowth) {
   EXPECT_EQ(first, "first");
 }
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool{2};
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool{4};
   std::vector<std::atomic<int>> hits(1'000);
@@ -88,11 +108,6 @@ TEST(ThreadPool, SingleWorkerRunsInline) {
     order.push_back(static_cast<int>(i));
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, WaitIdleOnFreshPoolReturnsImmediately) {
-  ThreadPool pool{2};
-  pool.wait_idle();  // must not deadlock
 }
 
 TEST(ThreadPool, DefaultsToHardwareConcurrency) {
@@ -158,6 +173,79 @@ TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
                           });
                         }),
       std::invalid_argument);
+}
+
+TEST(ThreadPool, NestedParallelForRunsOnTheCallingThread) {
+  // A loop started inside an iteration runs inline: every inner index on
+  // the thread of the iteration that started it, none on the idle workers,
+  // which the sleeps give every chance to take one.
+  ThreadPool pool{3};
+  std::vector<std::thread::id> outer(2);
+  std::vector<std::vector<std::thread::id>> inner(
+      2, std::vector<std::thread::id>(8));
+  pool.parallel_for(0, outer.size(), [&](std::size_t i) {
+    outer[i] = std::this_thread::get_id();
+    pool.parallel_for(0, inner[i].size(), [&](std::size_t j) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      inner[i][j] = std::this_thread::get_id();
+    });
+  });
+  for (std::size_t i = 0; i < outer.size(); ++i) {
+    for (const std::thread::id id : inner[i]) EXPECT_EQ(id, outer[i]);
+  }
+}
+
+TEST(ThreadPool, LoopsFromTwoThreadsEachRunEveryIndexOnce) {
+  // A second thread starts its loop while the team runs the first one and
+  // finishes it before the first one ends; each loop runs every index
+  // exactly once.
+  ThreadPool pool{3};
+  std::vector<std::atomic<int>> first(1'000);
+  std::vector<std::atomic<int>> second(1'000);
+  Signal team_busy;
+  Signal second_done;
+  std::atomic<bool> overlapped{false};
+  std::thread other{[&] {  // vq-lint: allow(naked-thread) a second caller
+    (void)team_busy.wait();
+    pool.parallel_for(0, second.size(),
+                      [&](std::size_t i) { second[i].fetch_add(1); });
+    second_done.set();
+  }};
+  pool.parallel_for(0, first.size(), [&](std::size_t i) {
+    if (i == 0) {
+      team_busy.set();
+      overlapped.store(second_done.wait());
+    }
+    first[i].fetch_add(1);
+  });
+  other.join();
+  EXPECT_TRUE(overlapped.load());
+  for (const auto& h : first) EXPECT_EQ(h.load(), 1);
+  for (const auto& h : second) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, TeamRunsTheLoopAfterOneThrew) {
+  // After a loop throws, the next loop still reaches the workers: index 0
+  // waits until index 1 has run, which only a second member can do.
+  ThreadPool pool{2};
+  EXPECT_THROW(pool.parallel_for(0, 64,
+                                 [](std::size_t) {
+                                   throw std::runtime_error{"all fail"};
+                                 }),
+               std::runtime_error);
+  Signal one_ran;
+  std::atomic<bool> overlapped{false};
+  std::atomic<int> ran{0};
+  pool.parallel_for(0, 2, [&](std::size_t i) {
+    if (i == 0) {
+      overlapped.store(one_ran.wait());
+    } else {
+      one_ran.set();
+    }
+    ran.fetch_add(1);
+  });
+  EXPECT_TRUE(overlapped.load());
+  EXPECT_EQ(ran.load(), 2);
 }
 
 }  // namespace
