@@ -93,6 +93,23 @@ SessionColumns SessionColumns::from_sessions(std::span<const Session> sessions,
   return columns;
 }
 
+TableColumnsSource::TableColumnsSource(const SessionTable& table,
+                                       std::vector<std::uint32_t> degraded)
+    : table_{table}, degraded_{std::move(degraded)} {
+  if (!std::is_sorted(degraded_.begin(), degraded_.end())) {
+    throw std::invalid_argument{
+        "TableColumnsSource: degraded epochs must be sorted ascending"};
+  }
+}
+
+bool TableColumnsSource::read_epoch(std::uint32_t e, SessionColumns& out) {
+  const std::span<const Session> sessions = table_.epoch(e);
+  out.clear();
+  out.reserve(sessions.size());
+  for (const Session& s : sessions) out.push_back(s);
+  return std::binary_search(degraded_.begin(), degraded_.end(), e);
+}
+
 namespace {
 
 /// Elements per block of the column loops.

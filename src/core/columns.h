@@ -26,8 +26,8 @@
 // SessionColumns is also the unit of streaming: EpochColumnsSource is the
 // abstract one-epoch-at-a-time feed run_pipeline_streaming (pipeline.h)
 // consumes, letting `analyze` run at O(one epoch) memory over traces that
-// never fit in RAM.  gen/columnar.h implements it over the on-disk format;
-// tests implement it over in-memory tables.
+// never fit in RAM.  gen/columnar.h implements it over the on-disk format,
+// TableColumnsSource over an in-memory SessionTable.
 
 #pragma once
 
@@ -127,8 +127,8 @@ void fold_sessions_columns_into(const SessionColumns& columns,
 
 /// Abstract one-epoch-at-a-time session feed, the streaming counterpart of
 /// SessionTable.  Implementations: gen/columnar.h's ColumnarReader (reads
-/// one column chunk per call at O(one epoch) memory) and in-memory test
-/// doubles.  Epochs with no sessions yield an empty batch.
+/// one column chunk per call at O(one epoch) memory) and TableColumnsSource
+/// below.  Epochs with no sessions yield an empty batch.
 class EpochColumnsSource {
  public:
   virtual ~EpochColumnsSource() = default;
@@ -143,6 +143,28 @@ class EpochColumnsSource {
   /// IngestReport::degraded_epochs annotation of the in-RAM readers.
   /// Throws on unrecoverable input errors (strict-policy readers).
   virtual bool read_epoch(std::uint32_t e, SessionColumns& out) = 0;
+};
+
+/// EpochColumnsSource over an in-memory SessionTable, so what only the
+/// streaming pipeline supports (PipelineConfig::fold_provider) also runs
+/// over a loaded trace.  read_epoch reports the epochs in `degraded` (e.g.
+/// IngestReport::degraded_epochs()) as degraded; the constructor throws
+/// std::invalid_argument unless that list is sorted ascending.  The table
+/// must outlive the source.
+class TableColumnsSource final : public EpochColumnsSource {
+ public:
+  explicit TableColumnsSource(const SessionTable& table,
+                              std::vector<std::uint32_t> degraded = {});
+
+  [[nodiscard]] std::uint32_t num_epochs() const override {
+    return table_.num_epochs();
+  }
+
+  bool read_epoch(std::uint32_t e, SessionColumns& out) override;
+
+ private:
+  const SessionTable& table_;
+  std::vector<std::uint32_t> degraded_;
 };
 
 }  // namespace vq

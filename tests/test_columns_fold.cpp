@@ -251,26 +251,6 @@ TEST(ColumnsFold, InstructionSetNameIsKnown) {
   EXPECT_TRUE(name == "avx2" || name == "sse2" || name == "scalar") << name;
 }
 
-/// In-memory EpochColumnsSource over a SessionTable: the test double the
-/// streaming pipeline differential runs against.
-class TableColumnsSource : public EpochColumnsSource {
- public:
-  explicit TableColumnsSource(const SessionTable& table) : table_(table) {}
-
-  [[nodiscard]] std::uint32_t num_epochs() const override {
-    return table_.num_epochs();
-  }
-
-  bool read_epoch(std::uint32_t e, SessionColumns& out) override {
-    out.clear();
-    for (const Session& s : table_.epoch(e)) out.push_back(s);
-    return false;
-  }
-
- private:
-  const SessionTable& table_;
-};
-
 void expect_analyses_identical(const CriticalAnalysis& expected,
                                const CriticalAnalysis& actual) {
   EXPECT_EQ(expected.epoch, actual.epoch);
@@ -328,22 +308,14 @@ TEST(StreamingPipeline, MatchesInMemoryPipelineAtEveryWorkersShards) {
   }
 }
 
-TEST(StreamingPipeline, PropagatesDegradedEpochsFromSource) {
-  /// Source that flags one epoch as degraded.
-  class DegradedSource final : public TableColumnsSource {
-   public:
-    DegradedSource(const SessionTable& table, std::uint32_t degraded)
-        : TableColumnsSource(table), degraded_(degraded) {}
-    bool read_epoch(std::uint32_t e, SessionColumns& out) override {
-      (void)TableColumnsSource::read_epoch(e, out);
-      return e == degraded_;
-    }
-
-   private:
-    std::uint32_t degraded_;
-  };
+TEST(StreamingPipeline, TableSourceRejectsUnsortedDegradedEpochs) {
   const SessionTable trace = medium_trace(3, 300);
-  DegradedSource source{trace, 1};
+  EXPECT_THROW(TableColumnsSource(trace, {2, 1}), std::invalid_argument);
+}
+
+TEST(StreamingPipeline, PropagatesDegradedEpochsFromSource) {
+  const SessionTable trace = medium_trace(3, 300);
+  TableColumnsSource source{trace, {1}};
   const PipelineResult result = run_pipeline_streaming(source, {});
   EXPECT_EQ(result.degraded_epochs, (std::vector<std::uint32_t>{1}));
   EXPECT_FALSE(result.is_degraded(0));

@@ -261,22 +261,6 @@ std::uint32_t resolve_floor(FloorKind kind, std::span<const Session> epoch0,
   return 1;
 }
 
-/// An in-memory EpochColumnsSource over a SessionTable.
-class TableSource final : public EpochColumnsSource {
- public:
-  explicit TableSource(const SessionTable& table) : table_(table) {}
-  [[nodiscard]] std::uint32_t num_epochs() const override {
-    return table_.num_epochs();
-  }
-  bool read_epoch(std::uint32_t e, SessionColumns& out) override {
-    out = SessionColumns::from_sessions(table_.epoch(e), e);
-    return false;
-  }
-
- private:
-  const SessionTable& table_;
-};
-
 using GridParam = std::tuple<FloorKind, int, std::size_t>;
 
 std::string grid_name(const ::testing::TestParamInfo<GridParam>& info) {
@@ -348,7 +332,7 @@ TEST_P(OracleDifferential, EveryEntryPointMatchesTheOracle) {
     config.engine = engine;
     config.workers = shards;
     const PipelineResult batch = run_pipeline(trace, config);
-    TableSource source{trace};
+    TableColumnsSource source{trace};
     const PipelineResult streamed = run_pipeline_streaming(source, config);
     for (const Metric m : kAllMetrics) {
       for (std::uint32_t e = 0; e < kEpochs; ++e) {

@@ -404,22 +404,6 @@ TEST(PrunedLattice, ProblemSessionsCoveredThrowsBelowFloor) {
                std::invalid_argument);
 }
 
-/// An in-memory EpochColumnsSource over a SessionTable.
-class TableSource final : public EpochColumnsSource {
- public:
-  explicit TableSource(const SessionTable& table) : table_(table) {}
-  [[nodiscard]] std::uint32_t num_epochs() const override {
-    return table_.num_epochs();
-  }
-  bool read_epoch(std::uint32_t e, SessionColumns& out) override {
-    out = SessionColumns::from_sessions(table_.epoch(e), e);
-    return false;
-  }
-
- private:
-  const SessionTable& table_;
-};
-
 /// One epoch's sessions with a planted [site=2, cdn=1] buffering event.
 std::vector<Session> planted_sessions(std::uint32_t epoch) {
   std::vector<Session> out;
@@ -469,7 +453,7 @@ TEST(PrunedLattice, PipelinesPassTheAnalysisFloor) {
   const PipelineResult batch = run_pipeline(trace, config);
   EXPECT_EQ(cells.value() - before, want_cells);
 
-  TableSource source{trace};
+  TableColumnsSource source{trace};
   before = cells.value();
   const PipelineResult streamed = run_pipeline_streaming(source, config);
   EXPECT_EQ(cells.value() - before, want_cells);

@@ -203,23 +203,6 @@ TEST(SketchAdmissionFold, RootIsExactAndAdmittedLeavesCarryExactStats) {
 
 // --- planted-event recall/precision differential -----------------------------
 
-/// In-memory EpochColumnsSource over a SessionTable (streaming test double).
-class TableColumnsSource final : public EpochColumnsSource {
- public:
-  explicit TableColumnsSource(const SessionTable& table) : table_(table) {}
-  [[nodiscard]] std::uint32_t num_epochs() const override {
-    return table_.num_epochs();
-  }
-  bool read_epoch(std::uint32_t e, SessionColumns& out) override {
-    out.clear();
-    for (const Session& s : table_.epoch(e)) out.push_back(s);
-    return false;
-  }
-
- private:
-  const SessionTable& table_;
-};
-
 SessionTable planted_trace(std::uint32_t num_epochs) {
   WorldConfig world_config;
   world_config.num_sites = 10;

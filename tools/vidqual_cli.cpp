@@ -373,29 +373,6 @@ int cmd_convert(const ArgParser& args) {
   return 0;
 }
 
-/// In-memory EpochColumnsSource over a loaded SessionTable, so the
-/// streaming-only --max-cells also applies to csv/binary inputs.
-class TableColumnsSource final : public EpochColumnsSource {
- public:
-  TableColumnsSource(const SessionTable& table,
-                     std::vector<std::uint32_t> degraded)
-      : table_{table}, degraded_{std::move(degraded)} {}
-
-  [[nodiscard]] std::uint32_t num_epochs() const override {
-    return table_.num_epochs();
-  }
-
-  bool read_epoch(std::uint32_t e, SessionColumns& out) override {
-    out.clear();
-    for (const Session& s : table_.epoch(e)) out.push_back(s);
-    return std::binary_search(degraded_.begin(), degraded_.end(), e);
-  }
-
- private:
-  const SessionTable& table_;
-  std::vector<std::uint32_t> degraded_;
-};
-
 int cmd_analyze(const ArgParser& args) {
   if (has_unknown_options(args, "analyze",
                           {"in", "min-sessions", "top", "on-error",
@@ -425,7 +402,7 @@ int cmd_analyze(const ArgParser& args) {
     };
   }
   // fold_provider is streaming-only (pipeline.h); non-columnar inputs go
-  // through the in-memory adapter above when --max-cells is set.
+  // through TableColumnsSource (columns.h) when --max-cells is set.
   const bool force_streaming = max_cells > 0;
 
   // Columnar inputs stream epoch-by-epoch (O(one epoch) memory); the other
