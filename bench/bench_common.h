@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -45,118 +44,6 @@ struct Experiment {
   PipelineConfig config;
   PipelineResult result;
 };
-
-// --- pipeline-result cache ---------------------------------------------------
-// Like the trace cache below, this is output-neutral: run_pipeline is
-// deterministic in (trace, config), so serialising its result lets the other
-// 20+ bench binaries skip a minute of identical recomputation each.
-
-namespace detail {
-
-template <typename T>
-void put(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T>
-T get(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  if (!in) throw std::runtime_error{"result cache: truncated"};
-  return value;
-}
-
-inline void save_result(const std::filesystem::path& path,
-                        const PipelineResult& result) {
-  std::ofstream out{path, std::ios::binary};
-  if (!out) throw std::runtime_error{"result cache: cannot open for write"};
-  out.write("VQPR", 4);
-  put<std::uint32_t>(out, 3);  // version
-  put<std::uint32_t>(out, result.num_epochs);
-  put<std::uint32_t>(out, result.config.cluster_params.min_sessions);
-  put<double>(out, result.config.cluster_params.ratio_multiplier);
-  for (const Metric m : kAllMetrics) {
-    for (std::uint32_t e = 0; e < result.num_epochs; ++e) {
-      const EpochMetricSummary& s = result.at(m, e);
-      const CriticalAnalysis& a = s.analysis;
-      put<std::uint64_t>(out, a.sessions);
-      put<std::uint64_t>(out, a.problem_sessions);
-      put<std::uint64_t>(out, a.problem_sessions_in_pc);
-      put<double>(out, a.global_ratio);
-      put<std::uint32_t>(out, a.num_problem_clusters);
-      put<double>(out, a.attributed_mass);
-      put<std::uint64_t>(out, a.criticals.size());
-      for (const CriticalRecord& c : a.criticals) {
-        put<std::uint64_t>(out, c.key.raw());
-        put<double>(out, c.attributed);
-        put<std::uint32_t>(out, c.stats.sessions);
-        for (int i = 0; i < kNumMetrics; ++i) {
-          put<std::uint32_t>(out, c.stats.problems[i]);
-        }
-      }
-      put<std::uint64_t>(out, a.problem_cluster_keys.size());
-      for (const std::uint64_t key : a.problem_cluster_keys) {
-        put<std::uint64_t>(out, key);
-      }
-    }
-  }
-  if (!out) throw std::runtime_error{"result cache: write failed"};
-}
-
-inline PipelineResult load_result(const std::filesystem::path& path,
-                                  const PipelineConfig& config) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw std::runtime_error{"result cache: cannot open"};
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::string_view{magic, 4} != "VQPR") {
-    throw std::runtime_error{"result cache: bad magic"};
-  }
-  if (get<std::uint32_t>(in) != 3) {
-    throw std::runtime_error{"result cache: version mismatch"};
-  }
-  PipelineResult result;
-  result.config = config;
-  result.num_epochs = get<std::uint32_t>(in);
-  if (get<std::uint32_t>(in) != config.cluster_params.min_sessions ||
-      get<double>(in) != config.cluster_params.ratio_multiplier) {
-    throw std::runtime_error{"result cache: config mismatch"};
-  }
-  for (auto& v : result.per_metric) v.resize(result.num_epochs);
-  for (const Metric m : kAllMetrics) {
-    for (std::uint32_t e = 0; e < result.num_epochs; ++e) {
-      EpochMetricSummary& s =
-          result.per_metric[static_cast<std::uint8_t>(m)][e];
-      CriticalAnalysis& a = s.analysis;
-      a.epoch = e;
-      a.metric = m;
-      a.sessions = get<std::uint64_t>(in);
-      a.problem_sessions = get<std::uint64_t>(in);
-      a.problem_sessions_in_pc = get<std::uint64_t>(in);
-      a.global_ratio = get<double>(in);
-      a.num_problem_clusters = get<std::uint32_t>(in);
-      a.attributed_mass = get<double>(in);
-      const auto criticals = get<std::uint64_t>(in);
-      a.criticals.resize(criticals);
-      for (auto& c : a.criticals) {
-        c.key = ClusterKey::from_raw(get<std::uint64_t>(in));
-        c.attributed = get<double>(in);
-        c.stats.sessions = get<std::uint32_t>(in);
-        for (int i = 0; i < kNumMetrics; ++i) {
-          c.stats.problems[i] = get<std::uint32_t>(in);
-        }
-      }
-      const auto keys = get<std::uint64_t>(in);
-      a.problem_cluster_keys.resize(keys);
-      for (auto& key : a.problem_cluster_keys) {
-        key = get<std::uint64_t>(in);
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace detail
 
 /// Builds the default experiment once per process.
 inline const Experiment& default_experiment() {
@@ -218,34 +105,9 @@ inline const Experiment& default_experiment() {
     PipelineConfig config;
     config.cluster_params.min_sessions = min_sessions;
 
-    const std::filesystem::path result_cache =
-        std::filesystem::temp_directory_path() /
-        ("vidqual_bench_" + std::to_string(epochs) + "_" +
-         std::to_string(per_epoch) + "_" + std::to_string(seed) + "_" +
-         std::to_string(min_sessions) + ".vqpr");
-    PipelineResult result;
-    bool result_loaded = false;
-    if (std::filesystem::exists(result_cache)) {
-      try {
-        std::fprintf(stderr, "[bench] loading cached pipeline result...\n");
-        result = detail::load_result(result_cache, config);
-        result_loaded = true;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "[bench] result cache unusable (%s)\n",
-                     e.what());
-      }
-    }
-    if (!result_loaded) {
-      std::fprintf(stderr, "[bench] running pipeline on %zu sessions...\n",
-                   trace.size());
-      result = run_pipeline(trace, config);
-      try {
-        detail::save_result(result_cache, result);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "[bench] could not cache result: %s\n",
-                     e.what());
-      }
-    }
+    std::fprintf(stderr, "[bench] running pipeline on %zu sessions...\n",
+                 trace.size());
+    PipelineResult result = run_pipeline(trace, config);
 
     return Experiment{std::move(world), std::move(events), std::move(trace),
                       config, std::move(result)};
