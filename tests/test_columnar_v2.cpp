@@ -221,7 +221,7 @@ TEST(ColumnarV2, WriterStampsVersion2AndChainedChecksums) {
 
 TEST(ColumnarV2, SwappedColumnsFailTheChunkChecksum) {
   const Generated g = generated();
-  const VqtcChunk c = test::vqtc_chunks(g.v2)[1];
+  const VqtcChunk c = test::vqtc_chunks(g.v2).at(1);
   std::string swapped = g.v2;
   const std::size_t bytes = VqtcChunk::width(0) * c.count;
   // site and cdn: equal widths, different contents.
@@ -261,7 +261,7 @@ TEST(ColumnarV2, Version1ContainerLoadsIdentically) {
 
 TEST(ColumnarV2, Version1DamagedChunkIsQuarantinedLikeVersion2) {
   const Generated g = generated();
-  const VqtcChunk c = test::vqtc_chunks(g.v2)[2];
+  const VqtcChunk c = test::vqtc_chunks(g.v2).at(2);
   // The same flipped payload byte in both versions: checksum failure, the
   // same positioned exception under strict and the same whole-chunk loss
   // otherwise.
@@ -321,7 +321,7 @@ TEST(ColumnarV2, RefusesEveryOtherVersion) {
 TEST(ColumnarV2, Version1BitFlipSweepAccountsExactly) {
   const Generated g = generated(2, 6);
   const std::string v1 = test::vqtc_as_v1(g.v2);
-  const std::size_t data_start = test::vqtc_chunks(v1).front().offset;
+  const std::size_t data_start = test::vqtc_chunks(v1).at(0).offset;
   for (std::size_t off = data_start; off < v1.size(); ++off) {
     test::FaultyStream fs{v1, {.flip_offset = off}};
     try {
